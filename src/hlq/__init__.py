@@ -14,14 +14,10 @@ from .engines import (
     RunDiagnostics,
     RunResult,
     SimConfig,
-    hidden_step,
-    interaction_hamiltonian,
-    jc_hamiltonian,
     make_schedule,
     phase_multiplicity,
     run,
     run_compare,
-    standard_step,
 )
 from .errors import (
     ConfigParseError,

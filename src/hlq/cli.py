@@ -263,16 +263,21 @@ def _emit_run_outputs(
     return files
 
 
+def _run_and_emit(out_dir: Path, config: SimConfig) -> list[Path]:
+    """Run config's engine (each in turn for "both", files suffixed) and write its outputs."""
+    if config.engine != "both":
+        return _emit_run_outputs(out_dir, config, run(config))
+    files = []
+    for engine in ("hidden", "standard"):
+        sub = replace(config, engine=engine)
+        files += _emit_run_outputs(out_dir, sub, run(sub), suffix=f"_{engine}")
+    return files
+
+
 def cmd_run(args) -> int:
     config = _load_config(args)
     out_dir = _out_dir(args)
-    files = []
-    if config.engine == "both":
-        for engine in ("hidden", "standard"):
-            sub = replace(config, engine=engine)
-            files += _emit_run_outputs(out_dir, sub, run(sub), suffix=f"_{engine}")
-    else:
-        files += _emit_run_outputs(out_dir, config, run(config))
+    files = _run_and_emit(out_dir, config)
     files.append(_write_manifest(out_dir, "run", config, files))
     for path in files:
         print(f"wrote {path}")
@@ -403,8 +408,7 @@ def cmd_sweep(args) -> int:
             sub = replace(config, **{field: value})
             sub.validate()
             sub_dir.mkdir(parents=True, exist_ok=True)
-            result = run(sub)
-            emitted = _emit_run_outputs(sub_dir, sub, result)
+            emitted = _run_and_emit(sub_dir, sub)
             entry["status"] = "ok"
             entry["outputs"] = {p.name: _sha256(p) for p in emitted}
         except HlqError as exc:

@@ -28,38 +28,50 @@ is what per-step spin coherences rotating at the bare mode frequency
 produce; the closed-form ground-state law for the two-boson model assumes
 this convention. The two choices only differ for the two-boson model.
 
-Performance note: per-step couplings differ from the tau = 0 one only by
-Fock-diagonal and spin-diagonal phases, so each engine diagonalizes a single
-base propagator once and conjugates it with diagonal phase vectors per step.
-The cached path is used whenever |alpha|, |beta| and eta are constant over
-the schedule (true for every bundled schedule) and matches the direct
-construction to ~1e-12 per step.
+Stepping kernels
+----------------
+R0 has a single nonzero diagonal, R0[n - k', n] = r_n with k' the quanta one
+application lowers, so R0 R0^dag and R0^dag R0 are diagonal and
+exp(-i dt V) has closed-form (Jaynes-Cummings) blocks:
+
+    [[cos(g_up dt),                             -i conj(eta) e^{-ik omega tau} S_up R0],
+     [-i eta e^{ik omega tau} S_down R0^dag,    cos(g_down dt)                       ]]
+
+with g_up = |eta| sqrt(diag(R0 R0^dag)), g_down = |eta| sqrt(diag(R0^dag R0))
+and S = sin(g dt) / g (dt where g = 0). Tracing out the spin prepared in
+alpha|up> + beta|down> leaves two Kraus operators K_s = <s|U|phi>, each a
+diagonal plus one band at offset +-k', so the hidden step is
+rho -> K_up rho K_up^dag + K_down rho K_down^dag done by slice updates, with
+no eigendecomposition. The blocks depend only on |eta| and are built once
+per distinct |eta| of the schedule.
+
+The standard coupling is |eps| D (R0 + R0^dag) D^dag with
+D = diag(e^{i theta n / k'}), theta = arg eps + k omega tau and
+eps = eta conj(zeta). One eigh of R0 + R0^dag at build gives every step's
+propagator D W e^{-i |eps| dt w} W^dag D^dag; the middle factor is kept for
+the last |eps| seen. Every schedule takes the same path in both engines.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import schedules as _schedules
 from .errors import (
     ConfigValidationError,
-    InvalidPreparationError,
+    InvalidHamiltonianError,
     TruncationOverflowError,
 )
 from .fockcore import (
     LOWERED_QUANTA,
     MODELS,
     coherent_vector,
-    hermitian_propagator,
     hermiticity_defect,
     model_operator,
-    partial_trace_spin,
-    spin_projector,
-    tensor_embed,
     unitarity_defect,
 )
 from .observables import TrajectoryRecord, purity, state_record
@@ -70,7 +82,6 @@ INITIAL_STATES = ("vacuum", "coherent")
 OUTPUTS = ("timeseries", "final")
 
 TRUNCATION_LIMIT = 1e-6
-_CACHE_MATCH_TOL = 1e-12
 
 
 def phase_multiplicity(model: str, convention: str) -> int:
@@ -194,170 +205,122 @@ class CompareResult:
     diagnostics_standard: RunDiagnostics
 
 
-def jc_hamiltonian(
-    r0: np.ndarray, k: int, eta: complex, omega: float, tau: float
-) -> np.ndarray:
-    """Excitation-exchange coupling on spin (x) field at mid-step time tau.
+def _band(r0: np.ndarray, k_low: int) -> np.ndarray:
+    """Entries r_n = R0[n - k', n] of the one diagonal R0 may occupy.
 
-    Block form in the spin-major basis:
-
-        [[0,                conj(eta) R(tau)],
-         [eta R(tau)^dag,   0               ]],   R(tau) = r0 exp(-i k omega tau).
+    Both kernels rely on R0 having no other entries, which is what makes
+    R0 R0^dag and R0^dag R0 diagonal; anything else is rejected.
     """
-    d = r0.shape[0]
-    rt = r0 * cmath.exp(-1j * k * omega * tau)
-    v = np.zeros((2 * d, 2 * d), dtype=complex)
-    v[:d, d:] = np.conj(eta) * rt
-    v[d:, :d] = eta * rt.conj().T
-    return v
+    r = np.diagonal(r0, offset=k_low).copy()
+    if not np.array_equal(r0, np.diag(r, k_low)):
+        raise InvalidHamiltonianError(
+            f"coupling operator has entries off its superdiagonal {k_low}; "
+            "the closed-form step kernels need R0 on that one diagonal"
+        )
+    return r
 
 
-def interaction_hamiltonian(
-    r0: np.ndarray, k: int, eps: complex, omega: float, tau: float
+def _sin_over(g: np.ndarray, dt: float) -> np.ndarray:
+    """sin(g dt) / g elementwise, dt where g = 0."""
+    s = np.full(g.shape, dt)
+    nz = g > 0.0
+    s[nz] = np.sin(g[nz] * dt) / g[nz]
+    return s
+
+
+def _sandwich(
+    rho: np.ndarray, a: np.ndarray, b: np.ndarray, k_low: int, upper: bool
 ) -> np.ndarray:
-    """Semiclassical coupling conj(eps) R(tau) + eps R(tau)^dag on the field alone."""
-    rt = r0 * cmath.exp(-1j * k * omega * tau)
-    return np.conj(eps) * rt + eps * rt.conj().T
+    """K rho K^dag for K = diag(a) plus the band b at offset +k_low (upper) or -k_low."""
+    n = rho.shape[0] - k_low
+    band, src = slice(None, n), slice(k_low, None)
+    if not upper:
+        band, src = src, band
+    x = a[:, None] * rho
+    x[band] += b[:, None] * rho[src]
+    t = x[:, src] * b.conj()
+    x *= a.conj()
+    x[:, band] += t
+    return x
 
 
-def hidden_step(
-    rho: np.ndarray,
-    prep: _schedules.AtomPrep,
-    r0: np.ndarray,
-    k: int,
-    omega: float,
-    tau: float,
-    dt: float,
-) -> np.ndarray:
-    """One spin-assisted step: adjoin prep, propagate jointly, trace the spin out."""
-    a = spin_projector(prep.alpha, prep.beta)
-    u = hermitian_propagator(jc_hamiltonian(r0, k, prep.eta, omega, tau), dt)
-    w = u @ tensor_embed(a, rho) @ u.conj().T
-    return partial_trace_spin(w)
+class _HiddenKernel:
+    """Spin-assisted step as two banded Kraus operators from closed-form blocks.
 
+    Per |eta|: C_up = cos(g_up dt), C_down = cos(g_down dt), and the bands
+    -i S_up R0 and -i S_down R0^dag. Per step the prep amplitudes and the
+    phase conj(eta) e^{-i k omega tau} enter as scalars:
 
-def standard_step(
-    rho: np.ndarray,
-    eps: complex,
-    r0: np.ndarray,
-    k: int,
-    omega: float,
-    tau: float,
-    dt: float,
-) -> np.ndarray:
-    """One semiclassical step: conjugate rho with exp(-i V(tau) dt)."""
-    u = hermitian_propagator(interaction_hamiltonian(r0, k, eps, omega, tau), dt)
-    return u @ rho @ u.conj().T
-
-
-class CachedHiddenEngine:
-    """Spin-assisted stepper with a single base diagonalization.
-
-    Valid when |alpha_j|, |beta_j| and eta_j are step-independent; the
-    remaining per-step freedom (phase of zeta_j, mid-step time tau_j) enters
-    only through diagonal phases:
-
-        U_j = Q U_0 Q^dag,  Q = diag(1, e^{-i chi_j}) (x) diag(e^{i phi_j n}),
-
-    with chi_j = arg zeta_j and phi_j = k omega tau_j / k', k' the quanta
-    lowered per R0 application (the Fock phases advance R0 by k' phi).
+        K_up   = alpha C_up + beta conj(eta) e^{-ik omega tau} (-i S_up R0),
+        K_down = alpha eta e^{ik omega tau} (-i S_down R0^dag) + beta C_down.
     """
 
     def __init__(
         self,
-        r0: np.ndarray,
-        k: int,
-        eta: complex,
-        omega: float,
+        r: np.ndarray,
+        k_low: int,
+        k_omega: float,
         dt: float,
-        alpha_abs: float,
-        beta_abs: float,
-        k_lowered: int,
+        eta_abs_values: set[float],
     ):
-        d = r0.shape[0]
-        self.d = d
-        base = jc_hamiltonian(r0, k, eta, omega, 0.0)
-        self.u0 = hermitian_propagator(base, dt)
-        self.unitarity_defect = unitarity_defect(self.u0)
-        self.a0 = spin_projector(complex(alpha_abs), complex(beta_abs))
-        self.alpha_abs = alpha_abs
-        self.beta_abs = beta_abs
-        self.eta = complex(eta)
-        self.phi_rate = k * omega / k_lowered
-        self._ns = np.arange(d)
-
-    def _check(self, prep: _schedules.AtomPrep) -> None:
-        if (
-            abs(abs(prep.alpha) - self.alpha_abs) > _CACHE_MATCH_TOL
-            or abs(abs(prep.beta) - self.beta_abs) > _CACHE_MATCH_TOL
-            or abs(prep.eta - self.eta) > _CACHE_MATCH_TOL
-        ):
-            raise InvalidPreparationError(
-                "prep amplitudes drifted from the cached base; rebuild the engine"
-            )
+        d, n = r.size + k_low, r.size
+        self.k_low = k_low
+        self.k_omega = k_omega
+        self.blocks = {}
+        defects = []
+        for eta_abs in eta_abs_values:
+            g_up, g_down = np.zeros(d), np.zeros(d)
+            g_up[:n] = g_down[k_low:] = eta_abs * np.abs(r)
+            c_up, c_down = np.cos(g_up * dt), np.cos(g_down * dt)
+            band_up = -1j * _sin_over(g_up, dt)[:n] * r
+            band_down = -1j * _sin_over(g_down, dt)[k_low:] * r.conj()
+            self.blocks[eta_abs] = (c_up, band_up, c_down, band_down)
+            joint = np.block([
+                [np.diag(c_up), eta_abs * np.diag(band_up, k_low)],
+                [eta_abs * np.diag(band_down, -k_low), np.diag(c_down)],
+            ])
+            defects.append(unitarity_defect(joint))
+        self.unitarity_defect = max(defects)
 
     def step(
         self, rho: np.ndarray, prep: _schedules.AtomPrep, tau: float
     ) -> np.ndarray:
-        self._check(prep)
-        zeta = prep.zeta
-        chi = cmath.phase(zeta) if zeta != 0 else 0.0
-        fock = np.exp(1j * (self.phi_rate * tau) * self._ns)
-        q = np.concatenate((fock, cmath.exp(-1j * chi) * fock))
-        u = (q[:, None] * self.u0) * q.conj()[None, :]
-        w = u @ np.kron(self.a0, rho) @ u.conj().T
-        d = self.d
-        return w[:d, :d] + w[d:, d:]
+        c_up, band_up, c_down, band_down = self.blocks[abs(prep.eta)]
+        coupling = prep.eta.conjugate() * cmath.exp(-1j * self.k_omega * tau)
+        up = _sandwich(rho, prep.alpha * c_up, prep.beta * coupling * band_up,
+                       self.k_low, upper=True)
+        down = _sandwich(rho, prep.beta * c_down,
+                         prep.alpha * coupling.conjugate() * band_down,
+                         self.k_low, upper=False)
+        return up + down
 
 
-class CachedStandardEngine:
-    """Semiclassical stepper with a single base diagonalization.
+class _StandardKernel:
+    """Semiclassical step: conjugation by D W e^{-i |eps| dt w} W^dag D^dag."""
 
-    Base coupling uses eps_0 = eta * zeta_abs at tau = 0; the per-step
-    amplitude eps_j = eta conj(zeta_j) and the rotating factor are restored
-    by Fock-diagonal phases, U_j = D U_0 D^dag with
-    D = diag(e^{i phi_j n}), phi_j = (k omega tau_j - chi_j) / k'.
-    """
-
-    def __init__(
-        self,
-        r0: np.ndarray,
-        k: int,
-        eta: complex,
-        omega: float,
-        dt: float,
-        zeta_abs: float,
-        k_lowered: int,
-    ):
-        d = r0.shape[0]
-        base = interaction_hamiltonian(r0, k, eta * zeta_abs, omega, 0.0)
-        self.u0 = hermitian_propagator(base, dt)
-        self.unitarity_defect = unitarity_defect(self.u0)
-        self.eta = complex(eta)
-        self.zeta_abs = zeta_abs
-        self.k = k
-        self.omega = omega
-        self.k_lowered = k_lowered
-        self._ns = np.arange(d)
-
-    def _check(self, prep: _schedules.AtomPrep) -> None:
-        if (
-            abs(abs(prep.zeta) - self.zeta_abs) > _CACHE_MATCH_TOL
-            or abs(prep.eta - self.eta) > _CACHE_MATCH_TOL
-        ):
-            raise InvalidPreparationError(
-                "prep amplitudes drifted from the cached base; rebuild the engine"
-            )
+    def __init__(self, r: np.ndarray, k_low: int, k_omega: float, dt: float):
+        h0 = np.diag(r, k_low)
+        self.w, self.v = np.linalg.eigh(h0 + h0.conj().T)
+        self.vh = self.v.conj().T
+        self.unitarity_defect = unitarity_defect(self.v)
+        self.k_omega = k_omega
+        self.dt = dt
+        self._fock = np.arange(h0.shape[0]) / k_low
+        self._memo: tuple[float, np.ndarray] | None = None
 
     def step(
         self, rho: np.ndarray, prep: _schedules.AtomPrep, tau: float
     ) -> np.ndarray:
-        self._check(prep)
-        zeta = prep.zeta
-        chi = cmath.phase(zeta) if zeta != 0 else 0.0
-        phi = (self.k * self.omega * tau - chi) / self.k_lowered
-        q = np.exp(1j * phi * self._ns)
-        u = (q[:, None] * self.u0) * q.conj()[None, :]
+        eps = prep.eta * prep.zeta.conjugate()
+        eps_abs = abs(eps)
+        if eps_abs == 0.0:
+            return rho
+        if self._memo is None or self._memo[0] != eps_abs:
+            base = (self.v * np.exp(-1j * eps_abs * self.dt * self.w)) @ self.vh
+            self._memo = (eps_abs, base)
+        theta = cmath.phase(eps) + self.k_omega * tau
+        q = np.exp(1j * theta * self._fock)
+        u = (q[:, None] * self._memo[1]) * q.conj()
         return u @ rho @ u.conj().T
 
 
@@ -374,17 +337,6 @@ def initial_state(config: SimConfig) -> np.ndarray:
     # Renormalize the truncated tail so the state has unit trace exactly.
     c = c / nrm
     return np.outer(c, c.conj())
-
-
-def _uniform_amplitudes(schedule: list[_schedules.AtomPrep]) -> bool:
-    p0 = schedule[0]
-    a0, b0, e0 = abs(p0.alpha), abs(p0.beta), p0.eta
-    return all(
-        abs(abs(p.alpha) - a0) <= _CACHE_MATCH_TOL
-        and abs(abs(p.beta) - b0) <= _CACHE_MATCH_TOL
-        and abs(p.eta - e0) <= _CACHE_MATCH_TOL
-        for p in schedule
-    )
 
 
 def make_schedule(config: SimConfig) -> list[_schedules.AtomPrep]:
@@ -435,31 +387,16 @@ class _Guard:
 
 
 def _build_stepper(config: SimConfig, engine: str, schedule):
-    r0 = model_operator(config.model, config.dim)
-    k = phase_multiplicity(config.model, config.phase)
     k_low = LOWERED_QUANTA[config.model]
-    cached = _uniform_amplitudes(schedule)
+    k_omega = phase_multiplicity(config.model, config.phase) * config.omega
+    r = _band(model_operator(config.model, config.dim), k_low)
     if engine == "hidden":
-        if cached:
-            p0 = schedule[0]
-            eng = CachedHiddenEngine(
-                r0, k, p0.eta, config.omega, config.dt,
-                abs(p0.alpha), abs(p0.beta), k_low,
-            )
-            return eng.step, eng.unitarity_defect
-        def step(rho, prep, tau):
-            return hidden_step(rho, prep, r0, k, config.omega, tau, config.dt)
-        return step, 0.0
-    if cached:
-        p0 = schedule[0]
-        eng = CachedStandardEngine(
-            r0, k, p0.eta, config.omega, config.dt, abs(p0.zeta), k_low
+        kernel = _HiddenKernel(
+            r, k_low, k_omega, config.dt, {abs(p.eta) for p in schedule}
         )
-        return eng.step, eng.unitarity_defect
-    def step(rho, prep, tau):
-        eps = prep.eta * np.conj(prep.zeta)
-        return standard_step(rho, eps, r0, k, config.omega, tau, config.dt)
-    return step, 0.0
+    else:
+        kernel = _StandardKernel(r, k_low, k_omega, config.dt)
+    return kernel.step, kernel.unitarity_defect
 
 
 def run(
@@ -568,7 +505,3 @@ def run_compare(
         recs_h, recs_s, dists, rho_h, rho_s, guard_h.finish(), guard_s.finish()
     )
 
-
-def with_engine(config: SimConfig, engine: str) -> SimConfig:
-    """Copy of config pointed at a specific engine."""
-    return replace(config, engine=engine)

@@ -11,7 +11,7 @@ types. Conventions used throughout the package:
   is the sum of the two diagonal blocks.
 
 The module-level tolerances below define what the rest of the package
-accepts as Hermitian, unit-trace, positive and unitary.
+accepts as Hermitian, unitary and normalized.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .errors import (
 )
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-10
-EIGENVALUE_TOL = 1e-10
 UNITARITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
 
@@ -149,14 +147,3 @@ def coherent_vector(gamma: complex, d: int) -> np.ndarray:
         c[n] = amp
     return c
 
-
-def density_defects(rho: np.ndarray) -> tuple[float, float, float]:
-    """(hermiticity defect, |trace - 1|, most negative eigenvalue) of rho.
-
-    The eigenvalue is computed on the symmetrized matrix; a valid state keeps
-    all three below HERMITICITY_TOL, TRACE_TOL and EIGENVALUE_TOL.
-    """
-    herm = hermiticity_defect(rho)
-    tr = abs(np.trace(rho) - 1.0)
-    w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    return herm, float(tr), float(w[0])

@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -305,6 +306,23 @@ class TestSweepCommand:
             means.append(float(rows[-1][4]))
         # mean photon number scales as N^2 (within the per-step leak bias)
         assert means[1] / means[0] == pytest.approx(4.0, rel=0.05)
+
+    def test_both_engines_emit_suffixed_files(self, tmp_path):
+        cfg = write(tmp_path, TINY + "engine = both\n")
+        out = tmp_path / "out"
+        assert main([
+            "sweep", cfg, "--out-dir", str(out), "--param", "zeta",
+            "--values", "0.2,0.5",
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = {f"{kind}_{engine}.csv" for kind in ("timeseries", "final_state")
+                    for engine in ("hidden", "standard")}
+        for entry in manifest["results"]:
+            assert entry["status"] == "ok"
+            assert set(entry["outputs"]) == expected
+            for name, digest in entry["outputs"].items():
+                data = (out / entry["dir"] / name).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest
 
     def test_empty_values_rejected(self, tmp_path):
         cfg = write(tmp_path, TINY)

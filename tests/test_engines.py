@@ -1,5 +1,7 @@
-"""Stepping engines: couplings, single steps, cached path, full runs."""
+"""Stepping engines: couplings, single steps, closed-form kernels, full runs."""
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -8,17 +10,17 @@ import pytest
 from hlq import engines
 from hlq.engines import (
     SimConfig,
-    hidden_step,
     initial_state,
-    interaction_hamiltonian,
-    jc_hamiltonian,
     make_schedule,
     phase_multiplicity,
     run,
     run_compare,
-    standard_step,
 )
-from hlq.errors import ConfigValidationError, TruncationOverflowError
+from hlq.errors import (
+    ConfigValidationError,
+    InvalidHamiltonianError,
+    TruncationOverflowError,
+)
 from hlq.fockcore import (
     annihilation_matrix,
     coherent_vector,
@@ -28,6 +30,12 @@ from hlq.fockcore import (
 from hlq.observables import fidelity_coherent, trace_distance
 from hlq.oracles import ground_state_probability
 from hlq.schedules import AtomPrep, uniform_schedule
+from reference import (
+    hidden_step,
+    interaction_hamiltonian,
+    jc_hamiltonian,
+    standard_step,
+)
 
 OMEGA_SLOW = 2 * math.pi / 5
 
@@ -36,6 +44,38 @@ def random_density(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def random_prep(rng, eta):
+    theta = rng.uniform(0.0, math.pi / 2)
+    return AtomPrep(complex(math.cos(theta)),
+                    math.sin(theta) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)), eta)
+
+
+def pulse_schedule(n, eta, seed=3):
+    """sin^2 pulse: |zeta| changes every step, with a seeded phase jitter on zeta."""
+    jitter = np.random.default_rng(seed).uniform(-0.3, 0.3, n)
+    return [
+        uniform_schedule(1, 0.5 * math.sin(math.pi * (j + 0.5) / n) ** 2,
+                         float(jitter[j]), eta)[0]
+        for j in range(n)
+    ]
+
+
+def reference_run(cfg, sched, engine):
+    """Final state of cfg over sched by the direct dense step of one engine."""
+    r0 = model_operator(cfg.model, cfg.dim)
+    k = phase_multiplicity(cfg.model, cfg.phase)
+    rho = initial_state(cfg)
+    for j in range(1, cfg.steps + 1):
+        tau = (j - 0.5) * cfg.dt
+        prep = sched[j - 1]
+        if engine == "hidden":
+            rho = hidden_step(rho, prep, r0, k, cfg.omega, tau, cfg.dt)
+        else:
+            eps = prep.eta * np.conj(prep.zeta)
+            rho = standard_step(rho, eps, r0, k, cfg.omega, tau, cfg.dt)
+    return rho
 
 
 class TestCouplings:
@@ -157,6 +197,8 @@ class TestStandardStep:
 
 
 class TestCachedStepping:
+    """The engines' closed-form kernels against the direct dense reference."""
+
     def config(self, model, schedule, phase="operator"):
         return SimConfig(
             model=model, omega=1.3, dt=0.002, steps=60, dim=16,
@@ -167,43 +209,89 @@ class TestCachedStepping:
     @pytest.mark.parametrize("schedule", ["uniform", "alternating", "rotating"])
     def test_hidden_cache_matches_direct(self, model, schedule):
         cfg = self.config(model, schedule)
-        sched = make_schedule(cfg)
-        r0 = model_operator(model, cfg.dim)
-        k = phase_multiplicity(model, cfg.phase)
-        rho = initial_state(cfg)
-        for j in range(1, cfg.steps + 1):
-            tau = (j - 0.5) * cfg.dt
-            rho = hidden_step(rho, sched[j - 1], r0, k, cfg.omega, tau, cfg.dt)
-        cached = run(cfg, deep_checks=False).final
-        assert np.max(np.abs(cached - rho)) <= 1e-10
+        rho = reference_run(cfg, make_schedule(cfg), "hidden")
+        kernel = run(cfg, deep_checks=False).final
+        assert np.max(np.abs(kernel - rho)) <= 1e-10
 
     @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
     @pytest.mark.parametrize("schedule", ["uniform", "alternating", "rotating"])
     def test_standard_cache_matches_direct(self, model, schedule):
         cfg = self.config(model, schedule)
-        sched = make_schedule(cfg)
-        r0 = model_operator(model, cfg.dim)
-        k = phase_multiplicity(model, cfg.phase)
-        rho = initial_state(cfg)
-        for j in range(1, cfg.steps + 1):
-            tau = (j - 0.5) * cfg.dt
-            eps = sched[j - 1].eta * np.conj(sched[j - 1].zeta)
-            rho = standard_step(rho, eps, r0, k, cfg.omega, tau, cfg.dt)
-        cached = run(engines.with_engine(cfg, "standard"), deep_checks=False).final
-        assert np.max(np.abs(cached - rho)) <= 1e-10
+        rho = reference_run(cfg, make_schedule(cfg), "standard")
+        kernel = run(dataclasses.replace(cfg, engine="standard"), deep_checks=False).final
+        assert np.max(np.abs(kernel - rho)) <= 1e-10
 
     def test_tau_zero_identical(self):
         cfg = self.config("linear", "uniform")
         sched = make_schedule(cfg)
         p0 = sched[0]
-        eng = engines.CachedHiddenEngine(
-            model_operator("linear", cfg.dim), 1, p0.eta, cfg.omega, cfg.dt,
-            abs(p0.alpha), abs(p0.beta), 1,
-        )
+        step, _ = engines._build_stepper(cfg, "hidden", sched)
         rng = np.random.default_rng(28)
         rho = random_density(rng, cfg.dim)
         direct = hidden_step(rho, p0, model_operator("linear", cfg.dim), 1, cfg.omega, 0.0, cfg.dt)
-        assert np.max(np.abs(eng.step(rho, p0, 0.0) - direct)) <= 1e-13
+        assert np.max(np.abs(step(rho, p0, 0.0) - direct)) <= 1e-13
+
+    @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
+    @pytest.mark.parametrize("phase", ["operator", "coherence"])
+    @pytest.mark.parametrize("d", [2, 3, 8, 32])
+    def test_one_step_matches_reference(self, model, phase, d):
+        rng = np.random.default_rng([29, d, len(model), len(phase)])
+        r0 = model_operator(model, d)
+        k = phase_multiplicity(model, phase)
+        for _ in range(5):
+            cfg = SimConfig(model=model, omega=rng.uniform(-3.0, 3.0), dt=rng.uniform(1e-3, 0.1),
+                            steps=1, dim=d, phase=phase)
+            prep = random_prep(rng, complex(rng.normal(), rng.normal()))
+            tau = rng.uniform(0.0, 5.0)
+            rho = random_density(rng, d)
+            step_h, _ = engines._build_stepper(cfg, "hidden", [prep])
+            step_s, _ = engines._build_stepper(cfg, "standard", [prep])
+            eps = prep.eta * np.conj(prep.zeta)
+            ref_h = hidden_step(rho, prep, r0, k, cfg.omega, tau, cfg.dt)
+            ref_s = standard_step(rho, eps, r0, k, cfg.omega, tau, cfg.dt)
+            assert np.max(np.abs(step_h(rho, prep, tau) - ref_h)) <= 1e-13
+            assert np.max(np.abs(step_s(rho, prep, tau) - ref_s)) <= 1e-13
+
+    @pytest.mark.parametrize("engine", ["hidden", "standard"])
+    def test_pulse_run_matches_reference(self, engine):
+        eta = 1.2 * cmath.exp(0.4j)
+        cfg = SimConfig(model="linear", omega=OMEGA_SLOW, dt=1e-2, steps=160, dim=16,
+                        eta=eta, engine=engine)
+        sched = pulse_schedule(cfg.steps, eta)
+        kernel = run(cfg, sched, deep_checks=False).final
+        assert np.max(np.abs(kernel - reference_run(cfg, sched, engine))) <= 1e-10
+
+    def test_eigh_once_per_engine_build(self, monkeypatch):
+        eta = 1.2 * cmath.exp(0.4j)
+        cfg = SimConfig(model="linear", omega=OMEGA_SLOW, dt=1e-2, steps=160, eta=eta)
+        sched = pulse_schedule(cfg.steps, eta)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        run_compare(cfg, sched, per_step_distance=False)
+        assert len(calls) <= 2
+
+    def test_unitarity_defect_reported_for_varying_schedule(self, monkeypatch):
+        sentinel = 0.123
+        monkeypatch.setattr(engines, "unitarity_defect", lambda u: sentinel)
+        eta = 0.9 - 0.3j
+        cfg = SimConfig(model="two-boson", omega=1.0, dt=1e-2, steps=20, dim=12, eta=eta)
+        res = run_compare(cfg, pulse_schedule(cfg.steps, eta), per_step_distance=False)
+        assert res.diagnostics_hidden.propagator_unitarity_defect == sentinel
+        assert res.diagnostics_standard.propagator_unitarity_defect == sentinel
+
+    def test_coupling_off_its_band_rejected(self, monkeypatch):
+        dense = np.ones((6, 6), dtype=complex)
+        monkeypatch.setattr(engines, "model_operator", lambda model, d: dense)
+        cfg = SimConfig(model="linear", omega=1.0, dt=1e-2, steps=3, dim=6)
+        for engine in ("hidden", "standard"):
+            with pytest.raises(InvalidHamiltonianError):
+                run(dataclasses.replace(cfg, engine=engine))
 
     def test_two_boson_phase_multiplicity_emerges(self):
         # conjugating V(0) by e^{i phi n} must reproduce jc_hamiltonian at k = 2
