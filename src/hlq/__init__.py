@@ -33,16 +33,11 @@ from .errors import (
 from .fockcore import (
     annihilation_matrix,
     coherent_vector,
-    hermitian_propagator,
     model_operator,
     number_matrix,
-    partial_trace_spin,
-    spin_projector,
-    tensor_embed,
 )
 from .observables import (
     HusimiGrid,
-    TrajectoryRecord,
     fidelity_coherent,
     ground_population,
     husimi_grid,

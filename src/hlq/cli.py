@@ -47,14 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engines import (
-    CompareResult,
-    RunResult,
-    SimConfig,
-    make_schedule,
-    run,
-    run_compare,
-)
+from .engines import RunResult, SimConfig, run, run_compare
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -195,20 +188,28 @@ def _config_echo(config: SimConfig) -> dict:
     return echo
 
 
-def _write_manifest(
-    out_dir: Path, command: str, config: SimConfig, files: list[Path], extra: dict | None = None
-) -> Path:
-    manifest = {
-        "command": command,
-        "config": _config_echo(config),
-        "schedule": config.schedule,
-        "outputs": {p.name: _sha256(p) for p in files},
-    }
-    if extra:
-        manifest.update(extra)
+def _write_manifest(out_dir: Path, command: str, config: SimConfig, fields: dict) -> Path:
+    """Write manifest.json: the command, the config echo and the given fields."""
+    manifest = {"command": command, "config": _config_echo(config),
+                "schedule": config.schedule, **fields}
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _digests(files: list[Path]) -> dict[str, str]:
+    return {p.name: _sha256(p) for p in files}
+
+
+def _finish(
+    out_dir: Path, command: str, config: SimConfig, files: list[Path], extra: dict | None = None
+) -> int:
+    """Write the manifest over files, print every path written, return exit status 0."""
+    fields = {"outputs": _digests(files), **(extra or {})}
+    files.append(_write_manifest(out_dir, command, config, fields))
+    for path in files:
+        print(f"wrote {path}")
+    return 0
 
 
 def _out_dir(args) -> Path:
@@ -223,19 +224,10 @@ def _load_config(args) -> SimConfig:
 
 
 def _timeseries_rows(result: RunResult, omega: float):
-    for rec in result.records:
-        yield (
-            rec.step,
-            rec.t,
-            omega * rec.t / math.pi,
-            rec.p00,
-            rec.mean_n,
-            rec.purity,
-            rec.mean_b.real,
-            rec.mean_b.imag,
-            rec.var_x,
-            rec.var_y,
-        )
+    r = result.records
+    columns = (r.step, r.t, omega * r.t / math.pi, r.p00, r.mean_n, r.purity,
+               r.mean_b.real, r.mean_b.imag, r.var_x, r.var_y)
+    return zip(*(c.tolist() for c in columns))
 
 
 _TIMESERIES_HEADER = "step,t,pulse_area_over_pi,p00,mean_n,purity,re_b,im_b,var_x,var_y"
@@ -277,31 +269,24 @@ def _run_and_emit(out_dir: Path, config: SimConfig) -> list[Path]:
 def cmd_run(args) -> int:
     config = _load_config(args)
     out_dir = _out_dir(args)
-    files = _run_and_emit(out_dir, config)
-    files.append(_write_manifest(out_dir, "run", config, files))
-    for path in files:
-        print(f"wrote {path}")
-    return 0
+    return _finish(out_dir, "run", config, _run_and_emit(out_dir, config))
 
 
 def cmd_compare(args) -> int:
     config = _load_config(args)
     out_dir = _out_dir(args)
     result = run_compare(config)
+    hidden, standard = result.records_hidden, result.records_standard
     rows = []
-    for rec_h, rec_s, dist in zip(
-        result.records_hidden, result.records_standard, result.trace_distances
+    for step, t, p_hidden, p_standard, dist in zip(
+        hidden.step.tolist(), hidden.t.tolist(), hidden.p00.tolist(),
+        standard.p00.tolist(), result.trace_distances,
     ):
-        oracle = ground_state_probability(
-            config.eps_eff, config.omega, rec_h.t, model=config.model
-        )
-        rows.append((rec_h.step, rec_h.t, rec_h.p00, rec_s.p00, oracle, dist))
+        oracle = ground_state_probability(config.eps_eff, config.omega, t, model=config.model)
+        rows.append((step, t, p_hidden, p_standard, oracle, dist))
     path = out_dir / "compare.csv"
     _write_csv(path, "step,t,p00_hidden,p00_standard,p00_oracle,trace_distance", rows)
-    files = [path, _write_manifest(out_dir, "compare", config, [path])]
-    for p in files:
-        print(f"wrote {p}")
-    return 0
+    return _finish(out_dir, "compare", config, [path])
 
 
 def cmd_converge(args) -> int:
@@ -320,11 +305,7 @@ def cmd_converge(args) -> int:
         prev = dist
     path = out_dir / "converge.csv"
     _write_csv(path, "dt,final_trace_distance,ratio", rows)
-    files = [path, _write_manifest(out_dir, "converge", config, [path],
-                                   extra={"halvings": args.halvings})]
-    for p in files:
-        print(f"wrote {p}")
-    return 0
+    return _finish(out_dir, "converge", config, [path], extra={"halvings": args.halvings})
 
 
 def cmd_husimi(args) -> int:
@@ -361,18 +342,12 @@ def cmd_husimi(args) -> int:
         _write_csv(path, "x,y,q", rows)
         files.append(path)
     traj = out_dir / "trajectory.csv"
-    _write_csv(
-        traj,
-        "t,re_b,im_b",
-        ((rec.t, rec.mean_b.real, rec.mean_b.imag) for rec in result.records),
-    )
+    r = result.records
+    _write_csv(traj, "t,re_b,im_b",
+               zip(r.t.tolist(), r.mean_b.real.tolist(), r.mean_b.imag.tolist()))
     files.append(traj)
-    files.append(_write_manifest(out_dir, "husimi", config, files,
-                                 extra={"snapshots": snaps, "extent": args.extent,
-                                        "grid": args.grid}))
-    for p in files:
-        print(f"wrote {p}")
-    return 0
+    return _finish(out_dir, "husimi", config, files,
+                   extra={"snapshots": snaps, "extent": args.extent, "grid": args.grid})
 
 
 _SWEEPABLE = ("omega", "dt", "steps", "dim", "zeta", "eta")
@@ -410,7 +385,7 @@ def cmd_sweep(args) -> int:
             sub_dir.mkdir(parents=True, exist_ok=True)
             emitted = _run_and_emit(sub_dir, sub)
             entry["status"] = "ok"
-            entry["outputs"] = {p.name: _sha256(p) for p in emitted}
+            entry["outputs"] = _digests(emitted)
         except HlqError as exc:
             failures.append(exc)
             entry["status"] = "failed"
@@ -418,16 +393,8 @@ def cmd_sweep(args) -> int:
             print(f"sweep value {tok}: {exc}", file=sys.stderr)
         results.append(entry)
 
-    manifest = {
-        "command": "sweep",
-        "config": _config_echo(config),
-        "schedule": config.schedule,
-        "param": args.param,
-        "values": tokens,
-        "results": results,
-    }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path = _write_manifest(out_dir, "sweep", config,
+                           {"param": args.param, "values": tokens, "results": results})
     print(f"wrote {path}")
     if failures:
         if any(isinstance(f, TruncationOverflowError) for f in failures):

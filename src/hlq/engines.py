@@ -50,6 +50,16 @@ D = diag(e^{i theta n / k'}), theta = arg eps + k omega tau and
 eps = eta conj(zeta). One eigh of R0 + R0^dag at build gives every step's
 propagator D W e^{-i |eps| dt w} W^dag D^dag; the middle factor is kept for
 the last |eps| seen. Every schedule takes the same path in both engines.
+
+Driver
+------
+``run`` and ``run_compare`` are thin wrappers over one lockstep driver. It
+validates the config and schedule once, builds one lane (stepper, guard,
+trajectory recorder) per engine from the same initial state, and moves every
+lane through step j before any lane takes step j + 1. After each step a
+lane's guard checks its state and its recorder writes the observables into
+preallocated columns; with two lanes the driver also takes the trace
+distance between them. Each lane's columns come back as one ``np.recarray``.
 """
 
 from __future__ import annotations
@@ -74,7 +84,8 @@ from .fockcore import (
     model_operator,
     unitarity_defect,
 )
-from .observables import TrajectoryRecord, purity, state_record
+from . import observables as _observables
+from .observables import TrajectoryRecorder, purity
 
 ENGINES = ("hidden", "standard", "both")
 PHASE_CONVENTIONS = ("operator", "coherence")
@@ -186,7 +197,9 @@ class RunDiagnostics:
 
 @dataclass
 class RunResult:
-    records: list[TrajectoryRecord]
+    """One engine's run; ``records`` is a recarray with one row per step, 0 the initial state."""
+
+    records: np.recarray
     final: np.ndarray
     diagnostics: RunDiagnostics
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
@@ -196,8 +209,8 @@ class RunResult:
 class CompareResult:
     """Lockstep run of both engines over one schedule."""
 
-    records_hidden: list[TrajectoryRecord]
-    records_standard: list[TrajectoryRecord]
+    records_hidden: np.recarray
+    records_standard: np.recarray
     trace_distances: list[float]
     final_hidden: np.ndarray
     final_standard: np.ndarray
@@ -353,8 +366,7 @@ def make_schedule(config: SimConfig) -> list[_schedules.AtomPrep]:
 class _Guard:
     """Per-step state checks and diagnostics accumulation."""
 
-    def __init__(self, dim: int, deep: bool):
-        self.dim = dim
+    def __init__(self, deep: bool):
         self.deep = deep
         self.diag = RunDiagnostics(min_eigenvalue=np.inf)
 
@@ -364,7 +376,8 @@ class _Guard:
             self.diag.max_top_two_population = top2
         if top2 >= TRUNCATION_LIMIT:
             raise TruncationOverflowError(step, top2)
-        drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+        trace = np.trace(rho)
+        drift = abs(trace.real - 1.0) + abs(trace.imag)
         if drift > self.diag.max_trace_drift:
             self.diag.max_trace_drift = drift
         if self.deep:
@@ -399,6 +412,65 @@ def _build_stepper(config: SimConfig, engine: str, schedule):
     return kernel.step, kernel.unitarity_defect
 
 
+class _Lane:
+    """One engine in the lockstep driver: its state, stepper, guard, recorder and snapshots."""
+
+    def __init__(self, config: SimConfig, engine: str, schedule, deep: bool, wanted: set[int]):
+        self.rho = initial_state(config)
+        self.step, udef = _build_stepper(config, engine, schedule)
+        self.guard = _Guard(deep)
+        self.guard.diag.propagator_unitarity_defect = udef
+        self.recorder = TrajectoryRecorder(config.steps)
+        self.wanted = wanted
+        self.snapshots: dict[int, np.ndarray] = {}
+        self.observe(0)
+
+    def observe(self, j: int) -> None:
+        self.guard.inspect(self.rho, j)
+        self.recorder.record(j, self.rho)
+        if j in self.wanted:
+            self.snapshots[j] = self.rho.copy()
+
+
+def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks: bool,
+              snapshot_steps=(), per_step_distance: bool = True):
+    """Step one lane per engine through the schedule, all lanes in lockstep.
+
+    Returns the lanes and, for two lanes, the trace distance between their
+    states after every step (row 0 is 0.0; nan except after the last step
+    when ``per_step_distance`` is off).
+    """
+    config.validate()
+    if "both" in engines:
+        raise ConfigValidationError(
+            "engine: run() drives a single engine; use run_compare for 'both'"
+        )
+    if schedule is None:
+        schedule = make_schedule(config)
+    if len(schedule) != config.steps:
+        raise ConfigValidationError(
+            f"steps: schedule length {len(schedule)} != steps {config.steps}"
+        )
+    for prep in schedule:
+        prep.validate()
+
+    wanted = set(snapshot_steps)
+    lanes = [_Lane(config, engine, schedule, deep_checks, wanted) for engine in engines]
+    distances = [0.0] if len(lanes) == 2 else []
+    dt = config.dt
+    for j in range(1, config.steps + 1):
+        tau = (j - 0.5) * dt
+        prep = schedule[j - 1]
+        for lane in lanes:
+            lane.rho = lane.step(lane.rho, prep, tau)
+            lane.observe(j)
+        if distances:
+            due = per_step_distance or j == config.steps
+            distances.append(_observables.trace_distance(lanes[0].rho, lanes[1].rho)
+                             if due else float("nan"))
+    return lanes, distances
+
+
 def run(
     config: SimConfig,
     schedule: list[_schedules.AtomPrep] | None = None,
@@ -413,42 +485,9 @@ def run(
     state at the requested snapshot steps. Raises truncation-overflow as
     soon as the top two Fock levels together reach 1e-6.
     """
-    config.validate()
-    if config.engine not in ("hidden", "standard"):
-        raise ConfigValidationError(
-            "engine: run() drives a single engine; use run_compare for 'both'"
-        )
-    if schedule is None:
-        schedule = make_schedule(config)
-    if len(schedule) != config.steps:
-        raise ConfigValidationError(
-            f"steps: schedule length {len(schedule)} != steps {config.steps}"
-        )
-    for prep in schedule:
-        prep.validate()
-
-    rho = initial_state(config)
-    guard = _Guard(config.dim, deep_checks)
-    stepper, udef = _build_stepper(config, config.engine, schedule)
-    guard.diag.propagator_unitarity_defect = udef
-
-    wanted = set(snapshot_steps)
-    snapshots: dict[int, np.ndarray] = {}
-    guard.inspect(rho, 0)
-    records = [state_record(0, 0.0, rho)]
-    if 0 in wanted:
-        snapshots[0] = rho.copy()
-
-    dt = config.dt
-    for j in range(1, config.steps + 1):
-        tau = (j - 0.5) * dt
-        rho = stepper(rho, schedule[j - 1], tau)
-        guard.inspect(rho, j)
-        records.append(state_record(j, j * dt, rho))
-        if j in wanted:
-            snapshots[j] = rho.copy()
-
-    return RunResult(records, rho, guard.finish(), snapshots)
+    (lane,), _ = _lockstep(config, schedule, (config.engine,), deep_checks, snapshot_steps)
+    return RunResult(lane.recorder.trajectory(config.dt), lane.rho, lane.guard.finish(),
+                     lane.snapshots)
 
 
 def run_compare(
@@ -459,49 +498,9 @@ def run_compare(
     deep_checks: bool = False,
 ) -> CompareResult:
     """Run the hidden and standard engines in lockstep over one schedule."""
-    from .observables import trace_distance
-
-    config.validate()
-    if schedule is None:
-        schedule = make_schedule(config)
-    if len(schedule) != config.steps:
-        raise ConfigValidationError(
-            f"steps: schedule length {len(schedule)} != steps {config.steps}"
-        )
-    for prep in schedule:
-        prep.validate()
-
-    rho_h = initial_state(config)
-    rho_s = rho_h.copy()
-    guard_h = _Guard(config.dim, deep_checks)
-    guard_s = _Guard(config.dim, deep_checks)
-    step_h, udef_h = _build_stepper(config, "hidden", schedule)
-    step_s, udef_s = _build_stepper(config, "standard", schedule)
-    guard_h.diag.propagator_unitarity_defect = udef_h
-    guard_s.diag.propagator_unitarity_defect = udef_s
-
-    guard_h.inspect(rho_h, 0)
-    guard_s.inspect(rho_s, 0)
-    recs_h = [state_record(0, 0.0, rho_h)]
-    recs_s = [state_record(0, 0.0, rho_s)]
-    dists = [0.0]
-
-    dt = config.dt
-    for j in range(1, config.steps + 1):
-        tau = (j - 0.5) * dt
-        prep = schedule[j - 1]
-        rho_h = step_h(rho_h, prep, tau)
-        rho_s = step_s(rho_s, prep, tau)
-        guard_h.inspect(rho_h, j)
-        guard_s.inspect(rho_s, j)
-        recs_h.append(state_record(j, j * dt, rho_h))
-        recs_s.append(state_record(j, j * dt, rho_s))
-        if per_step_distance or j == config.steps:
-            dists.append(trace_distance(rho_h, rho_s))
-        else:
-            dists.append(float("nan"))
-
+    (h, s), distances = _lockstep(config, schedule, ("hidden", "standard"), deep_checks,
+                                  per_step_distance=per_step_distance)
     return CompareResult(
-        recs_h, recs_s, dists, rho_h, rho_s, guard_h.finish(), guard_s.finish()
+        h.recorder.trajectory(config.dt), s.recorder.trajectory(config.dt), distances,
+        h.rho, s.rho, h.guard.finish(), s.guard.finish(),
     )
-

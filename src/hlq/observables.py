@@ -1,4 +1,4 @@
-"""Scalar observables, per-step records and phase-space views of a field state.
+"""Scalar observables, per-step trajectories and phase-space views of a field state.
 
 All functions take a dense d x d density matrix. The quadratures are
 X = (b + b^dag)/2 and Y = (b - b^dag)/(2i), so the vacuum has
@@ -14,20 +14,6 @@ import numpy as np
 
 from .errors import InvalidDimensionError
 from .fockcore import coherent_vector
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """Snapshot of the standard observables after a given step."""
-
-    step: int
-    t: float
-    p00: float
-    mean_n: float
-    purity: float
-    mean_b: complex
-    var_x: float
-    var_y: float
 
 
 @dataclass(frozen=True)
@@ -72,33 +58,53 @@ def _mean_bb(rho: np.ndarray) -> complex:
     return complex(np.sum(np.sqrt(ns * (ns - 1)) * np.diagonal(rho, -2)))
 
 
+def _variances(mean_n: float, mean_b: complex, mean_bb: complex) -> tuple[float, float]:
+    """(var X, var Y) from the scalars <b^dag b>, <b> and <b^2>.
+
+    Kept per state, not applied to whole columns: numpy's array square and
+    Python's float ** 2 (libm pow) differ by one ulp on about one input in 1200.
+    """
+    x2 = 0.25 * (1.0 + 2.0 * mean_n + 2.0 * mean_bb.real)
+    y2 = 0.25 * (1.0 + 2.0 * mean_n - 2.0 * mean_bb.real)
+    return float(x2 - mean_b.real**2), float(y2 - mean_b.imag**2)
+
+
 def quadrature_variances(rho: np.ndarray) -> tuple[float, float]:
     """(var X, var Y); equals (1/4, 1/4) for the vacuum and any coherent state."""
-    mb = trajectory_point(rho)
-    mn = mean_photon(rho)
-    mbb = _mean_bb(rho)
-    x2 = 0.25 * (1.0 + 2.0 * mn + 2.0 * mbb.real)
-    y2 = 0.25 * (1.0 + 2.0 * mn - 2.0 * mbb.real)
-    return float(x2 - mb.real**2), float(y2 - mb.imag**2)
+    return _variances(mean_photon(rho), trajectory_point(rho), _mean_bb(rho))
 
 
-def state_record(step: int, t: float, rho: np.ndarray) -> TrajectoryRecord:
-    """Bundle the standard observables of rho into one record."""
-    mb = trajectory_point(rho)
-    mn = mean_photon(rho)
-    mbb = _mean_bb(rho)
-    x2 = 0.25 * (1.0 + 2.0 * mn + 2.0 * mbb.real)
-    y2 = 0.25 * (1.0 + 2.0 * mn - 2.0 * mbb.real)
-    return TrajectoryRecord(
-        step=step,
-        t=t,
-        p00=ground_population(rho),
-        mean_n=mn,
-        purity=purity(rho),
-        mean_b=mb,
-        var_x=float(x2 - mb.real**2),
-        var_y=float(y2 - mb.imag**2),
-    )
+_TRAJECTORY_DTYPE = np.dtype([
+    ("step", np.int64), ("t", float), ("p00", float), ("mean_n", float),
+    ("purity", float), ("mean_b", complex), ("var_x", float), ("var_y", float),
+])
+
+
+class TrajectoryRecorder:
+    """Standard observables of one state per step, kept in preallocated columns.
+
+    ``record(j, rho)`` fills row j (0 is the initial state); ``trajectory(dt)``
+    returns them as one ``np.recarray``, so both
+    ``traj.p00`` (a column) and ``traj[j].p00`` (one row) work.
+    """
+
+    def __init__(self, steps: int):
+        self._real = np.empty((steps + 1, 5))
+        self._mean_b = np.empty(steps + 1, dtype=complex)
+
+    def record(self, j: int, rho: np.ndarray) -> None:
+        mean_n, mean_b = mean_photon(rho), trajectory_point(rho)
+        var_x, var_y = _variances(mean_n, mean_b, _mean_bb(rho))
+        self._real[j] = ground_population(rho), mean_n, purity(rho), var_x, var_y
+        self._mean_b[j] = mean_b
+
+    def trajectory(self, dt: float) -> np.recarray:
+        traj = np.recarray(self._mean_b.size, dtype=_TRAJECTORY_DTYPE)
+        traj.step = np.arange(traj.size)
+        traj.t = traj.step * dt
+        traj.p00, traj.mean_n, traj.purity, traj.var_x, traj.var_y = self._real.T
+        traj.mean_b = self._mean_b
+        return traj
 
 
 def fidelity_coherent(rho: np.ndarray, gamma: complex) -> float:

@@ -5,19 +5,76 @@ eigendecomposition on every call, the hidden step on the 2d-dimensional
 spin (x) field space with an explicit Kronecker embedding and partial
 trace. They are slow and obviously correct; the engines' closed-form
 kernels are checked against them.
+
+Spin basis |up> = (1, 0), |down> = (0, 1). Composite spin (x) field index
+k = s*d + n (spin-major), so a composite matrix splits into four d x d
+blocks and the partial trace over the spin is the sum of the two diagonal
+blocks.
 """
 
 import cmath
 
 import numpy as np
 
-from hlq.fockcore import (
-    hermitian_propagator,
-    partial_trace_spin,
-    spin_projector,
-    tensor_embed,
+from hlq.errors import (
+    InvalidDimensionError,
+    InvalidHamiltonianError,
+    InvalidPreparationError,
 )
+from hlq.fockcore import hermiticity_defect
 from hlq.schedules import AtomPrep
+
+HERMITICITY_TOL = 1e-12
+NORMALIZATION_TOL = 1e-12
+
+
+def spin_projector(alpha: complex, beta: complex) -> np.ndarray:
+    """Rank-one density matrix |phi><phi| for |phi> = alpha|up> + beta|down>."""
+    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
+        raise InvalidPreparationError(
+            f"spin amplitudes must satisfy |alpha|^2 + |beta|^2 = 1, got {norm!r}"
+        )
+    v = np.array([alpha, beta], dtype=complex)
+    return np.outer(v, v.conj())
+
+
+def tensor_embed(spin: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Kronecker product spin (x) field in the spin-major index convention."""
+    if spin.shape != (2, 2):
+        raise InvalidDimensionError(f"spin factor must be 2x2, got {spin.shape}")
+    if field.ndim != 2 or field.shape[0] != field.shape[1]:
+        raise InvalidDimensionError(f"field factor must be square, got {field.shape}")
+    return np.kron(spin, field)
+
+
+def partial_trace_spin(composite: np.ndarray) -> np.ndarray:
+    """Trace out the spin of a (2d x 2d) composite operator."""
+    if composite.ndim != 2 or composite.shape[0] != composite.shape[1]:
+        raise InvalidDimensionError(f"expected a square matrix, got {composite.shape}")
+    if composite.shape[0] % 2 != 0:
+        raise InvalidDimensionError(
+            f"composite dimension {composite.shape[0]} is not 2 * d"
+        )
+    d = composite.shape[0] // 2
+    return composite[:d, :d] + composite[d:, d:]
+
+
+def hermitian_propagator(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) for Hermitian h, via eigendecomposition.
+
+    Rejects matrices whose hermiticity defect exceeds HERMITICITY_TOL; below
+    that the defect is symmetrized away, which keeps the result unitary at
+    machine precision.
+    """
+    defect = hermiticity_defect(h)
+    if defect > HERMITICITY_TOL:
+        raise InvalidHamiltonianError(
+            f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL})"
+        )
+    hs = 0.5 * (h + h.conj().T)
+    w, v = np.linalg.eigh(hs)
+    return (v * np.exp(-1j * w * dt)) @ v.conj().T
 
 
 def jc_hamiltonian(

@@ -27,7 +27,12 @@ from hlq.fockcore import (
     hermiticity_defect,
     model_operator,
 )
-from hlq.observables import fidelity_coherent, trace_distance
+from hlq.observables import (
+    fidelity_coherent,
+    quadrature_variances,
+    trace_distance,
+    trajectory_point,
+)
 from hlq.oracles import ground_state_probability
 from hlq.schedules import AtomPrep, uniform_schedule
 from reference import (
@@ -483,3 +488,46 @@ class TestEngineAgreement:
         assert len(res.trace_distances) == 101
         assert res.trace_distances[0] == 0.0
         assert max(res.trace_distances) <= 0.02
+
+
+class TestLockstepDriver:
+    """run and run_compare share one driver, so a lane is a single-engine run."""
+
+    @staticmethod
+    def rotating():
+        cfg = SimConfig(model="linear", omega=OMEGA_SLOW, dt=1e-2, steps=120, dim=16,
+                        eta=0.8 - 0.5j, schedule="rotating")
+        return cfg, make_schedule(cfg)
+
+    @staticmethod
+    def pulse():
+        eta = 1.2 * cmath.exp(0.4j)
+        cfg = SimConfig(model="two-boson", omega=4.0, dt=1e-2, steps=120, dim=24, eta=eta)
+        return cfg, pulse_schedule(cfg.steps, eta)
+
+    @pytest.mark.parametrize("deep", [False, True])
+    @pytest.mark.parametrize("case", ["rotating", "pulse"])
+    def test_compare_lanes_equal_single_runs(self, case, deep):
+        cfg, sched = getattr(self, case)()
+        both = run_compare(cfg, sched, deep_checks=deep)
+        for engine in ("hidden", "standard"):
+            single = run(dataclasses.replace(cfg, engine=engine), sched, deep_checks=deep)
+            records = getattr(both, f"records_{engine}")
+            assert records.dtype == single.records.dtype
+            for name in records.dtype.names:
+                assert np.array_equal(records[name], single.records[name]), name
+            assert np.array_equal(getattr(both, f"final_{engine}"), single.final)
+            assert getattr(both, f"diagnostics_{engine}") == single.diagnostics
+
+    def test_records_are_columns_and_rows(self):
+        cfg, sched = self.rotating()
+        res = run(cfg, sched, snapshot_steps={0, 7, 60, 120})
+        records = res.records
+        assert isinstance(records, np.recarray)
+        assert isinstance(records.p00, np.ndarray) and records.p00.shape == (121,)
+        assert np.array_equal(records.p00, [r.p00 for r in records])
+        assert np.array_equal(records.var_x, [r.var_x for r in records])
+        assert np.array_equal(records.t, np.arange(121) * cfg.dt)
+        for j, rho in res.snapshots.items():
+            assert (records.var_x[j], records.var_y[j]) == quadrature_variances(rho)
+            assert records.mean_b[j] == trajectory_point(rho)

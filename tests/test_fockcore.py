@@ -14,13 +14,15 @@ from hlq.errors import (
 from hlq.fockcore import (
     annihilation_matrix,
     coherent_vector,
-    hermitian_propagator,
     model_operator,
     number_matrix,
+    unitarity_defect,
+)
+from reference import (
+    hermitian_propagator,
     partial_trace_spin,
     spin_projector,
     tensor_embed,
-    unitarity_defect,
 )
 
 
@@ -230,3 +232,14 @@ class TestCoherentVector:
         for n in range(10):
             expected = math.exp(-gamma**2) * gamma ** (2 * n) / math.factorial(n)
             assert abs(c[n]) ** 2 == pytest.approx(expected, rel=1e-12)
+
+
+def test_public_api_leaves_out_test_oracles():
+    import hlq
+    import hlq.fockcore
+
+    moved = ("hermitian_propagator", "spin_projector", "tensor_embed", "partial_trace_spin")
+    for name in moved + ("TrajectoryRecord",):
+        assert not hasattr(hlq, name), name
+    for name in moved + ("HERMITICITY_TOL", "NORMALIZATION_TOL", "UNITARITY_TOL"):
+        assert not hasattr(hlq.fockcore, name), name

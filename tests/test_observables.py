@@ -7,13 +7,13 @@ import pytest
 
 from hlq.fockcore import annihilation_matrix, coherent_vector
 from hlq.observables import (
+    TrajectoryRecorder,
     fidelity_coherent,
     ground_population,
     husimi_grid,
     mean_photon,
     purity,
     quadrature_variances,
-    state_record,
     trace_distance,
     trajectory_point,
 )
@@ -92,12 +92,15 @@ class TestScalars:
     def test_record_bundles_scalars(self):
         rng = np.random.default_rng(14)
         rho = random_density(rng, 10)
-        rec = state_record(3, 0.12, rho)
-        assert rec.step == 3 and rec.t == 0.12
+        recorder = TrajectoryRecorder(3)
+        recorder.record(3, rho)
+        rec = recorder.trajectory(0.04)[3]
+        assert rec.step == 3 and rec.t == 3 * 0.04
         assert rec.p00 == ground_population(rho)
         assert rec.mean_n == mean_photon(rho)
         assert rec.purity == purity(rho)
         assert rec.mean_b == trajectory_point(rho)
+        assert (rec.var_x, rec.var_y) == quadrature_variances(rho)
 
 
 class TestFidelity:
