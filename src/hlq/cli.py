@@ -57,31 +57,47 @@ from .errors import (
 from .observables import husimi_grid
 from .oracles import ground_state_probability
 
+
+def _fmt(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.12g}"
+
+
+def _complex(text: str) -> complex:
+    return complex(text.replace(" ", ""))
+
+
+def _word_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+# key: (SimConfig field, parser, what the parser expects, manifest echo of the field).
+# The parser of ``initial`` reads the amplitude inside ``coherent(...)``.
+_KEYS = {
+    "model": ("model", str, None, str),
+    "omega": ("omega", float, "a number", _fmt),
+    "dt": ("dt", float, "a number", _fmt),
+    "steps": ("steps", int, "an integer", int),
+    "dim": ("dim", int, "an integer", int),
+    "zeta": ("zeta_abs", float, "a number", _fmt),
+    "eta": ("eta", _complex, "a complex number", str),
+    "schedule": ("schedule", str, None, str),
+    "engine": ("engine", str, None, str),
+    "initial": ("initial", _complex, "a complex number", str),
+    "phase": ("phase", str, None, str),
+    "outputs": ("outputs", _word_list, None, ",".join),
+}
 _REQUIRED_KEYS = ("model", "omega", "dt", "steps")
-_KNOWN_KEYS = _REQUIRED_KEYS + (
-    "dim", "zeta", "eta", "schedule", "engine", "initial", "phase", "outputs",
-)
 
 
-def _parse_complex(text: str, key: str, line: int) -> complex:
+def _convert(key: str, text: str, line: int):
+    """Parse one value of key; a malformed one is a ConfigParseError on line."""
+    _, parse, kind, _ = _KEYS[key]
     try:
-        return complex(text.replace(" ", ""))
+        return parse(text)
     except ValueError:
-        raise ConfigParseError(line, f"{key}: cannot parse {text!r} as a complex number")
-
-
-def _parse_float(text: str, key: str, line: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigParseError(line, f"{key}: cannot parse {text!r} as a number")
-
-
-def _parse_int(text: str, key: str, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigParseError(line, f"{key}: cannot parse {text!r} as an integer")
+        raise ConfigParseError(line, f"{key}: cannot parse {text!r} as {kind}")
 
 
 def parse_config(text: str) -> SimConfig:
@@ -96,9 +112,9 @@ def parse_config(text: str) -> SimConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.split("#", 1)[0].strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigValidationError(
-                f"unknown key {key!r} on line {lineno}; known keys: {', '.join(_KNOWN_KEYS)}"
+                f"unknown key {key!r} on line {lineno}; known keys: {', '.join(_KEYS)}"
             )
         if key in raw:
             raise ConfigParseError(lineno, f"duplicate key {key!r}")
@@ -111,47 +127,25 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigValidationError(f"missing required keys: {', '.join(missing)}")
 
     kwargs: dict = {}
-    kwargs["model"] = raw["model"][0]
-    kwargs["omega"] = _parse_float(raw["omega"][0], "omega", raw["omega"][1])
-    kwargs["dt"] = _parse_float(raw["dt"][0], "dt", raw["dt"][1])
-    kwargs["steps"] = _parse_int(raw["steps"][0], "steps", raw["steps"][1])
-    if "dim" in raw:
-        kwargs["dim"] = _parse_int(raw["dim"][0], "dim", raw["dim"][1])
-    if "zeta" in raw:
-        kwargs["zeta_abs"] = _parse_float(raw["zeta"][0], "zeta", raw["zeta"][1])
-    if "eta" in raw:
-        kwargs["eta"] = _parse_complex(raw["eta"][0], "eta", raw["eta"][1])
-    if "schedule" in raw:
-        kwargs["schedule"] = raw["schedule"][0]
-    if "engine" in raw:
-        kwargs["engine"] = raw["engine"][0]
-    if "phase" in raw:
-        kwargs["phase"] = raw["phase"][0]
-    if "initial" in raw:
-        value, lineno = raw["initial"]
-        if value == "vacuum":
-            kwargs["initial"] = "vacuum"
+    for key, (field, *_) in _KEYS.items():
+        if key not in raw:
+            continue
+        value, lineno = raw[key]
+        if key != "initial":
+            kwargs[field] = _convert(key, value, lineno)
+        elif value == "vacuum":
+            kwargs[field] = value
         elif value.startswith("coherent(") and value.endswith(")"):
-            kwargs["initial"] = "coherent"
-            kwargs["gamma0"] = _parse_complex(value[9:-1], "initial", lineno)
+            kwargs[field] = "coherent"
+            kwargs["gamma0"] = _convert(key, value[9:-1], lineno)
         else:
             raise ConfigValidationError(
                 f"initial: expected 'vacuum' or 'coherent(<amplitude>)', got {value!r}"
             )
-    if "outputs" in raw:
-        kwargs["outputs"] = tuple(
-            part.strip() for part in raw["outputs"][0].split(",") if part.strip()
-        )
 
     config = SimConfig(**kwargs)
     config.validate()
     return config
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -169,20 +163,7 @@ def _sha256(path: Path) -> str:
 
 
 def _config_echo(config: SimConfig) -> dict:
-    echo = {
-        "model": config.model,
-        "omega": _fmt(config.omega),
-        "dt": _fmt(config.dt),
-        "steps": config.steps,
-        "dim": config.dim,
-        "zeta": _fmt(config.zeta_abs),
-        "eta": str(config.eta),
-        "schedule": config.schedule,
-        "engine": config.engine,
-        "initial": config.initial,
-        "phase": config.phase,
-        "outputs": ",".join(config.outputs),
-    }
+    echo = {key: show(getattr(config, field)) for key, (field, _, _, show) in _KEYS.items()}
     if config.initial == "coherent":
         echo["gamma0"] = str(config.gamma0)
     return echo
@@ -313,18 +294,17 @@ def cmd_husimi(args) -> int:
     out_dir = _out_dir(args)
     if args.steps:
         try:
-            snaps = sorted({int(s) for s in args.steps.split(",") if s.strip()})
+            snaps = sorted({int(s) for s in _word_list(args.steps)})
         except ValueError:
             raise ConfigValidationError(f"steps: cannot parse {args.steps!r}")
     else:
         snaps = sorted({0, config.steps // 2, config.steps})
-    bad = [s for s in snaps if s < 0 or s > config.steps]
-    if bad:
-        raise ConfigValidationError(f"steps: snapshot(s) {bad} outside [0, {config.steps}]")
     if args.grid < 2:
         raise ConfigValidationError(f"grid: must be >= 2, got {args.grid}")
     if args.extent <= 0:
         raise ConfigValidationError(f"extent: must be > 0, got {args.extent}")
+    if not math.isfinite(args.extent):
+        raise ConfigValidationError(f"extent: must be finite, got {args.extent}")
 
     engine = "hidden" if config.engine == "both" else config.engine
     sub = replace(config, engine=engine)
@@ -359,23 +339,16 @@ def cmd_sweep(args) -> int:
         raise ConfigValidationError(
             f"param: {args.param!r} not sweepable; choose from {_SWEEPABLE}"
         )
-    tokens = [tok.strip() for tok in args.values.split(",") if tok.strip()]
+    tokens = _word_list(args.values)
     if not tokens:
         raise ConfigValidationError("values: empty value list")
 
-    field = {"zeta": "zeta_abs"}.get(args.param, args.param)
-    parsed = []
-    for tok in tokens:
-        if args.param in ("steps", "dim"):
-            parsed.append(_parse_int(tok, args.param, 0))
-        elif args.param == "eta":
-            parsed.append(_parse_complex(tok, args.param, 0))
-        else:
-            parsed.append(_parse_float(tok, args.param, 0))
+    field = _KEYS[args.param][0]
+    parsed = [_convert(args.param, tok, 0) for tok in tokens]
 
     out_dir = _out_dir(args)
     results = []
-    failures: list[BaseException] = []
+    statuses = [0]
     for tok, value in zip(tokens, parsed):
         sub_dir = out_dir / f"{args.param}={tok}"
         entry = {"value": tok, "dir": sub_dir.name}
@@ -387,7 +360,7 @@ def cmd_sweep(args) -> int:
             entry["status"] = "ok"
             entry["outputs"] = _digests(emitted)
         except HlqError as exc:
-            failures.append(exc)
+            statuses.append(_exit_status(exc))
             entry["status"] = "failed"
             entry["error"] = str(exc)
             print(f"sweep value {tok}: {exc}", file=sys.stderr)
@@ -396,11 +369,7 @@ def cmd_sweep(args) -> int:
     path = _write_manifest(out_dir, "sweep", config,
                            {"param": args.param, "values": tokens, "results": results})
     print(f"wrote {path}")
-    if failures:
-        if any(isinstance(f, TruncationOverflowError) for f in failures):
-            return 2
-        return 1
-    return 0
+    return max(statuses)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,19 +403,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_status(exc: HlqError | OSError) -> int:
+    """2 for truncation overflow, 1 for any other package error, 3 for I/O errors."""
+    if isinstance(exc, TruncationOverflowError):
+        return 2
+    return 1 if isinstance(exc, HlqError) else 3
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TruncationOverflowError as exc:
+    except (HlqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HlqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _exit_status(exc)
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ from .fockcore import (
     unitarity_defect,
 )
 from . import observables as _observables
-from .observables import TrajectoryRecorder, purity
+from .observables import TrajectoryRecorder
 
 ENGINES = ("hidden", "standard", "both")
 PHASE_CONVENTIONS = ("operator", "coherence")
@@ -138,43 +138,34 @@ class SimConfig:
         return abs(self.eta) * self.zeta_abs
 
     def validate(self) -> None:
-        if self.model not in MODELS:
-            raise ConfigValidationError(
-                f"model: unknown value {self.model!r}, expected one of {MODELS}"
-            )
+        for name, value, allowed in (
+            ("model", self.model, MODELS),
+            ("schedule", self.schedule, _schedules.SCHEDULES),
+            ("engine", self.engine, ENGINES),
+            ("initial", self.initial, INITIAL_STATES),
+            ("phase", self.phase, PHASE_CONVENTIONS),
+        ):
+            if value not in allowed:
+                raise ConfigValidationError(
+                    f"{name}: unknown value {value!r}, expected one of {allowed}"
+                )
         if not math.isfinite(self.omega):
             raise ConfigValidationError(f"omega: must be finite, got {self.omega!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigValidationError(f"dt: must be positive, got {self.dt!r}")
-        if self.steps < 1:
-            raise ConfigValidationError(f"steps: must be >= 1, got {self.steps!r}")
-        if self.dim < 2:
-            raise ConfigValidationError(f"dim: must be >= 2, got {self.dim!r}")
+        for name, value, least in (("steps", self.steps, 1), ("dim", self.dim, 2)):
+            if not isinstance(value, (int, np.integer)):
+                raise ConfigValidationError(f"{name}: must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigValidationError(f"{name}: must be >= {least}, got {value!r}")
         if not (0.0 <= self.zeta_abs <= 0.5):
             raise ConfigValidationError(
                 f"zeta: |zeta| = {self.zeta_abs!r} outside the reachable range [0, 0.5]"
             )
         if not (math.isfinite(self.eta.real) and math.isfinite(self.eta.imag)):
             raise ConfigValidationError(f"eta: must be finite, got {self.eta!r}")
-        if self.schedule not in _schedules.SCHEDULES:
-            raise ConfigValidationError(
-                f"schedule: unknown value {self.schedule!r}, "
-                f"expected one of {_schedules.SCHEDULES}"
-            )
-        if self.engine not in ENGINES:
-            raise ConfigValidationError(
-                f"engine: unknown value {self.engine!r}, expected one of {ENGINES}"
-            )
-        if self.initial not in INITIAL_STATES:
-            raise ConfigValidationError(
-                f"initial: unknown value {self.initial!r}, "
-                f"expected one of {INITIAL_STATES}"
-            )
-        if self.phase not in PHASE_CONVENTIONS:
-            raise ConfigValidationError(
-                f"phase: unknown value {self.phase!r}, "
-                f"expected one of {PHASE_CONVENTIONS}"
-            )
+        if self.initial == "coherent" and not cmath.isfinite(self.gamma0):
+            raise ConfigValidationError(f"initial: amplitude must be finite, got {self.gamma0!r}")
         bad = [o for o in self.outputs if o not in OUTPUTS]
         if bad:
             raise ConfigValidationError(
@@ -387,14 +378,13 @@ class _Guard:
             low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
             if low < self.diag.min_eigenvalue:
                 self.diag.min_eigenvalue = low
-            pur = purity(rho)
-            if pur < self.diag.min_purity:
-                self.diag.min_purity = pur
-            if pur > self.diag.max_purity:
-                self.diag.max_purity = pur
 
-    def finish(self) -> RunDiagnostics:
-        if not self.deep:
+    def finish(self, purities: np.ndarray) -> RunDiagnostics:
+        """Close the diagnostics; the purity range is read from the recorded column."""
+        if self.deep:
+            self.diag.min_purity = min(1.0, float(purities.min()))
+            self.diag.max_purity = max(1.0, float(purities.max()))
+        else:
             self.diag.min_eigenvalue = 0.0
         return self.diag
 
@@ -431,6 +421,10 @@ class _Lane:
         if j in self.wanted:
             self.snapshots[j] = self.rho.copy()
 
+    def result(self, dt: float) -> RunResult:
+        records = self.recorder.trajectory(dt)
+        return RunResult(records, self.rho, self.guard.finish(records.purity), self.snapshots)
+
 
 def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks: bool,
               snapshot_steps=(), per_step_distance: bool = True):
@@ -455,6 +449,9 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
         prep.validate()
 
     wanted = set(snapshot_steps)
+    bad = sorted(s for s in wanted if s not in range(config.steps + 1))
+    if bad:
+        raise ConfigValidationError(f"steps: snapshot(s) {bad} outside [0, {config.steps}]")
     lanes = [_Lane(config, engine, schedule, deep_checks, wanted) for engine in engines]
     distances = [0.0] if len(lanes) == 2 else []
     dt = config.dt
@@ -482,12 +479,11 @@ def run(
 
     Returns the per-step observable records (row 0 is the initial state),
     the final density matrix, worst-case diagnostics, and copies of the
-    state at the requested snapshot steps. Raises truncation-overflow as
-    soon as the top two Fock levels together reach 1e-6.
+    state at the requested snapshot steps (each in [0, steps]). Raises
+    truncation-overflow once the top two Fock levels together reach 1e-6.
     """
     (lane,), _ = _lockstep(config, schedule, (config.engine,), deep_checks, snapshot_steps)
-    return RunResult(lane.recorder.trajectory(config.dt), lane.rho, lane.guard.finish(),
-                     lane.snapshots)
+    return lane.result(config.dt)
 
 
 def run_compare(
@@ -498,9 +494,8 @@ def run_compare(
     deep_checks: bool = False,
 ) -> CompareResult:
     """Run the hidden and standard engines in lockstep over one schedule."""
-    (h, s), distances = _lockstep(config, schedule, ("hidden", "standard"), deep_checks,
-                                  per_step_distance=per_step_distance)
-    return CompareResult(
-        h.recorder.trajectory(config.dt), s.recorder.trajectory(config.dt), distances,
-        h.rho, s.rho, h.guard.finish(), s.guard.finish(),
-    )
+    lanes, distances = _lockstep(config, schedule, ("hidden", "standard"), deep_checks,
+                                 per_step_distance=per_step_distance)
+    h, s = (lane.result(config.dt) for lane in lanes)
+    return CompareResult(h.records, s.records, distances, h.final, s.final,
+                         h.diagnostics, s.diagnostics)

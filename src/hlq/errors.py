@@ -27,7 +27,7 @@ class InvalidCoherenceError(HlqError):
 
 
 class InvalidHamiltonianError(HlqError):
-    """Matrix handed to the propagator is not Hermitian within tolerance."""
+    """Coupling operator R0 has entries off the one diagonal the step kernels need."""
 
 
 class ConfigParseError(HlqError):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hlq import cli
 from hlq.cli import main, parse_config
 from hlq.errors import ConfigParseError, ConfigValidationError
 from hlq.oracles import ground_state_probability
@@ -22,6 +23,21 @@ eta = 1
 """
 
 TINY = "model = linear\nomega = 1.2566370614\ndt = 0.005\nsteps = 40\n"
+
+EVERY_KEY = """\
+model = two-boson
+omega = 3.14159
+dt = 0.002
+steps = 12
+dim = 16
+zeta = 0.25
+eta = 0.8 - 0.3j
+schedule = rotating
+engine = both
+initial = coherent(0.3+0.2j)
+phase = coherence
+outputs = final
+"""
 
 
 def write(tmp_path: Path, text: str, name="run.cfg") -> str:
@@ -105,6 +121,24 @@ class TestParseConfig:
         cfg = parse_config(TINY + "eta = 0.8+0.3j\n")
         assert cfg.eta == pytest.approx(0.8 + 0.3j)
 
+    def test_non_finite_coherent_amplitude_rejected(self, tmp_path):
+        for amplitude in ("nan", "inf", "1+nanj"):
+            text = TINY + f"initial = coherent({amplitude})\n"
+            with pytest.raises(ConfigValidationError, match="initial"):
+                parse_config(text)
+            cfg = write(tmp_path, text)
+            assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+
+    def test_schema_keys_match_docs(self):
+        documented = cli.__doc__.split("Keys:", 1)[1]
+        doc_keys = [line.split()[0] for line in documented.splitlines() if line.strip()]
+        readme = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text()
+        table = readme.split("| key ", 1)[1].split("\n\n", 1)[0]
+        table_keys = [line.split("`")[1] for line in table.splitlines()
+                      if line.startswith("| `")]
+        assert doc_keys == list(cli._KEYS)
+        assert table_keys == list(cli._KEYS)
+
 
 class TestRunCommand:
     def test_outputs_and_header(self, tmp_path):
@@ -145,6 +179,28 @@ class TestRunCommand:
         for name, digest in manifest["outputs"].items():
             blob = (out / name).read_bytes()
             assert hashlib.sha256(blob).hexdigest() == digest
+
+    def test_manifest_echoes_every_key(self, tmp_path):
+        cfg = write(tmp_path, EVERY_KEY)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {
+            "model": "two-boson",
+            "omega": "3.14159",
+            "dt": "0.002",
+            "steps": 12,
+            "dim": 16,
+            "zeta": "0.25",
+            "eta": "(0.8-0.3j)",
+            "schedule": "rotating",
+            "engine": "both",
+            "initial": "coherent",
+            "gamma0": "(0.3+0.2j)",
+            "phase": "coherence",
+            "outputs": "final",
+        }
+        assert set(manifest["outputs"]) == {"final_state_hidden.csv", "final_state_standard.csv"}
 
     def test_both_engines_emit_suffixed_files(self, tmp_path):
         cfg = write(tmp_path, TINY + "engine = both\n")
@@ -286,6 +342,13 @@ class TestHusimiCommand:
         assert main([
             "husimi", cfg, "--out-dir", str(tmp_path / "o"), "--steps", "0,99",
         ]) == 1
+
+    @pytest.mark.parametrize("extent", ["nan", "inf"])
+    def test_non_finite_extent_rejected(self, tmp_path, extent):
+        cfg = write(tmp_path, TINY)
+        out = tmp_path / "o"
+        assert main(["husimi", cfg, "--out-dir", str(out), f"--extent={extent}"]) == 1
+        assert not list(out.glob("*.csv"))
 
 
 class TestSweepCommand:

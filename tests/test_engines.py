@@ -373,6 +373,32 @@ class TestRun:
             with pytest.raises(ConfigValidationError):
                 run(SimConfig(**kwargs))
 
+    def test_non_integer_steps_and_dim_rejected(self):
+        base = dict(model="linear", omega=1.0, dt=0.01, steps=5)
+        for field, value in (("steps", 3.5), ("dim", 3.5), ("steps", 5.0)):
+            cfg = SimConfig(**{**base, field: value})
+            with pytest.raises(ConfigValidationError, match=f"{field}: must be an integer"):
+                run(cfg)
+        res = run(SimConfig(**{**base, "steps": np.int64(5), "dim": np.int32(8)}))
+        assert len(res.records) == 6 and res.final.shape == (8, 8)
+
+    @pytest.mark.parametrize("gamma0", [complex("nan"), complex("inf"), complex(0.3, math.nan)])
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_non_finite_coherent_amplitude_rejected(self, gamma0, deep):
+        cfg = SimConfig(model="linear", omega=1.0, dt=0.01, steps=5,
+                        initial="coherent", gamma0=gamma0)
+        with pytest.raises(ConfigValidationError, match="initial: amplitude must be finite"):
+            run(cfg, deep_checks=deep)
+
+    def test_out_of_range_snapshots_rejected(self):
+        cfg = SimConfig(model="linear", omega=1.0, dt=0.01, steps=5)
+        with pytest.raises(ConfigValidationError,
+                           match=r"steps: snapshot\(s\) \[-1, 99\] outside \[0, 5\]"):
+            run(cfg, snapshot_steps={-1, 99, 3})
+        with pytest.raises(ConfigValidationError, match=r"snapshot\(s\) \[2.5\]"):
+            run(cfg, snapshot_steps=(2.5,))
+        assert set(run(cfg, snapshot_steps={0, 5}).snapshots) == {0, 5}
+
     def test_snapshots_returned(self):
         cfg = SimConfig(model="linear", omega=1.0, dt=0.01, steps=20)
         res = run(cfg, snapshot_steps={0, 10, 20})
@@ -531,3 +557,27 @@ class TestLockstepDriver:
         for j, rho in res.snapshots.items():
             assert (records.var_x[j], records.var_y[j]) == quadrature_variances(rho)
             assert records.mean_b[j] == trajectory_point(rho)
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_purity_taken_once_per_step(self, monkeypatch, deep):
+        from hlq import observables
+
+        calls, original = [], observables.purity
+
+        def counting(rho):
+            calls.append(1)
+            return original(rho)
+
+        monkeypatch.setattr(observables, "purity", counting)
+        # engines would look it up in its own namespace had it imported the name
+        monkeypatch.setattr(engines, "purity", counting, raising=False)
+        cfg, sched = self.rotating()
+        res = run(cfg, sched, deep_checks=deep)
+        assert len(calls) == cfg.steps + 1
+        purities = res.records.purity
+        assert purities.min() < 1.0 - 1e-6
+        if deep:
+            assert res.diagnostics.min_purity == min(1.0, float(purities.min()))
+            assert res.diagnostics.max_purity == max(1.0, float(purities.max()))
+        else:
+            assert res.diagnostics.min_purity == res.diagnostics.max_purity == 1.0
