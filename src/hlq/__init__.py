@@ -25,17 +25,12 @@ from .errors import (
     HlqError,
     InvalidCoherenceError,
     InvalidDimensionError,
-    InvalidHamiltonianError,
     InvalidModelError,
     InvalidPreparationError,
+    NonFiniteStateError,
     TruncationOverflowError,
 )
-from .fockcore import (
-    annihilation_matrix,
-    coherent_vector,
-    model_operator,
-    number_matrix,
-)
+from .fockcore import coherent_vector, model_band
 from .observables import (
     HusimiGrid,
     fidelity_coherent,

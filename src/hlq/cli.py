@@ -15,7 +15,7 @@ SHA-256, and prints the paths it wrote. Numbers are written with 12
 significant digits; identical config and schedule give byte-identical files.
 
 Exit status: 0 success, 1 config/validation problem, 2 numerical failure
-(truncation overflow), 3 I/O failure.
+(truncation overflow, non-finite state), 3 I/O failure.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment. Keys:
 
@@ -52,6 +52,7 @@ from .errors import (
     ConfigParseError,
     ConfigValidationError,
     HlqError,
+    NonFiniteStateError,
     TruncationOverflowError,
 )
 from .observables import husimi_grid
@@ -404,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_status(exc: HlqError | OSError) -> int:
-    """2 for truncation overflow, 1 for any other package error, 3 for I/O errors."""
-    if isinstance(exc, TruncationOverflowError):
+    """2 for a numerical failure, 1 for any other package error, 3 for I/O errors."""
+    if isinstance(exc, (TruncationOverflowError, NonFiniteStateError)):
         return 2
     return 1 if isinstance(exc, HlqError) else 3
 

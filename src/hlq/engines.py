@@ -30,9 +30,9 @@ this convention. The two choices only differ for the two-boson model.
 
 Stepping kernels
 ----------------
-R0 has a single nonzero diagonal, R0[n - k', n] = r_n with k' the quanta one
-application lowers, so R0 R0^dag and R0^dag R0 are diagonal and
-exp(-i dt V) has closed-form (Jaynes-Cummings) blocks:
+R0 has a single nonzero diagonal, R0[n - k', n] = r_n (``fockcore.model_band``)
+with k' the quanta one application lowers, so R0 R0^dag and R0^dag R0 are
+diagonal and exp(-i dt V) has closed-form (Jaynes-Cummings) blocks:
 
     [[cos(g_up dt),                             -i conj(eta) e^{-ik omega tau} S_up R0],
      [-i eta e^{ik omega tau} S_down R0^dag,    cos(g_down dt)                       ]]
@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +74,7 @@ import numpy as np
 from . import schedules as _schedules
 from .errors import (
     ConfigValidationError,
-    InvalidHamiltonianError,
+    NonFiniteStateError,
     TruncationOverflowError,
 )
 from .fockcore import (
@@ -81,7 +82,7 @@ from .fockcore import (
     MODELS,
     coherent_vector,
     hermiticity_defect,
-    model_operator,
+    model_band,
     unitarity_defect,
 )
 from . import observables as _observables
@@ -138,6 +139,15 @@ class SimConfig:
         return abs(self.eta) * self.zeta_abs
 
     def validate(self) -> None:
+        # The string fields are type-checked by the membership tests below.
+        for names, kind, what in ((("omega", "dt", "zeta_abs"), numbers.Real, "a number"),
+                                  (("steps", "dim"), numbers.Integral, "an integer"),
+                                  (("eta", "gamma0"), numbers.Complex, "a complex number"),
+                                  (("outputs",), (tuple, list), "a tuple of names")):
+            for name in names:
+                value = getattr(self, name)
+                if not isinstance(value, kind):
+                    raise ConfigValidationError(f"{name}: must be {what}, got {value!r}")
         for name, value, allowed in (
             ("model", self.model, MODELS),
             ("schedule", self.schedule, _schedules.SCHEDULES),
@@ -154,18 +164,32 @@ class SimConfig:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigValidationError(f"dt: must be positive, got {self.dt!r}")
         for name, value, least in (("steps", self.steps, 1), ("dim", self.dim, 2)):
-            if not isinstance(value, (int, np.integer)):
-                raise ConfigValidationError(f"{name}: must be an integer, got {value!r}")
             if value < least:
                 raise ConfigValidationError(f"{name}: must be >= {least}, got {value!r}")
+        k = phase_multiplicity(self.model, self.phase)
+        try:  # bounds every mid-step time tau and rotating phase k omega tau
+            span = float(self.steps) * float(self.dt) * max(1.0, abs(k * float(self.omega)))
+        except OverflowError:  # steps past the float range
+            span = math.inf
+        if not math.isfinite(span):
+            raise ConfigValidationError(
+                f"dt: steps * dt or k * omega * steps * dt overflows "
+                f"(steps {self.steps!r}, dt {self.dt!r}, k {k}, omega {self.omega!r})"
+            )
         if not (0.0 <= self.zeta_abs <= 0.5):
             raise ConfigValidationError(
                 f"zeta: |zeta| = {self.zeta_abs!r} outside the reachable range [0, 0.5]"
             )
-        if not (math.isfinite(self.eta.real) and math.isfinite(self.eta.imag)):
+        if not math.isfinite(math.hypot(self.eta.real, self.eta.imag)):
             raise ConfigValidationError(f"eta: must be finite, got {self.eta!r}")
         if self.initial == "coherent" and not cmath.isfinite(self.gamma0):
             raise ConfigValidationError(f"initial: amplitude must be finite, got {self.gamma0!r}")
+        # abs() and ** raise on overflow; the factor 2 leaves room for rounding in |g|^2
+        size = math.hypot(self.gamma0.real, self.gamma0.imag)
+        if self.initial == "coherent" and not math.isfinite(2.0 * size * size):
+            raise ConfigValidationError(
+                f"initial: amplitude {self.gamma0!r} too large, |amplitude|^2 overflows"
+            )
         bad = [o for o in self.outputs if o not in OUTPUTS]
         if bad:
             raise ConfigValidationError(
@@ -207,21 +231,6 @@ class CompareResult:
     final_standard: np.ndarray
     diagnostics_hidden: RunDiagnostics
     diagnostics_standard: RunDiagnostics
-
-
-def _band(r0: np.ndarray, k_low: int) -> np.ndarray:
-    """Entries r_n = R0[n - k', n] of the one diagonal R0 may occupy.
-
-    Both kernels rely on R0 having no other entries, which is what makes
-    R0 R0^dag and R0^dag R0 diagonal; anything else is rejected.
-    """
-    r = np.diagonal(r0, offset=k_low).copy()
-    if not np.array_equal(r0, np.diag(r, k_low)):
-        raise InvalidHamiltonianError(
-            f"coupling operator has entries off its superdiagonal {k_low}; "
-            "the closed-form step kernels need R0 on that one diagonal"
-        )
-    return r
 
 
 def _sin_over(g: np.ndarray, dt: float) -> np.ndarray:
@@ -303,7 +312,8 @@ class _StandardKernel:
     """Semiclassical step: conjugation by D W e^{-i |eps| dt w} W^dag D^dag."""
 
     def __init__(self, r: np.ndarray, k_low: int, k_omega: float, dt: float):
-        h0 = np.diag(r, k_low)
+        # Complex on purpose: a real h0 sends eigh down LAPACK's real-symmetric path.
+        h0 = np.diag(r.astype(complex), k_low)
         self.w, self.v = np.linalg.eigh(h0 + h0.conj().T)
         self.vh = self.v.conj().T
         self.unitarity_defect = unitarity_defect(self.v)
@@ -362,17 +372,22 @@ class _Guard:
         self.diag = RunDiagnostics(min_eigenvalue=np.inf)
 
     def inspect(self, rho: np.ndarray, step: int) -> None:
+        # NaN fails every comparison below, so non-finite values stop the run here.
+        trace = np.trace(rho)
+        if not cmath.isfinite(trace):
+            raise NonFiniteStateError(step, "trace", trace)
         top2 = float(rho[-1, -1].real + rho[-2, -2].real)
         if top2 > self.diag.max_top_two_population:
             self.diag.max_top_two_population = top2
         if top2 >= TRUNCATION_LIMIT:
             raise TruncationOverflowError(step, top2)
-        trace = np.trace(rho)
         drift = abs(trace.real - 1.0) + abs(trace.imag)
         if drift > self.diag.max_trace_drift:
             self.diag.max_trace_drift = drift
         if self.deep:
             herm = hermiticity_defect(rho)
+            if not math.isfinite(herm):
+                raise NonFiniteStateError(step, "Hermiticity defect", herm)
             if herm > self.diag.max_hermiticity_defect:
                 self.diag.max_hermiticity_defect = herm
             low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
@@ -392,7 +407,7 @@ class _Guard:
 def _build_stepper(config: SimConfig, engine: str, schedule):
     k_low = LOWERED_QUANTA[config.model]
     k_omega = phase_multiplicity(config.model, config.phase) * config.omega
-    r = _band(model_operator(config.model, config.dim), k_low)
+    r = model_band(config.model, config.dim)
     if engine == "hidden":
         kernel = _HiddenKernel(
             r, k_low, k_omega, config.dt, {abs(p.eta) for p in schedule}

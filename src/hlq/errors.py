@@ -1,8 +1,8 @@
 """Exception types raised across the package.
 
 The CLI maps these onto process exit codes: configuration and validation
-problems exit with 1, numerical failures (truncation overflow) with 2, and
-I/O errors with 3.
+problems exit with 1, numerical failures (truncation overflow, a non-finite
+state) with 2, and I/O errors with 3.
 """
 
 
@@ -24,10 +24,6 @@ class InvalidPreparationError(HlqError):
 
 class InvalidCoherenceError(HlqError):
     """Requested |zeta| outside the reachable range [0, 1/2]."""
-
-
-class InvalidHamiltonianError(HlqError):
-    """Coupling operator R0 has entries off the one diagonal the step kernels need."""
 
 
 class ConfigParseError(HlqError):
@@ -56,3 +52,11 @@ class TruncationOverflowError(HlqError):
             f"top-two Fock level population {population:.3e} at step {step} "
             f"exceeds 1e-6; increase dim"
         )
+
+
+class NonFiniteStateError(HlqError):
+    """The state stopped being finite: a step overflowed float64 or produced NaN."""
+
+    def __init__(self, step: int, quantity: str, value):
+        self.step = step
+        super().__init__(f"{quantity} {value} at step {step} is not finite; reduce dt or eta")

@@ -1,7 +1,7 @@
-"""Dense linear algebra for a truncated bosonic mode.
+"""Fock-basis building blocks for a truncated bosonic mode.
 
-Everything is a plain ``numpy`` array of complex128; there are no wrapper
-types. Conventions used throughout the package:
+Everything is a plain ``numpy`` array; there are no wrapper types.
+Conventions used throughout the package:
 
 - hbar = 1, all matrices dimensionless.
 - Fock basis |0>, ..., |d-1>, truncation dimension d.
@@ -19,41 +19,27 @@ MODELS = ("linear", "two-boson", "intensity")
 LOWERED_QUANTA = {"linear": 1, "two-boson": 2, "intensity": 1}
 
 
-def annihilation_matrix(d: int) -> np.ndarray:
-    """Lowering operator b in the truncated Fock basis, b|n> = sqrt(n)|n-1>."""
-    if d < 1:
-        raise InvalidDimensionError(f"truncation dimension must be >= 1, got {d}")
-    b = np.zeros((d, d), dtype=complex)
-    ns = np.arange(1, d)
-    b[ns - 1, ns] = np.sqrt(ns)
-    return b
+def model_band(model: str, d: int) -> np.ndarray:
+    """The one diagonal r_n = R0[n - k', n], n = k', ..., d - 1, of a model's R0.
 
+    R0 is the static lowering part of the drive coupling; the engines attach
+    the oscillating factor exp(-i k omega tau). Each R0 lowers by k' quanta
+    and so occupies a single diagonal, written as a product of sqrt(n) columns:
 
-def number_matrix(d: int) -> np.ndarray:
-    """Occupation-number operator diag(0, 1, ..., d-1)."""
-    if d < 1:
-        raise InvalidDimensionError(f"truncation dimension must be >= 1, got {d}")
-    return np.diag(np.arange(d)).astype(complex)
-
-
-def model_operator(model: str, d: int) -> np.ndarray:
-    """Static lowering part R0 of the drive coupling for one oscillator model.
-
-    The oscillating factor exp(-i k omega tau) is attached by the engines;
-    R0 itself is
-
-    - ``linear``:    b                 (harmonic mode, single quanta)
-    - ``two-boson``: b @ b             (quanta exchanged in pairs)
-    - ``intensity``: b @ sqrt(b^dag b) (amplitude grows with occupation)
+    - ``linear``:    b                  r_n = sqrt(n)
+    - ``two-boson``: b^2                r_n = sqrt(n - 1) sqrt(n)
+    - ``intensity``: b sqrt(b^dag b)    r_n = sqrt(n) sqrt(n)
     """
     if model not in MODELS:
         raise InvalidModelError(f"unknown model {model!r}, expected one of {MODELS}")
-    b = annihilation_matrix(d)
+    if d < 1:
+        raise InvalidDimensionError(f"truncation dimension must be >= 1, got {d}")
+    root = np.sqrt(np.arange(d))
     if model == "linear":
-        return b
+        return root[1:]
     if model == "two-boson":
-        return b @ b
-    return b @ np.diag(np.sqrt(np.arange(d))).astype(complex)
+        return root[1:-1] * root[2:]
+    return root[1:] * root[1:]
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

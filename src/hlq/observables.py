@@ -2,7 +2,8 @@
 
 All functions take a dense d x d density matrix. The quadratures are
 X = (b + b^dag)/2 and Y = (b - b^dag)/(2i), so the vacuum has
-var X = var Y = 1/4. Expectation values of b, b^2 and b^dag b are read off
+var X = var Y = 1/4. Expectation values of b, b^2 (weighted by the ``linear``
+and ``two-boson`` bands of ``fockcore.model_band``) and b^dag b are read off
 the first three diagonals of rho, which keeps per-step recording cheap.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError
-from .fockcore import coherent_vector
+from .fockcore import coherent_vector, model_band
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,11 @@ def purity(rho: np.ndarray) -> float:
 
 def trajectory_point(rho: np.ndarray) -> complex:
     """<b>, the phase-space centroid of the state."""
-    d = rho.shape[0]
-    return complex(np.sum(np.sqrt(np.arange(1, d)) * np.diagonal(rho, -1)))
+    return complex(np.sum(model_band("linear", rho.shape[0]) * np.diagonal(rho, -1)))
 
 
 def _mean_bb(rho: np.ndarray) -> complex:
-    ns = np.arange(2, rho.shape[0])
-    return complex(np.sum(np.sqrt(ns * (ns - 1)) * np.diagonal(rho, -2)))
+    return complex(np.sum(model_band("two-boson", rho.shape[0]) * np.diagonal(rho, -2)))
 
 
 def _variances(mean_n: float, mean_b: complex, mean_bb: complex) -> tuple[float, float]:

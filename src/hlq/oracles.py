@@ -41,10 +41,7 @@ import math
 import numpy as np
 
 from .errors import ConfigValidationError, InvalidModelError
-from .fockcore import MODELS
-
-# Exponent multiplicity: pair exchange doubles the decay rate.
-_EXPONENT_MULT = {"linear": 1.0, "intensity": 1.0, "two-boson": 2.0}
+from .fockcore import LOWERED_QUANTA, MODELS
 
 
 def ground_state_probability(
@@ -56,7 +53,7 @@ def ground_state_probability(
     """Closed-form p(T) for a vacuum-started mode under a drive of strength eps_eff."""
     if model not in MODELS:
         raise InvalidModelError(f"unknown model {model!r}, expected one of {MODELS}")
-    m = _EXPONENT_MULT[model]
+    m = LOWERED_QUANTA[model]
     e = abs(eps_eff)
     if omega == 0.0:
         return math.exp(-m * (e * t_final) ** 2)

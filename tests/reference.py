@@ -1,10 +1,12 @@
-"""Direct dense constructions of one engine step, used as test oracles.
+"""Direct dense constructions of the coupling and of one engine step, used as test oracles.
 
-These build the full coupling at the mid-step time and exponentiate it by
-eigendecomposition on every call, the hidden step on the 2d-dimensional
-spin (x) field space with an explicit Kronecker embedding and partial
-trace. They are slow and obviously correct; the engines' closed-form
-kernels are checked against them.
+The Fock operators are built independently of ``hlq.fockcore.model_band``:
+b by index and each model's R0 by matrix products. The steps build the full
+coupling at the mid-step time and exponentiate it by eigendecomposition on
+every call, the hidden step on the 2d-dimensional spin (x) field space with
+an explicit Kronecker embedding and partial trace. They are slow and
+obviously correct; the band and the engines' closed-form kernels are checked
+against them.
 
 Spin basis |up> = (1, 0), |down> = (0, 1). Composite spin (x) field index
 k = s*d + n (spin-major), so a composite matrix splits into four d x d
@@ -16,16 +18,37 @@ import cmath
 
 import numpy as np
 
-from hlq.errors import (
-    InvalidDimensionError,
-    InvalidHamiltonianError,
-    InvalidPreparationError,
-)
+from hlq.errors import InvalidDimensionError, InvalidPreparationError
 from hlq.fockcore import hermiticity_defect
 from hlq.schedules import AtomPrep
 
 HERMITICITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
+
+
+def annihilation_matrix(d: int) -> np.ndarray:
+    """Lowering operator b in the truncated Fock basis, b|n> = sqrt(n)|n-1>."""
+    if d < 1:
+        raise InvalidDimensionError(f"truncation dimension must be >= 1, got {d}")
+    b = np.zeros((d, d), dtype=complex)
+    for n in range(1, d):
+        b[n - 1, n] = np.sqrt(n)
+    return b
+
+
+def number_matrix(d: int) -> np.ndarray:
+    """Occupation-number operator diag(0, 1, ..., d-1)."""
+    return np.diag(np.arange(d)).astype(complex)
+
+
+def model_operator(model: str, d: int) -> np.ndarray:
+    """Dense R0 of one model: b, b @ b, or b @ sqrt(b^dag b)."""
+    b = annihilation_matrix(d)
+    if model == "linear":
+        return b
+    if model == "two-boson":
+        return b @ b
+    return b @ np.diag(np.sqrt(np.arange(d))).astype(complex)
 
 
 def spin_projector(alpha: complex, beta: complex) -> np.ndarray:
@@ -69,7 +92,7 @@ def hermitian_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     """
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_TOL:
-        raise InvalidHamiltonianError(
+        raise ValueError(
             f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL})"
         )
     hs = 0.5 * (h + h.conj().T)

@@ -252,6 +252,23 @@ class TestExitCodes:
         cfg = write(tmp_path, "model = linear\nomega = 0\ndt = 0.01\nsteps = 400\ndim = 6\n")
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_non_finite_state_is_2(self, tmp_path, capsys, command):
+        cfg = write(tmp_path, "model = linear\nomega = 1\ndt = 0.01\nsteps = 3\ndim = 8\n"
+                              "eta = 1e308\n")
+        assert main([command, cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "trace (nan+nanj) at step 1 is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "model = linear\nomega = 1e308\ndt = 1\nsteps = 3\n",
+        TINY + "initial = coherent(1e200)\n",
+    ])
+    def test_overflowing_config_is_1(self, tmp_path, text):
+        cfg = write(tmp_path, text)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+
     def test_missing_config_file_is_3(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 3
 

@@ -18,15 +18,10 @@ from hlq.engines import (
 )
 from hlq.errors import (
     ConfigValidationError,
-    InvalidHamiltonianError,
+    NonFiniteStateError,
     TruncationOverflowError,
 )
-from hlq.fockcore import (
-    annihilation_matrix,
-    coherent_vector,
-    hermiticity_defect,
-    model_operator,
-)
+from hlq.fockcore import coherent_vector, hermiticity_defect
 from hlq.observables import (
     fidelity_coherent,
     quadrature_variances,
@@ -36,9 +31,11 @@ from hlq.observables import (
 from hlq.oracles import ground_state_probability
 from hlq.schedules import AtomPrep, uniform_schedule
 from reference import (
+    annihilation_matrix,
     hidden_step,
     interaction_hamiltonian,
     jc_hamiltonian,
+    model_operator,
     standard_step,
 )
 
@@ -290,14 +287,6 @@ class TestCachedStepping:
         assert res.diagnostics_hidden.propagator_unitarity_defect == sentinel
         assert res.diagnostics_standard.propagator_unitarity_defect == sentinel
 
-    def test_coupling_off_its_band_rejected(self, monkeypatch):
-        dense = np.ones((6, 6), dtype=complex)
-        monkeypatch.setattr(engines, "model_operator", lambda model, d: dense)
-        cfg = SimConfig(model="linear", omega=1.0, dt=1e-2, steps=3, dim=6)
-        for engine in ("hidden", "standard"):
-            with pytest.raises(InvalidHamiltonianError):
-                run(dataclasses.replace(cfg, engine=engine))
-
     def test_two_boson_phase_multiplicity_emerges(self):
         # conjugating V(0) by e^{i phi n} must reproduce jc_hamiltonian at k = 2
         d, omega, tau, eta = 8, 1.1, 0.37, 0.9 - 0.2j
@@ -422,6 +411,63 @@ class TestRun:
         res = run(cfg)
         assert res.records[0].mean_n == pytest.approx(abs(gamma) ** 2, rel=1e-9)
         assert abs(np.trace(res.final) - 1.0) <= 1e-12
+
+
+class TestNonFiniteStop:
+    # building a kernel from the overflowing coupling warns before the run stops
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("deep", [False, True])
+    @pytest.mark.parametrize("fields", [dict(eta=1e308), dict(dt=1e308, steps=1)],
+                             ids=["eta", "dt"])
+    def test_first_non_finite_step_raises(self, fields, deep):
+        cfg = SimConfig(**{**dict(model="linear", omega=1.0, dt=0.01, steps=3, dim=8), **fields})
+        for call in (run, run_compare):
+            with pytest.raises(NonFiniteStateError, match="trace .*nan.* at step 1") as info:
+                call(cfg, deep_checks=deep)
+            assert info.value.step == 1
+
+    def test_deep_guard_checks_hermiticity_before_eigvalsh(self):
+        rho = initial_state(SimConfig(model="linear", omega=1.0, dt=0.01, steps=3, dim=8))
+        rho[0, 5] = np.inf
+        engines._Guard(deep=False).inspect(rho, 4)
+        with pytest.raises(NonFiniteStateError, match="Hermiticity defect inf at step 4"):
+            engines._Guard(deep=True).inspect(rho, 4)
+
+
+class TestConfigBoundary:
+    BASE = dict(model="linear", omega=1.0, dt=0.01, steps=5)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(omega=1e308, dt=1.0, steps=3), r"k \* omega \* steps \* dt overflows"),
+        (dict(model="two-boson", omega=1e308, dt=1.0, steps=1), r"k \* omega"),
+        (dict(dt=1e308, steps=3), r"dt: steps \* dt or"),
+        (dict(steps=10**400), r"dt: steps \* dt or"),
+        (dict(eta=complex(1.7e308, 1.7e308)), r"eta: must be finite"),
+        (dict(initial="coherent", gamma0=1e200), "initial: amplitude .* too large"),
+        (dict(initial="coherent", gamma0=complex(1e154, 1e154)), "initial: .* too large"),
+    ])
+    def test_overflow_rejected_where_it_enters(self, fields, message):
+        with pytest.raises(ConfigValidationError, match=message):
+            run(SimConfig(**{**self.BASE, **fields}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("omega", "1.0"), ("dt", None), ("steps", "5"), ("zeta_abs", "0.3"),
+        ("eta", "1+1j"), ("gamma0", "0.3"), ("model", 3), ("outputs", "final"),
+    ])
+    def test_field_of_the_wrong_type_named(self, field, value):
+        with pytest.raises(ConfigValidationError, match=f"^{field}: (must be|unknown value)"):
+            run(SimConfig(**{**self.BASE, field: value}))
+
+    def test_numpy_scalars_accepted(self):
+        plain = run(SimConfig(**self.BASE, zeta_abs=0.3, eta=0.8 + 0.2j, initial="coherent",
+                              gamma0=0.2 - 0.1j))
+        scalars = run(SimConfig(model=np.str_("linear"), omega=np.float64(1.0),
+                                dt=np.float64(0.01), steps=np.int64(5), dim=np.int32(32),
+                                zeta_abs=np.float64(0.3), eta=np.complex128(0.8 + 0.2j),
+                                initial="coherent", gamma0=np.complex128(0.2 - 0.1j),
+                                outputs=["final"]))
+        assert np.array_equal(plain.final, scalars.final)
 
 
 class TestEngineAgreement:

@@ -1,4 +1,4 @@
-"""Operator builders, tensor plumbing, propagator, coherent vectors."""
+"""Coupling bands against the dense oracles, tensor plumbing, propagator, coherent vectors."""
 
 import math
 
@@ -7,19 +7,22 @@ import pytest
 
 from hlq.errors import (
     InvalidDimensionError,
-    InvalidHamiltonianError,
     InvalidModelError,
     InvalidPreparationError,
 )
 from hlq.fockcore import (
-    annihilation_matrix,
+    LOWERED_QUANTA,
+    MODELS,
     coherent_vector,
-    model_operator,
-    number_matrix,
+    model_band,
     unitarity_defect,
 )
+from hlq.observables import TrajectoryRecorder, _mean_bb, trajectory_point
 from reference import (
+    annihilation_matrix,
     hermitian_propagator,
+    model_operator,
+    number_matrix,
     partial_trace_spin,
     spin_projector,
     tensor_embed,
@@ -33,6 +36,8 @@ def random_density(rng, d):
 
 
 class TestAnnihilation:
+    """The reference b the bands are checked against."""
+
     def test_d2_exact(self):
         assert np.array_equal(annihilation_matrix(2), np.array([[0, 1], [0, 0]], dtype=complex))
 
@@ -49,6 +54,8 @@ class TestAnnihilation:
     def test_d0_rejected(self):
         with pytest.raises(InvalidDimensionError):
             annihilation_matrix(0)
+        with pytest.raises(InvalidDimensionError):
+            model_band("linear", 0)
 
     def test_number_from_commutator(self):
         # b^dag b must reproduce diag(0..d-1).
@@ -57,29 +64,60 @@ class TestAnnihilation:
 
 
 class TestModelOperator:
+    """model_band, the one statement of each R0, against the dense products."""
+
     def test_linear_is_annihilation(self):
-        assert np.array_equal(model_operator("linear", 8), annihilation_matrix(8))
+        assert np.array_equal(model_band("linear", 8), np.diagonal(annihilation_matrix(8), 1).real)
 
     def test_two_boson_entries(self):
-        r = model_operator("two-boson", 8)
+        r = model_band("two-boson", 8)
         for n in range(2, 8):
-            assert r[n - 2, n] == pytest.approx(math.sqrt(n * (n - 1)))
-        assert np.count_nonzero(r) == 6
-        assert np.allclose(r, annihilation_matrix(8) @ annihilation_matrix(8))
+            assert r[n - 2] == pytest.approx(math.sqrt(n * (n - 1)))
+        assert r.shape == (6,)
 
     def test_intensity_entries(self):
-        r = model_operator("intensity", 8)
+        r = model_band("intensity", 8)
         for n in range(1, 8):
-            assert r[n - 1, n] == pytest.approx(n)
-        assert np.count_nonzero(r) == 7
+            assert r[n - 1] == pytest.approx(n)
+        assert r.shape == (7,)
 
     def test_unknown_model(self):
         with pytest.raises(InvalidModelError):
-            model_operator("cubic", 8)
+            model_band("cubic", 8)
 
     def test_d1_degenerate(self):
-        for model in ("linear", "two-boson", "intensity"):
-            assert model_operator(model, 1).shape == (1, 1)
+        for model in MODELS:
+            assert model_band(model, 1).shape == (0,)
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 64])
+    def test_band_is_the_dense_diagonal_bit_for_bit(self, model, d):
+        k = LOWERED_QUANTA[model]
+        band, r0 = model_band(model, d), model_operator(model, d)
+        assert band.dtype == np.float64
+        assert np.array_equal(band, np.diagonal(r0, k).real)
+        assert not np.diagonal(r0, k).imag.any()
+        # nothing of R0 lies off that one diagonal
+        assert np.count_nonzero(r0) == np.count_nonzero(band)
+        if model == "two-boson" and d <= 2:
+            assert band.size == 0
+
+    def test_observable_weights_are_the_bands(self):
+        rng = np.random.default_rng(15)
+        for d in (2, 3, 16, 40):
+            b = annihilation_matrix(d)
+            recorder = TrajectoryRecorder(5)
+            for j in range(5):
+                rho = random_density(rng, d)
+                recorder.record(j, rho)
+                rec = recorder.trajectory(0.1)[j]
+                mean_b, mean_bb = np.trace(rho @ b), np.trace(rho @ b @ b)
+                assert abs(trajectory_point(rho) - mean_b) <= 1e-14
+                assert abs(rec.mean_b - mean_b) <= 1e-14
+                assert abs(_mean_bb(rho) - mean_bb) <= 1e-14
+                # var X - var Y = Re<b^2> - (Re<b>)^2 + (Im<b>)^2
+                recorded_bb = rec.var_x - rec.var_y + rec.mean_b.real**2 - rec.mean_b.imag**2
+                assert abs(recorded_bb - mean_bb.real) <= 1e-14
 
 
 class TestSpinProjector:
@@ -202,7 +240,7 @@ class TestHermitianPropagator:
 
     def test_non_hermitian_rejected(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.raises(InvalidHamiltonianError):
+        with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_propagator(m, 0.1)
 
 
@@ -236,10 +274,16 @@ class TestCoherentVector:
 
 def test_public_api_leaves_out_test_oracles():
     import hlq
+    import hlq.engines
+    import hlq.errors
     import hlq.fockcore
 
-    moved = ("hermitian_propagator", "spin_projector", "tensor_embed", "partial_trace_spin")
-    for name in moved + ("TrajectoryRecord",):
+    moved = ("hermitian_propagator", "spin_projector", "tensor_embed", "partial_trace_spin",
+             "annihilation_matrix", "model_operator", "number_matrix")
+    for name in moved + ("TrajectoryRecord", "InvalidHamiltonianError"):
         assert not hasattr(hlq, name), name
     for name in moved + ("HERMITICITY_TOL", "NORMALIZATION_TOL", "UNITARITY_TOL"):
         assert not hasattr(hlq.fockcore, name), name
+    assert not hasattr(hlq.errors, "InvalidHamiltonianError")
+    assert not hasattr(hlq.engines, "_band")
+    assert hlq.model_band is hlq.fockcore.model_band

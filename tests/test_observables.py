@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hlq.fockcore import annihilation_matrix, coherent_vector
+from hlq.fockcore import coherent_vector
 from hlq.observables import (
     TrajectoryRecorder,
     fidelity_coherent,
@@ -17,6 +17,7 @@ from hlq.observables import (
     trace_distance,
     trajectory_point,
 )
+from reference import annihilation_matrix
 
 
 def vacuum(d=32):
