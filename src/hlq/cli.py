@@ -149,12 +149,18 @@ def parse_config(text: str) -> SimConfig:
     return config
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, columns) -> None:
+    """Write header, then row i of the table formed by the i-th cell of every column.
+
+    Each column is an array or a list, flattened row-major, so a 2-D array
+    contributes its cells in (row, col) order. Cells are formatted by
+    ``_fmt`` (strings are written as they are) one row at a time, so no
+    table of strings is ever held in memory.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-            fh.write("\n")
+        for row in zip(*map(np.ravel, columns)):
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -205,34 +211,21 @@ def _load_config(args) -> SimConfig:
     return parse_config(Path(args.config).read_text())
 
 
-def _timeseries_rows(result: RunResult, omega: float):
-    r = result.records
-    columns = (r.step, r.t, omega * r.t / math.pi, r.p00, r.mean_n, r.purity,
-               r.mean_b.real, r.mean_b.imag, r.var_x, r.var_y)
-    return zip(*(c.tolist() for c in columns))
-
-
-_TIMESERIES_HEADER = "step,t,pulse_area_over_pi,p00,mean_n,purity,re_b,im_b,var_x,var_y"
-
-
-def _final_state_rows(rho: np.ndarray):
-    d = rho.shape[0]
-    for i in range(d):
-        for j in range(d):
-            yield (i, j, rho[i, j].real, rho[i, j].imag)
-
-
 def _emit_run_outputs(
     out_dir: Path, config: SimConfig, result: RunResult, suffix: str = ""
 ) -> list[Path]:
     files = []
     if "timeseries" in config.outputs:
+        r = result.records
         path = out_dir / f"timeseries{suffix}.csv"
-        _write_csv(path, _TIMESERIES_HEADER, _timeseries_rows(result, config.omega))
+        _write_csv(path, "step,t,pulse_area_over_pi,p00,mean_n,purity,re_b,im_b,var_x,var_y",
+                   (r.step, r.t, config.omega * r.t / math.pi, r.p00, r.mean_n, r.purity,
+                    r.mean_b.real, r.mean_b.imag, r.var_x, r.var_y))
         files.append(path)
     if "final" in config.outputs:
+        rho = result.final
         path = out_dir / f"final_state{suffix}.csv"
-        _write_csv(path, "row,col,re,im", _final_state_rows(result.final))
+        _write_csv(path, "row,col,re,im", (*np.indices(rho.shape), rho.real, rho.imag))
         files.append(path)
     return files
 
@@ -258,16 +251,13 @@ def cmd_compare(args) -> int:
     config = _load_config(args)
     out_dir = _out_dir(args)
     result = run_compare(config)
-    hidden, standard = result.records_hidden, result.records_standard
-    rows = []
-    for step, t, p_hidden, p_standard, dist in zip(
-        hidden.step.tolist(), hidden.t.tolist(), hidden.p00.tolist(),
-        standard.p00.tolist(), result.trace_distances,
-    ):
-        oracle = ground_state_probability(config.eps_eff, config.omega, t, model=config.model)
-        rows.append((step, t, p_hidden, p_standard, oracle, dist))
+    hidden = result.records_hidden
+    oracle = [ground_state_probability(config.eps_eff, config.omega, t, model=config.model)
+              for t in hidden.t.tolist()]
     path = out_dir / "compare.csv"
-    _write_csv(path, "step,t,p00_hidden,p00_standard,p00_oracle,trace_distance", rows)
+    _write_csv(path, "step,t,p00_hidden,p00_standard,p00_oracle,trace_distance",
+               (hidden.step, hidden.t, hidden.p00, result.records_standard.p00, oracle,
+                result.trace_distances))
     return _finish(out_dir, "compare", config, [path])
 
 
@@ -276,17 +266,13 @@ def cmd_converge(args) -> int:
     if args.halvings < 2:
         raise ConfigValidationError(f"halvings: must be >= 2, got {args.halvings}")
     out_dir = _out_dir(args)
-    rows = []
-    prev = None
-    for i in range(args.halvings + 1):
-        sub = replace(config, dt=config.dt / 2**i, steps=config.steps * 2**i)
-        result = run_compare(sub, per_step_distance=False)
-        dist = result.trace_distances[-1]
-        ratio = "" if prev is None else _fmt(prev / dist)
-        rows.append((sub.dt, dist, ratio))
-        prev = dist
+    dts = [config.dt / 2**i for i in range(args.halvings + 1)]
+    dists = [run_compare(replace(config, dt=dt, steps=config.steps * 2**i),
+                         per_step_distance=False).trace_distances[-1]
+             for i, dt in enumerate(dts)]
+    ratios = ["", *(_fmt(a / b) for a, b in zip(dists, dists[1:]))]
     path = out_dir / "converge.csv"
-    _write_csv(path, "dt,final_trace_distance,ratio", rows)
+    _write_csv(path, "dt,final_trace_distance,ratio", (dts, dists, ratios))
     return _finish(out_dir, "converge", config, [path], extra={"halvings": args.halvings})
 
 
@@ -314,18 +300,13 @@ def cmd_husimi(args) -> int:
     files = []
     for step in snaps:
         grid = husimi_grid(result.snapshots[step], args.extent, args.grid)
-        rows = (
-            (grid.x[ix], grid.y[iy], grid.values[iy, ix])
-            for iy in range(grid.y.size)
-            for ix in range(grid.x.size)
-        )
+        nx, ny = grid.x.size, grid.y.size  # rows run over x within each y
         path = out_dir / f"husimi_step{step}.csv"
-        _write_csv(path, "x,y,q", rows)
+        _write_csv(path, "x,y,q", (np.tile(grid.x, ny), np.repeat(grid.y, nx), grid.values))
         files.append(path)
     traj = out_dir / "trajectory.csv"
     r = result.records
-    _write_csv(traj, "t,re_b,im_b",
-               zip(r.t.tolist(), r.mean_b.real.tolist(), r.mean_b.imag.tolist()))
+    _write_csv(traj, "t,re_b,im_b", (r.t, r.mean_b.real, r.mean_b.imag))
     files.append(traj)
     return _finish(out_dir, "husimi", config, files,
                    extra={"snapshots": snaps, "extent": args.extent, "grid": args.grid})
@@ -414,7 +395,10 @@ def _exit_status(exc: HlqError | OSError) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A step that overflows is stopped by the guard with a NonFiniteStateError;
+        # numpy's own warnings about it would only print ahead of that one line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (HlqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_status(exc)

@@ -57,9 +57,9 @@ Driver
 validates the config and schedule once, builds one lane (stepper, guard,
 trajectory recorder) per engine from the same initial state, and moves every
 lane through step j before any lane takes step j + 1. After each step a
-lane's guard checks its state and its recorder writes the observables into
-preallocated columns; with two lanes the driver also takes the trace
-distance between them. Each lane's columns come back as one ``np.recarray``.
+lane's guard checks its state and its recorder writes the observables as
+one row of the lane's ``np.recarray``, allocated once and returned as is;
+with two lanes the driver also takes the trace distance between them.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ import numpy as np
 from . import schedules as _schedules
 from .errors import (
     ConfigValidationError,
+    InvalidPreparationError,
     NonFiniteStateError,
     TruncationOverflowError,
 )
@@ -425,7 +426,7 @@ class _Lane:
         self.step, udef = _build_stepper(config, engine, schedule)
         self.guard = _Guard(deep)
         self.guard.diag.propagator_unitarity_defect = udef
-        self.recorder = TrajectoryRecorder(config.steps)
+        self.recorder = TrajectoryRecorder(config.steps, config.dt)
         self.wanted = wanted
         self.snapshots: dict[int, np.ndarray] = {}
         self.observe(0)
@@ -436,8 +437,8 @@ class _Lane:
         if j in self.wanted:
             self.snapshots[j] = self.rho.copy()
 
-    def result(self, dt: float) -> RunResult:
-        records = self.recorder.trajectory(dt)
+    def result(self) -> RunResult:
+        records = self.recorder.records
         return RunResult(records, self.rho, self.guard.finish(records.purity), self.snapshots)
 
 
@@ -460,8 +461,11 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
         raise ConfigValidationError(
             f"steps: schedule length {len(schedule)} != steps {config.steps}"
         )
-    for prep in schedule:
-        prep.validate()
+    for j, prep in enumerate(schedule, start=1):
+        try:
+            prep.validate()
+        except InvalidPreparationError as exc:
+            raise InvalidPreparationError(f"schedule step {j}: {exc}") from None
 
     wanted = set(snapshot_steps)
     bad = sorted(s for s in wanted if s not in range(config.steps + 1))
@@ -498,7 +502,7 @@ def run(
     truncation-overflow once the top two Fock levels together reach 1e-6.
     """
     (lane,), _ = _lockstep(config, schedule, (config.engine,), deep_checks, snapshot_steps)
-    return lane.result(config.dt)
+    return lane.result()
 
 
 def run_compare(
@@ -511,6 +515,6 @@ def run_compare(
     """Run the hidden and standard engines in lockstep over one schedule."""
     lanes, distances = _lockstep(config, schedule, ("hidden", "standard"), deep_checks,
                                  per_step_distance=per_step_distance)
-    h, s = (lane.result(config.dt) for lane in lanes)
+    h, s = (lane.result() for lane in lanes)
     return CompareResult(h.records, s.records, distances, h.final, s.final,
                          h.diagnostics, s.diagnostics)

@@ -9,9 +9,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidModelError
+from .errors import ConfigValidationError, InvalidDimensionError, InvalidModelError
 
 MODELS = ("linear", "two-boson", "intensity")
 
@@ -57,10 +59,16 @@ def coherent_vector(gamma: complex, d: int) -> np.ndarray:
 
     The entries are built by the stable running product, not by factorials.
     The vector is left unnormalized: its norm falls short of 1 by the
-    truncated Poisson tail, which is how far |gamma| overflows dim.
+    truncated Poisson tail, which is how far |gamma| overflows dim. A
+    non-finite gamma, or one whose |gamma|^2 overflows, is rejected.
     """
     if d < 1:
         raise InvalidDimensionError(f"truncation dimension must be >= 1, got {d}")
+    size = math.hypot(gamma.real, gamma.imag)  # abs() and ** raise on overflow
+    if not math.isfinite(size * size):
+        raise ConfigValidationError(
+            f"coherent amplitude {gamma!r} is not finite or |amplitude|^2 overflows"
+        )
     c = np.zeros(d, dtype=complex)
     amp = np.exp(-0.5 * abs(gamma) ** 2)
     c[0] = amp

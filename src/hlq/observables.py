@@ -9,17 +9,18 @@ the first three diagonals of rho, which keeps per-step recording cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import ConfigValidationError, InvalidDimensionError
 from .fockcore import coherent_vector, model_band
 
 
 @dataclass(frozen=True)
 class HusimiGrid:
-    """Husimi function sampled on a rectangular grid of coherent labels.
+    """Husimi function sampled on a square grid of coherent labels.
 
     ``values[iy, ix]`` is Q at gamma = x[ix] + i y[iy]; ``mass`` is the
     Riemann sum of Q over the window (close to 1 when the window holds the
@@ -80,30 +81,23 @@ _TRAJECTORY_DTYPE = np.dtype([
 
 
 class TrajectoryRecorder:
-    """Standard observables of one state per step, kept in preallocated columns.
+    """Standard observables of one state per step, written in place into one table.
 
-    ``record(j, rho)`` fills row j (0 is the initial state); ``trajectory(dt)``
-    returns them as one ``np.recarray``, so both
-    ``traj.p00`` (a column) and ``traj[j].p00`` (one row) work.
+    ``records`` is the ``np.recarray`` a run returns. It is allocated once,
+    one row per step (row 0 is the initial state), and ``record(j, rho)``
+    writes row j into it, so no copy is made when the run ends. Both
+    ``records.p00`` (a column) and ``records[j].p00`` (one row) work.
     """
 
-    def __init__(self, steps: int):
-        self._real = np.empty((steps + 1, 5))
-        self._mean_b = np.empty(steps + 1, dtype=complex)
+    def __init__(self, steps: int, dt: float):
+        self.records = np.recarray(steps + 1, dtype=_TRAJECTORY_DTYPE)
+        self._dt = dt
 
     def record(self, j: int, rho: np.ndarray) -> None:
         mean_n, mean_b = mean_photon(rho), trajectory_point(rho)
         var_x, var_y = _variances(mean_n, mean_b, _mean_bb(rho))
-        self._real[j] = ground_population(rho), mean_n, purity(rho), var_x, var_y
-        self._mean_b[j] = mean_b
-
-    def trajectory(self, dt: float) -> np.recarray:
-        traj = np.recarray(self._mean_b.size, dtype=_TRAJECTORY_DTYPE)
-        traj.step = np.arange(traj.size)
-        traj.t = traj.step * dt
-        traj.p00, traj.mean_n, traj.purity, traj.var_x, traj.var_y = self._real.T
-        traj.mean_b = self._mean_b
-        return traj
+        self.records[j] = (j, j * self._dt, ground_population(rho), mean_n, purity(rho),
+                           mean_b, var_x, var_y)
 
 
 def fidelity_coherent(rho: np.ndarray, gamma: complex) -> float:
@@ -121,34 +115,23 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def husimi_grid(
-    rho: np.ndarray,
-    extent: float | tuple[float, float, float, float] = 5.0,
-    resolution: int | tuple[int, int] = 201,
-) -> HusimiGrid:
+def husimi_grid(rho: np.ndarray, extent: float = 5.0, resolution: int = 201) -> HusimiGrid:
     """Husimi function Q(x, y) = <gamma|rho|gamma>/pi at gamma = x + iy.
 
-    ``extent`` is either a half-width (symmetric window) or an explicit
-    (x_min, x_max, y_min, y_max); ``resolution`` a point count per axis or a
-    pair (n_x, n_y). Q is bounded by 1/pi and integrates to 1 over the
-    whole plane.
+    The grid is square: ``resolution`` points per axis over [-extent, extent],
+    with ``extent`` finite and > 0 and ``resolution`` >= 2. Q is bounded by
+    1/pi and integrates to 1 over the whole plane.
     """
-    if np.isscalar(extent):
-        e = float(extent)
-        window = (-e, e, -e, e)
-    else:
-        window = tuple(float(v) for v in extent)
-    if isinstance(resolution, (int, np.integer)):
-        n_x = n_y = int(resolution)
-    else:
-        n_x, n_y = (int(v) for v in resolution)
-    if n_x < 2 or n_y < 2:
+    e = float(extent)
+    if not (math.isfinite(e) and e > 0.0):
+        raise ConfigValidationError(f"husimi extent must be finite and > 0, got {extent!r}")
+    points = int(resolution)
+    if points < 2:
         raise InvalidDimensionError("husimi grid needs at least 2 points per axis")
 
     d = rho.shape[0]
-    xs = np.linspace(window[0], window[1], n_x)
-    ys = np.linspace(window[2], window[3], n_y)
-    gx, gy = np.meshgrid(xs, ys)
+    xs = np.linspace(-e, e, points)
+    gx, gy = np.meshgrid(xs, xs)
     gamma = (gx + 1j * gy).ravel()
 
     # Coherent amplitudes for every grid point at once, by running product.
@@ -159,6 +142,6 @@ def husimi_grid(
     mat *= np.exp(-0.5 * np.abs(gamma) ** 2)[:, None]
 
     q = np.einsum("gi,ij,gj->g", mat.conj(), rho, mat).real / np.pi
-    values = q.reshape(n_y, n_x)
-    cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-    return HusimiGrid(x=xs, y=ys, values=values, mass=float(values.sum() * cell))
+    values = q.reshape(points, points)
+    cell = (xs[1] - xs[0]) * (xs[1] - xs[0])
+    return HusimiGrid(x=xs, y=xs.copy(), values=values, mass=float(values.sum() * cell))

@@ -74,7 +74,7 @@ def greens_quadrature_probability(
     O(resolution), not O(resolution^2).
     """
     if resolution < 100:
-        raise ValueError(f"resolution must be >= 100, got {resolution}")
+        raise ConfigValidationError(f"resolution must be >= 100, got {resolution}")
     if t_final == 0.0:
         return 1.0
     n = int(resolution)

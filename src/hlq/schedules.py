@@ -41,8 +41,19 @@ class AtomPrep:
         return complex(self.alpha).conjugate() * complex(self.beta)
 
     def validate(self) -> None:
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        """Raise InvalidPreparationError unless alpha, beta, eta are finite and normalized."""
+        try:  # hypot, unlike abs() of a complex, returns inf instead of raising on overflow
+            a = math.hypot(self.alpha.real, self.alpha.imag)
+            b = math.hypot(self.beta.real, self.beta.imag)
+            e = math.hypot(self.eta.real, self.eta.imag)
+        except (AttributeError, TypeError):
+            raise InvalidPreparationError(
+                f"alpha, beta, eta must be numbers, got {self!r}") from None
+        if not math.isfinite(e):
+            raise InvalidPreparationError(
+                f"eta: must be finite, with |eta| finite, got {self.eta!r}")
+        norm = a * a + b * b
+        if not abs(norm - 1.0) <= 1e-12:  # also catches a NaN or overflowing norm
             raise InvalidPreparationError(
                 f"|alpha|^2 + |beta|^2 = {norm!r}, expected 1"
             )

@@ -3,13 +3,16 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from hlq import cli
 from hlq.cli import main, parse_config
+from hlq.engines import run, run_compare
 from hlq.errors import ConfigParseError, ConfigValidationError
+from hlq.observables import husimi_grid
 from hlq.oracles import ground_state_probability
 
 SLOW_CONFIG = """\
@@ -252,14 +255,14 @@ class TestExitCodes:
         cfg = write(tmp_path, "model = linear\nomega = 0\ndt = 0.01\nsteps = 400\ndim = 6\n")
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
+    # With RuntimeWarning an error in this suite, a numpy warning escaping the CLI fails here.
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_non_finite_state_is_2(self, tmp_path, capsys, command):
         cfg = write(tmp_path, "model = linear\nomega = 1\ndt = 0.01\nsteps = 3\ndim = 8\n"
                               "eta = 1e308\n")
         assert main([command, cfg, "--out-dir", str(tmp_path / "o")]) == 2
-        assert "trace (nan+nanj) at step 1 is not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: trace (nan+nanj) at step 1 is not finite; reduce dt or eta\n")
 
     @pytest.mark.parametrize("text", [
         "model = linear\nomega = 1e308\ndt = 1\nsteps = 3\n",
@@ -366,6 +369,74 @@ class TestHusimiCommand:
         out = tmp_path / "o"
         assert main(["husimi", cfg, "--out-dir", str(out), f"--extent={extent}"]) == 1
         assert not list(out.glob("*.csv"))
+
+
+class TestCsvText:
+    """Each CSV is its in-memory table, one row per line, every cell formatted by _fmt."""
+
+    CONFIG = ("model = linear\nomega = 1.3\ndt = 0.01\nsteps = 12\ndim = 8\n"
+              "eta = 0.8-0.3j\nschedule = rotating\ninitial = coherent(0.3+0.1j)\n")
+
+    @staticmethod
+    def assert_text(path: Path, header: str, rows) -> None:
+        lines = [",".join(c if isinstance(c, str) else cli._fmt(c) for c in row) for row in rows]
+        assert path.read_text() == "\n".join([header, *lines]) + "\n"
+
+    def setup(self, tmp_path, command, *flags):
+        cfg = write(tmp_path, self.CONFIG)
+        out = tmp_path / command
+        assert main([command, cfg, "--out-dir", str(out), *flags]) == 0
+        return out, parse_config(self.CONFIG)
+
+    def test_run_files(self, tmp_path):
+        out, config = self.setup(tmp_path, "run")
+        res = run(config)
+        r = res.records
+        self.assert_text(
+            out / "timeseries.csv",
+            "step,t,pulse_area_over_pi,p00,mean_n,purity,re_b,im_b,var_x,var_y",
+            zip(r.step.tolist(), r.t.tolist(), (config.omega * r.t / math.pi).tolist(),
+                r.p00.tolist(), r.mean_n.tolist(), r.purity.tolist(), r.mean_b.real.tolist(),
+                r.mean_b.imag.tolist(), r.var_x.tolist(), r.var_y.tolist()))
+        rho = res.final  # row-major: the column index runs fastest
+        self.assert_text(out / "final_state.csv", "row,col,re,im",
+                         [(i, j, rho[i, j].real, rho[i, j].imag)
+                          for i in range(config.dim) for j in range(config.dim)])
+
+    def test_husimi_files(self, tmp_path):
+        out, config = self.setup(tmp_path, "husimi", "--steps", "0,7", "--grid", "4",
+                                 "--extent", "1.5")
+        res = run(config, snapshot_steps={0, 7})
+        for step in (0, 7):
+            grid = husimi_grid(res.snapshots[step], 1.5, 4)
+            # y outer, x inner
+            self.assert_text(out / f"husimi_step{step}.csv", "x,y,q",
+                             [(grid.x[ix], grid.y[iy], grid.values[iy, ix])
+                              for iy in range(4) for ix in range(4)])
+        r = res.records
+        self.assert_text(out / "trajectory.csv", "t,re_b,im_b",
+                         zip(r.t.tolist(), r.mean_b.real.tolist(), r.mean_b.imag.tolist()))
+
+    def test_compare_file(self, tmp_path):
+        out, config = self.setup(tmp_path, "compare")
+        res = run_compare(config)
+        h, s = res.records_hidden, res.records_standard
+        self.assert_text(
+            out / "compare.csv", "step,t,p00_hidden,p00_standard,p00_oracle,trace_distance",
+            [(int(h.step[j]), t, h.p00[j], s.p00[j],
+              ground_state_probability(config.eps_eff, config.omega, t), res.trace_distances[j])
+             for j, t in enumerate(h.t.tolist())])
+
+    def test_converge_file(self, tmp_path):
+        out, config = self.setup(tmp_path, "converge", "--halvings", "2")
+        rows, prev = [], None
+        for i in range(3):
+            sub = replace(config, dt=config.dt / 2**i, steps=config.steps * 2**i)
+            dist = run_compare(sub, per_step_distance=False).trace_distances[-1]
+            rows.append((sub.dt, dist, "" if prev is None else cli._fmt(prev / dist)))
+            prev = dist
+        self.assert_text(out / "converge.csv", "dt,final_trace_distance,ratio", rows)
+        assert out.joinpath("converge.csv").read_text().splitlines()[1].endswith(",")
 
 
 class TestSweepCommand:

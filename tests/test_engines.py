@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hlq.engines import (
 )
 from hlq.errors import (
     ConfigValidationError,
+    InvalidPreparationError,
     NonFiniteStateError,
     TruncationOverflowError,
 )
@@ -459,6 +461,23 @@ class TestConfigBoundary:
         with pytest.raises(ConfigValidationError, match=f"^{field}: (must be|unknown value)"):
             run(SimConfig(**{**self.BASE, field: value}))
 
+    @pytest.mark.parametrize("prep, message", [
+        (AtomPrep(1.0, 0.0, complex("nan")), r"eta: must be finite"),
+        (AtomPrep(1.0, 0.0, complex(1.7e308, 1.7e308)), r"eta: .* with \|eta\| finite"),
+        (AtomPrep(complex("nan"), 0.0, 1.0), r"\|alpha\|\^2 \+ \|beta\|\^2 = nan, expected 1"),
+        (AtomPrep(1.0, math.inf, 1.0), r"\|alpha\|\^2 \+ \|beta\|\^2 = inf"),
+        (AtomPrep(1e200, 0.0, 1.0), r"\|alpha\|\^2 \+ \|beta\|\^2 = inf, expected 1"),
+        (AtomPrep(1e155, 1e155, 1.0), r"\|alpha\|\^2 \+ \|beta\|\^2 = inf"),
+        (AtomPrep(1.0, 0.0, "1"), r"alpha, beta, eta must be numbers"),
+    ])
+    @pytest.mark.parametrize("call", [run, run_compare])
+    def test_bad_explicit_schedule_step_named(self, prep, message, call):
+        good = uniform_schedule(1, 0.5)[0]
+        schedule = [good, good, prep, good]
+        cfg = SimConfig(**{**self.BASE, "steps": 4})
+        with pytest.raises(InvalidPreparationError, match=f"^schedule step 3: {message}"):
+            call(cfg, schedule)
+
     def test_numpy_scalars_accepted(self):
         plain = run(SimConfig(**self.BASE, zeta_abs=0.3, eta=0.8 + 0.2j, initial="coherent",
                               gamma0=0.2 - 0.1j))
@@ -603,6 +622,18 @@ class TestLockstepDriver:
         for j, rho in res.snapshots.items():
             assert (records.var_x[j], records.var_y[j]) == quadrature_variances(rho)
             assert records.mean_b[j] == trajectory_point(rho)
+
+    def test_records_table_is_not_copied(self):
+        # The recorder fills the returned table in place: no second per-step buffer.
+        cfg = SimConfig(model="linear", omega=1.0, dt=0.01, steps=3000, dim=4, eta=0.0)
+        tracemalloc.start()
+        try:
+            res = run(cfg, deep_checks=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.records.nbytes == 72 * 3001
+        assert peak <= 1.5 * res.records.nbytes
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_purity_taken_once_per_step(self, monkeypatch, deep):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hlq.errors import (
+    ConfigValidationError,
     InvalidDimensionError,
     InvalidModelError,
     InvalidPreparationError,
@@ -106,11 +107,11 @@ class TestModelOperator:
         rng = np.random.default_rng(15)
         for d in (2, 3, 16, 40):
             b = annihilation_matrix(d)
-            recorder = TrajectoryRecorder(5)
+            recorder = TrajectoryRecorder(5, 0.1)
             for j in range(5):
                 rho = random_density(rng, d)
                 recorder.record(j, rho)
-                rec = recorder.trajectory(0.1)[j]
+                rec = recorder.records[j]
                 mean_b, mean_bb = np.trace(rho @ b), np.trace(rho @ b @ b)
                 assert abs(trajectory_point(rho) - mean_b) <= 1e-14
                 assert abs(rec.mean_b - mean_b) <= 1e-14
@@ -263,6 +264,12 @@ class TestCoherentVector:
         c = coherent_vector(gamma, d)
         mean = np.vdot(c, annihilation_matrix(d) @ c) / np.vdot(c, c)
         assert abs(mean - gamma) <= 1e-8
+
+    @pytest.mark.parametrize("gamma", [1e200, complex(1e154, 1e154), math.nan,
+                                       complex(0.3, math.nan), complex(math.inf, 0)])
+    def test_bad_amplitude_rejected(self, gamma):
+        with pytest.raises(ConfigValidationError, match="coherent amplitude .* not finite or"):
+            coherent_vector(gamma, 8)
 
     def test_poisson_weights(self):
         gamma = 1.3

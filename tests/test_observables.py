@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hlq.errors import ConfigValidationError, InvalidDimensionError
 from hlq.fockcore import coherent_vector
 from hlq.observables import (
     TrajectoryRecorder,
@@ -93,9 +94,9 @@ class TestScalars:
     def test_record_bundles_scalars(self):
         rng = np.random.default_rng(14)
         rho = random_density(rng, 10)
-        recorder = TrajectoryRecorder(3)
+        recorder = TrajectoryRecorder(3, 0.04)
         recorder.record(3, rho)
-        rec = recorder.trajectory(0.04)[3]
+        rec = recorder.records[3]
         assert rec.step == 3 and rec.t == 3 * 0.04
         assert rec.p00 == ground_population(rho)
         assert rec.mean_n == mean_photon(rho)
@@ -114,6 +115,12 @@ class TestFidelity:
         assert fidelity_coherent(vacuum(), gamma) == pytest.approx(
             math.exp(-abs(gamma) ** 2), rel=1e-10
         )
+
+    @pytest.mark.parametrize("gamma",
+                             [1e200, complex(1e154, 1e154), math.nan, complex(0, math.inf)])
+    def test_bad_amplitude_rejected(self, gamma):
+        with pytest.raises(ConfigValidationError, match="coherent amplitude"):
+            fidelity_coherent(vacuum(8), gamma)
 
 
 class TestTraceDistance:
@@ -169,8 +176,11 @@ class TestHusimi:
             grid = husimi_grid(state, 5.0, 201)
             assert abs(grid.mass - 1.0) <= 0.01
 
-    def test_rectangular_window(self):
-        grid = husimi_grid(vacuum(), (-2.0, 3.0, -1.0, 4.0), (11, 21))
-        assert grid.values.shape == (21, 11)
-        assert grid.x[0] == -2.0 and grid.x[-1] == 3.0
-        assert grid.y[0] == -1.0 and grid.y[-1] == 4.0
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_extent_rejected(self, extent):
+        with pytest.raises(ConfigValidationError, match="husimi extent must be finite and > 0"):
+            husimi_grid(vacuum(), extent, 5)
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="at least 2 points"):
+            husimi_grid(vacuum(), 1.0, 1)

@@ -109,7 +109,7 @@ class TestQuadrature:
         assert pq == pytest.approx(math.exp(-(0.4 * 1.5) ** 2), abs=1e-6)
 
     def test_resolution_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigValidationError, match="resolution must be >= 100"):
             greens_quadrature_probability(0.5, 1.0, 1.0, 99)
 
 

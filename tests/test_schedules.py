@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hlq.errors import InvalidCoherenceError
+from hlq.errors import InvalidCoherenceError, InvalidPreparationError
 from hlq.schedules import (
     AtomPrep,
     alternating_schedule,
@@ -48,6 +48,12 @@ def test_all_schedules_normalized():
             for prep in sched:
                 prep.validate()
                 assert abs(abs(prep.alpha) ** 2 + abs(prep.beta) ** 2 - 1.0) <= 1e-12
+
+
+def test_normalization_message_kept():
+    with pytest.raises(InvalidPreparationError,
+                       match=r"^\|alpha\|\^2 \+ \|beta\|\^2 = 1.25, expected 1$"):
+        AtomPrep(1.0, 0.5j, 1.0).validate()
 
 
 def test_alternating_signs():
