@@ -14,7 +14,8 @@ directory), writes a ``manifest.json`` naming every emitted file with its
 SHA-256, and prints the paths it wrote. Numbers are written with 12
 significant digits; identical config and schedule give byte-identical files.
 
-Exit status: 0 success, 1 config/validation problem, 2 numerical failure
+Exit status: 0 success, 1 config/validation problem (a Husimi window too
+wide or too large for ``dim`` included) or out of memory, 2 numerical failure
 (truncation overflow, non-finite state), 3 I/O failure.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment. Keys:
@@ -60,6 +61,8 @@ from .oracles import ground_state_probability
 
 
 def _fmt(value) -> str:
+    # _write_csv formats whole rows with "%d" and "%.12g" instead; both give
+    # these bytes, so a change here must be made there too.
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.12g}"
@@ -149,18 +152,35 @@ def parse_config(text: str) -> SimConfig:
     return config
 
 
+# Rows formatted per write: the text and Python values held at once stay
+# near 200 KB for the widest table, however long the table is.
+_CSV_CHUNK = 1024
+# Row-spec field per column dtype kind; any other kind is "%.12g".
+_CELL_SPEC = {"i": "%d", "u": "%d", "U": "%s", "O": "%s"}
+
+
 def _write_csv(path: Path, header: str, columns) -> None:
     """Write header, then row i of the table formed by the i-th cell of every column.
 
     Each column is an array or a list, flattened row-major, so a 2-D array
-    contributes its cells in (row, col) order. Cells are formatted by
-    ``_fmt`` (strings are written as they are) one row at a time, so no
-    table of strings is ever held in memory.
+    contributes its cells in (row, col) order. One ``%`` row spec is built per
+    table from the column dtypes: ``%d`` for integer kinds, ``%s`` for text (a
+    str array, or an object array whose cells are all str; written as they
+    are) and ``%.12g`` for everything else, which is the text ``_fmt`` gives
+    for each cell, so the bytes equal those of formatting every cell with
+    ``_fmt``. Rows are formatted and written ``_CSV_CHUNK`` (1024) at a time
+    from plain Python values: neither the table's text nor whole columns of
+    Python objects are held, and the traced peak stays near 200 KB (a 401 x
+    401 three-column table) however long the table is.
     """
+    cols = [np.ravel(c) for c in columns]
+    spec = ",".join(_CELL_SPEC.get(c.dtype.kind, "%.12g") for c in cols) + "\n"
+    rows = min((c.size for c in cols), default=0)
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in zip(*map(np.ravel, columns)):
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+        for start in range(0, rows, _CSV_CHUNK):
+            chunk = [c[start:start + _CSV_CHUNK].tolist() for c in cols]
+            fh.write("".join(map(spec.__mod__, zip(*chunk))))
 
 
 def _sha256(path: Path) -> str:
@@ -300,9 +320,13 @@ def cmd_husimi(args) -> int:
     files = []
     for step in snaps:
         grid = husimi_grid(result.snapshots[step], args.extent, args.grid)
-        nx, ny = grid.x.size, grid.y.size  # rows run over x within each y
+        # The grid is square, so one formatted axis serves x and y; rows run
+        # over x within each y. As an object array, its tiled columns hold
+        # pointers to the axis strings, no more memory than float columns.
+        axis = np.array([_fmt(v) for v in grid.x], dtype=object)
         path = out_dir / f"husimi_step{step}.csv"
-        _write_csv(path, "x,y,q", (np.tile(grid.x, ny), np.repeat(grid.y, nx), grid.values))
+        _write_csv(path, "x,y,q", (np.tile(axis, axis.size), np.repeat(axis, axis.size),
+                                   grid.values))
         files.append(path)
     traj = out_dir / "trajectory.csv"
     r = result.records
@@ -385,11 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_status(exc: HlqError | OSError) -> int:
-    """2 for a numerical failure, 1 for any other package error, 3 for I/O errors."""
+def _exit_status(exc: HlqError | OSError | MemoryError) -> int:
+    """2 for a numerical failure, 3 for I/O errors, 1 for any other package error.
+
+    A ``MemoryError`` is 1: a request too large for this machine is a problem
+    of the input, like the requests the package's own caps reject.
+    """
     if isinstance(exc, (TruncationOverflowError, NonFiniteStateError)):
         return 2
-    return 1 if isinstance(exc, HlqError) else 3
+    return 3 if isinstance(exc, OSError) else 1
 
 
 def main(argv=None) -> int:
@@ -399,8 +427,8 @@ def main(argv=None) -> int:
         # numpy's own warnings about it would only print ahead of that one line.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (HlqError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HlqError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return _exit_status(exc)
 
 

@@ -10,12 +10,17 @@ the first three diagonals of rho, which keeps per-step recording cheap.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigValidationError, InvalidDimensionError
 from .fockcore import coherent_vector, model_band
+
+# Largest coherent-amplitude table (resolution^2 x dim complex entries) that
+# husimi_grid will allocate, in bytes.
+HUSIMI_MAX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,14 @@ def husimi_grid(rho: np.ndarray, extent: float = 5.0, resolution: int = 201) -> 
     The grid is square: ``resolution`` points per axis over [-extent, extent],
     with ``extent`` finite and > 0 and ``resolution`` >= 2. Q is bounded by
     1/pi and integrates to 1 over the whole plane.
+
+    Before anything is allocated, a grid whose resolution^2 x dim x 16-byte
+    amplitude table exceeds ``HUSIMI_MAX_BYTES``, or whose extent is too wide
+    for the state's dimension, raises ``ConfigValidationError``. Too wide means
+    that a value the grid forms would overflow to inf, and Q or the mass to
+    NaN: the squared span (2 * extent)^2, which bounds |gamma|^2 and the cell
+    area, or the running product gamma^n / sqrt((n-1)!) (taken before its
+    division by sqrt(n)) at the grid corner |gamma| = sqrt(2) * extent.
     """
     e = float(extent)
     if not (math.isfinite(e) and e > 0.0):
@@ -130,6 +143,20 @@ def husimi_grid(rho: np.ndarray, extent: float = 5.0, resolution: int = 201) -> 
         raise InvalidDimensionError("husimi grid needs at least 2 points per axis")
 
     d = rho.shape[0]
+    nbytes = points * points * d * 16
+    if nbytes > HUSIMI_MAX_BYTES:
+        raise ConfigValidationError(
+            f"husimi grid {points} x {points} at dim {d} needs {nbytes} bytes, "
+            f"over the {HUSIMI_MAX_BYTES}-byte limit"
+        )
+    log_corner = 0.5 * math.log(2.0) + math.log(e)
+    logs = [n * log_corner - 0.5 * math.lgamma(n) for n in range(1, d)]
+    if max([2.0 * math.log(2.0 * e), *logs]) >= math.log(sys.float_info.max):
+        raise ConfigValidationError(
+            f"husimi extent {e!r} is too wide for dim {d}: the grid's values "
+            f"would overflow"
+        )
+
     xs = np.linspace(-e, e, points)
     gx, gy = np.meshgrid(xs, xs)
     gamma = (gx + 1j * gy).ravel()

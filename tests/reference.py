@@ -6,7 +6,8 @@ coupling at the mid-step time and exponentiate it by eigendecomposition on
 every call, the hidden step on the 2d-dimensional spin (x) field space with
 an explicit Kronecker embedding and partial trace. They are slow and
 obviously correct; the band and the engines' closed-form kernels are checked
-against them.
+against them. ``reference_csv_text`` is the CSV writer's oracle: every cell
+formatted on its own by ``hlq.cli._fmt``.
 
 Spin basis |up> = (1, 0), |down> = (0, 1). Composite spin (x) field index
 k = s*d + n (spin-major), so a composite matrix splits into four d x d
@@ -18,6 +19,7 @@ import cmath
 
 import numpy as np
 
+from hlq.cli import _fmt
 from hlq.errors import InvalidDimensionError, InvalidPreparationError
 from hlq.fockcore import hermiticity_defect
 from hlq.schedules import AtomPrep
@@ -154,3 +156,12 @@ def standard_step(
     """One semiclassical step: conjugate rho with exp(-i V(tau) dt)."""
     u = hermitian_propagator(interaction_hamiltonian(r0, k, eps, omega, tau), dt)
     return u @ rho @ u.conj().T
+
+
+def reference_csv_text(header: str, columns) -> str:
+    """The text ``hlq.cli._write_csv`` writes: columns flattened row-major, one
+    row per line, strings as they are and every other cell through ``_fmt``."""
+    lines = [header]
+    for row in zip(*map(np.ravel, columns)):
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
+    return "\n".join(lines) + "\n"

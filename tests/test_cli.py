@@ -3,9 +3,11 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hlq import cli
@@ -14,6 +16,7 @@ from hlq.engines import run, run_compare
 from hlq.errors import ConfigParseError, ConfigValidationError
 from hlq.observables import husimi_grid
 from hlq.oracles import ground_state_probability
+from reference import reference_csv_text
 
 SLOW_CONFIG = """\
 # slow linear run
@@ -281,6 +284,19 @@ class TestExitCodes:
         blocker.write_text("a plain file, not a directory")
         assert main(["run", cfg, "--out-dir", str(blocker)]) == 3
 
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 8 EiB"), "error: Unable to allocate 8 EiB\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ])
+    def test_out_of_memory_is_1(self, tmp_path, capsys, monkeypatch, exc, line):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "run", exhausted)
+        cfg = write(tmp_path, TINY)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == line
+
 
 class TestCompareCommand:
     def test_inert_drive_zero_distance(self, tmp_path):
@@ -370,6 +386,26 @@ class TestHusimiCommand:
         assert main(["husimi", cfg, "--out-dir", str(out), f"--extent={extent}"]) == 1
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--extent", "1e200", "--grid", "3"), "husimi extent 1e+200 is too wide for dim 12"),
+        (("--grid", "100000"), "husimi grid 100000 x 100000 at dim 12 needs 1920000000000 bytes"),
+    ])
+    def test_window_too_wide_or_large_is_1(self, tmp_path, capsys, flags, message):
+        cfg = write(tmp_path, TINY + "dim = 12\n")
+        out = tmp_path / "o"
+        assert main(["husimi", cfg, "--out-dir", str(out), "--steps", "0", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not list(out.glob("*.csv"))
+
+    def test_wide_extent_that_fits_dim_still_written(self, tmp_path):
+        cfg = write(tmp_path, TINY + "dim = 12\n")
+        out = tmp_path / "o"
+        assert main(["husimi", cfg, "--out-dir", str(out), "--steps", "0", "--extent", "40",
+                     "--grid", "3"]) == 0
+        _, rows = read_csv(out / "husimi_step0.csv")
+        assert [r[2] for r in rows] == ["0"] * 4 + [cli._fmt(1.0 / math.pi)] + ["0"] * 4
+
 
 class TestCsvText:
     """Each CSV is its in-memory table, one row per line, every cell formatted by _fmt."""
@@ -437,6 +473,68 @@ class TestCsvText:
             prev = dist
         self.assert_text(out / "converge.csv", "dt,final_trace_distance,ratio", rows)
         assert out.joinpath("converge.csv").read_text().splitlines()[1].endswith(",")
+
+
+class TestCsvWriter:
+    """_write_csv's bytes equal the per-cell oracle, and its memory stays bounded."""
+
+    @staticmethod
+    def assert_matches(tmp_path: Path, header: str, columns) -> None:
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, header, columns)
+        # Compared as lists of lines, so a failure names the first bad row
+        # instead of diffing two long strings.
+        want = reference_csv_text(header, columns).splitlines(keepends=True)
+        assert path.read_text().splitlines(keepends=True) == want
+
+    def test_matches_reference_on_edge_values(self, tmp_path):
+        rng = np.random.default_rng(8)
+        tiny = np.finfo(float).tiny
+        special = np.array([
+            0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, tiny, tiny / 3, 1e-310,
+            1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e17, -1e16, 1e16 + 2,
+            1e17 + 16, 0.1 + 0.2, 123456789012.5, 1234567890123.5, 999999999999.5,
+            0.9999999999995, 0.12345678901249999, 0.1234567890125, 1e-5, 1e-4, 1e15, 1e-15,
+        ])
+        n = 5000
+        i64 = np.iinfo(np.int64)
+        columns = (
+            rng.choice(special, n),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n),
+            # next to a halfway point at the 12th significant digit
+            np.nextafter(np.round(rng.uniform(100.0, 1000.0, n), 9) + 5e-10,
+                         rng.choice([-np.inf, np.inf], n)),
+            rng.choice(np.array([i64.min, i64.max, -1, 0, 1]), n),
+            rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+            rng.random(n) < 0.5,
+            (rng.standard_normal(n) * 10.0 ** rng.integers(-45, 38, n)).astype(np.float32),
+            np.array(["", "a", "x y", "%d", "1e5", "nan"])[rng.integers(0, 6, n)],
+            np.array(["", "-0", "4.95"], dtype=object)[rng.integers(0, 3, n)],
+            rng.standard_normal((n // 50, 50)),
+        )
+        self.assert_matches(tmp_path, ",".join("abcdefghij"), columns)
+
+    @pytest.mark.parametrize("columns", [
+        ([1.5, -0.0, float("nan")], [1, 2, 3], ["", "r", "s"]),
+        ([2.0 ** -1074], [np.int64(-7)], [""]),
+        (np.arange(6).reshape(2, 3) * 0.1, np.arange(6)),
+    ], ids=["lists", "one-row", "2-d"])
+    def test_matches_reference_on_small_tables(self, tmp_path, columns):
+        self.assert_matches(tmp_path, "h", columns)
+
+    def test_memory_bounded_by_chunk(self, tmp_path):
+        rng = np.random.default_rng(9)
+        axis = np.linspace(-5.0, 5.0, 401)
+        columns = (np.tile(axis, 401), np.repeat(axis, 401),
+                   rng.random((401, 401)) * 10.0 ** rng.integers(-12, 0, (401, 401)))
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "big.csv", "x,y,q", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").stat().st_size > 4_000_000
+        assert peak < 1_000_000
 
 
 class TestSweepCommand:

@@ -1,6 +1,7 @@
 """Observable extraction, Husimi grids, fidelities, trace distance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hlq.errors import ConfigValidationError, InvalidDimensionError
 from hlq.fockcore import coherent_vector
 from hlq.observables import (
+    HUSIMI_MAX_BYTES,
     TrajectoryRecorder,
     fidelity_coherent,
     ground_population,
@@ -184,3 +186,32 @@ class TestHusimi:
     def test_too_few_points_rejected(self):
         with pytest.raises(InvalidDimensionError, match="at least 2 points"):
             husimi_grid(vacuum(), 1.0, 1)
+
+    # Only the requested size is computed: no test allocates a table near the cap.
+    def test_table_over_cap_rejected_before_allocating(self):
+        rho = np.zeros((12, 12), dtype=complex)
+        assert 100000 ** 2 * 12 * 16 > HUSIMI_MAX_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigValidationError,
+                               match="grid 100000 x 100000 at dim 12 needs 1920000000000 bytes"):
+                husimi_grid(rho, 5.0, 100000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    # Each extent makes a value the grid forms overflow: the running product at
+    # dim 12, |gamma|^2 at dim 2, the span 2 * extent at dim 1.
+    @pytest.mark.parametrize("d, extent", [(12, 1e200), (12, 1e150), (2, 1e154), (1, 1e308)])
+    def test_extent_too_wide_for_dim_rejected(self, d, extent):
+        rho = np.zeros((d, d), dtype=complex)
+        rho[0, 0] = 1.0
+        with pytest.raises(ConfigValidationError, match=f"too wide for dim {d}"):
+            husimi_grid(rho, extent, 3)
+
+    @pytest.mark.parametrize("d, extent", [(12, 40.0), (12, 1e20), (2, 1e153), (1, 1e153)])
+    def test_wide_extent_within_range_stays_finite(self, d, extent):
+        rng = np.random.default_rng(17)
+        grid = husimi_grid(random_density(rng, d), extent, 4)
+        assert np.isfinite(grid.values).all() and math.isfinite(grid.mass)
