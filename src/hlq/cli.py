@@ -15,8 +15,9 @@ SHA-256, and prints the paths it wrote. Numbers are written with 12
 significant digits; identical config and schedule give byte-identical files.
 
 Exit status: 0 success, 1 config/validation problem (a Husimi window too
-wide or too large for ``dim`` included) or out of memory, 2 numerical failure
-(truncation overflow, non-finite state), 3 I/O failure.
+wide or too large for ``dim`` and a run over the run-size cap included) or
+out of memory, 2 numerical failure (truncation overflow, non-finite state),
+3 I/O failure.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment. Keys:
 
@@ -43,12 +44,13 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .engines import RunResult, SimConfig, run, run_compare
+from .engines import RUN_MAX_BYTES, RunResult, SimConfig, run, run_compare
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -56,7 +58,7 @@ from .errors import (
     NonFiniteStateError,
     TruncationOverflowError,
 )
-from .observables import husimi_grid
+from .observables import husimi_grid, husimi_window
 from .oracles import ground_state_probability
 
 
@@ -95,13 +97,13 @@ _KEYS = {
 _REQUIRED_KEYS = ("model", "omega", "dt", "steps")
 
 
-def _convert(key: str, text: str, line: int):
-    """Parse one value of key; a malformed one is a ConfigParseError on line."""
+def _convert(key: str, text: str, error):
+    """Parse one value of key; a malformed one raises error(message)."""
     _, parse, kind, _ = _KEYS[key]
     try:
         return parse(text)
     except ValueError:
-        raise ConfigParseError(line, f"{key}: cannot parse {text!r} as {kind}")
+        raise error(f"{key}: cannot parse {text!r} as {kind}")
 
 
 def parse_config(text: str) -> SimConfig:
@@ -135,13 +137,14 @@ def parse_config(text: str) -> SimConfig:
         if key not in raw:
             continue
         value, lineno = raw[key]
+        bad_line = partial(ConfigParseError, lineno)
         if key != "initial":
-            kwargs[field] = _convert(key, value, lineno)
+            kwargs[field] = _convert(key, value, bad_line)
         elif value == "vacuum":
             kwargs[field] = value
         elif value.startswith("coherent(") and value.endswith(")"):
             kwargs[field] = "coherent"
-            kwargs["gamma0"] = _convert(key, value[9:-1], lineno)
+            kwargs["gamma0"] = _convert(key, value[9:-1], bad_line)
         else:
             raise ConfigValidationError(
                 f"initial: expected 'vacuum' or 'coherent(<amplitude>)', got {value!r}"
@@ -285,6 +288,14 @@ def cmd_converge(args) -> int:
     config = _load_config(args)
     if args.halvings < 2:
         raise ConfigValidationError(f"halvings: must be >= 2, got {args.halvings}")
+    # The finest halving is the longest run, so it is validated before the first.
+    # Each halving doubles the steps: past RUN_MAX_BYTES.bit_length() halvings
+    # every config is over the run-size cap, and 2**halvings is not formed.
+    if args.halvings > RUN_MAX_BYTES.bit_length():
+        raise ConfigValidationError(
+            f"halvings: steps * 2**{args.halvings} steps are over the run-size limit")
+    finest = 2**args.halvings
+    replace(config, dt=config.dt / finest, steps=config.steps * finest).validate()
     out_dir = _out_dir(args)
     dts = [config.dt / 2**i for i in range(args.halvings + 1)]
     dists = [run_compare(replace(config, dt=dt, steps=config.steps * 2**i),
@@ -306,12 +317,7 @@ def cmd_husimi(args) -> int:
             raise ConfigValidationError(f"steps: cannot parse {args.steps!r}")
     else:
         snaps = sorted({0, config.steps // 2, config.steps})
-    if args.grid < 2:
-        raise ConfigValidationError(f"grid: must be >= 2, got {args.grid}")
-    if args.extent <= 0:
-        raise ConfigValidationError(f"extent: must be > 0, got {args.extent}")
-    if not math.isfinite(args.extent):
-        raise ConfigValidationError(f"extent: must be finite, got {args.extent}")
+    extent, points = husimi_window(args.extent, args.grid, config.dim)
 
     engine = "hidden" if config.engine == "both" else config.engine
     sub = replace(config, engine=engine)
@@ -319,7 +325,7 @@ def cmd_husimi(args) -> int:
 
     files = []
     for step in snaps:
-        grid = husimi_grid(result.snapshots[step], args.extent, args.grid)
+        grid = husimi_grid(result.snapshots[step], extent, points)
         # The grid is square, so one formatted axis serves x and y; rows run
         # over x within each y. As an object array, its tiled columns hold
         # pointers to the axis strings, no more memory than float columns.
@@ -333,7 +339,7 @@ def cmd_husimi(args) -> int:
     _write_csv(traj, "t,re_b,im_b", (r.t, r.mean_b.real, r.mean_b.imag))
     files.append(traj)
     return _finish(out_dir, "husimi", config, files,
-                   extra={"snapshots": snaps, "extent": args.extent, "grid": args.grid})
+                   extra={"snapshots": snaps, "extent": extent, "grid": points})
 
 
 _SWEEPABLE = ("omega", "dt", "steps", "dim", "zeta", "eta")
@@ -350,7 +356,8 @@ def cmd_sweep(args) -> int:
         raise ConfigValidationError("values: empty value list")
 
     field = _KEYS[args.param][0]
-    parsed = [_convert(args.param, tok, 0) for tok in tokens]
+    parsed = [_convert(args.param, tok, lambda msg: ConfigValidationError(f"--values: {msg}"))
+              for tok in tokens]
 
     out_dir = _out_dir(args)
     results = []

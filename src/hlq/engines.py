@@ -96,6 +96,12 @@ OUTPUTS = ("timeseries", "final")
 
 TRUNCATION_LIMIT = 1e-6
 
+# Largest memory a run may ask for before its first step, in bytes. It is
+# counted at _STEP_BYTES per step: two lanes' 72-byte trajectory rows plus one
+# rotating-schedule prep (136 bytes traced, the largest schedule item).
+RUN_MAX_BYTES = 1 << 30
+_STEP_BYTES = 2 * 72 + 136
+
 
 def phase_multiplicity(model: str, convention: str) -> int:
     """Integer k in the rotating factor exp(-i k omega tau) of R(tau)."""
@@ -176,6 +182,12 @@ class SimConfig:
             raise ConfigValidationError(
                 f"dt: steps * dt or k * omega * steps * dt overflows "
                 f"(steps {self.steps!r}, dt {self.dt!r}, k {k}, omega {self.omega!r})"
+            )
+        nbytes = int(self.steps) * _STEP_BYTES
+        if nbytes > RUN_MAX_BYTES:
+            raise ConfigValidationError(
+                f"steps: {self.steps!r} steps need {nbytes} bytes of records and schedule, "
+                f"over the {RUN_MAX_BYTES}-byte limit"
             )
         if not (0.0 <= self.zeta_abs <= 0.5):
             raise ConfigValidationError(

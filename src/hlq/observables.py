@@ -120,20 +120,16 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def husimi_grid(rho: np.ndarray, extent: float = 5.0, resolution: int = 201) -> HusimiGrid:
-    """Husimi function Q(x, y) = <gamma|rho|gamma>/pi at gamma = x + iy.
+def husimi_window(extent: float, resolution: int, d: int) -> tuple[float, int]:
+    """Checked (extent, points) of a square Husimi window for a dim-d state.
 
-    The grid is square: ``resolution`` points per axis over [-extent, extent],
-    with ``extent`` finite and > 0 and ``resolution`` >= 2. Q is bounded by
-    1/pi and integrates to 1 over the whole plane.
-
-    Before anything is allocated, a grid whose resolution^2 x dim x 16-byte
-    amplitude table exceeds ``HUSIMI_MAX_BYTES``, or whose extent is too wide
-    for the state's dimension, raises ``ConfigValidationError``. Too wide means
-    that a value the grid forms would overflow to inf, and Q or the mass to
-    NaN: the squared span (2 * extent)^2, which bounds |gamma|^2 and the cell
-    area, or the running product gamma^n / sqrt((n-1)!) (taken before its
-    division by sqrt(n)) at the grid corner |gamma| = sqrt(2) * extent.
+    ``extent`` must be finite and > 0 and ``resolution`` >= 2. A window whose
+    resolution^2 x d x 16-byte amplitude table exceeds ``HUSIMI_MAX_BYTES``,
+    or that is too wide for d, raises ``ConfigValidationError``: a value the
+    grid forms would overflow to inf, and Q or the mass to NaN. Those values
+    are the squared span (2 * extent)^2, which bounds |gamma|^2 and the cell
+    area, and the running product gamma^n / sqrt((n-1)!) (before its division
+    by sqrt(n)) at the grid corner |gamma| = sqrt(2) * extent.
     """
     e = float(extent)
     if not (math.isfinite(e) and e > 0.0):
@@ -141,8 +137,6 @@ def husimi_grid(rho: np.ndarray, extent: float = 5.0, resolution: int = 201) -> 
     points = int(resolution)
     if points < 2:
         raise InvalidDimensionError("husimi grid needs at least 2 points per axis")
-
-    d = rho.shape[0]
     nbytes = points * points * d * 16
     if nbytes > HUSIMI_MAX_BYTES:
         raise ConfigValidationError(
@@ -156,19 +150,29 @@ def husimi_grid(rho: np.ndarray, extent: float = 5.0, resolution: int = 201) -> 
             f"husimi extent {e!r} is too wide for dim {d}: the grid's values "
             f"would overflow"
         )
+    return e, points
 
+
+def husimi_grid(rho: np.ndarray, extent: float = 5.0, resolution: int = 201) -> HusimiGrid:
+    """Husimi function Q(x, y) = <gamma|rho|gamma>/pi at gamma = x + iy.
+
+    ``resolution`` points per axis over [-extent, extent], a window checked by
+    ``husimi_window``. Q is bounded by 1/pi and integrates to 1 over the plane.
+    It is evaluated one y-row at a time, so the peak is about ``values`` plus
+    one row; the cap still counts the full resolution^2 x dim x 16-byte table.
+    """
+    d = rho.shape[0]
+    e, points = husimi_window(extent, resolution, d)
     xs = np.linspace(-e, e, points)
-    gx, gy = np.meshgrid(xs, xs)
-    gamma = (gx + 1j * gy).ravel()
-
-    # Coherent amplitudes for every grid point at once, by running product.
-    mat = np.empty((gamma.size, d), dtype=complex)
-    mat[:, 0] = 1.0
-    for n in range(1, d):
-        mat[:, n] = mat[:, n - 1] * gamma / np.sqrt(n)
-    mat *= np.exp(-0.5 * np.abs(gamma) ** 2)[:, None]
-
-    q = np.einsum("gi,ij,gj->g", mat.conj(), rho, mat).real / np.pi
-    values = q.reshape(points, points)
+    values = np.empty((points, points))
+    mat = np.empty((points, d), dtype=complex)
+    for iy, y in enumerate(xs):
+        # Coherent amplitudes of the row's points by running product.
+        gamma = xs + 1j * y
+        mat[:, 0] = 1.0
+        for n in range(1, d):
+            mat[:, n] = mat[:, n - 1] * gamma / np.sqrt(n)
+        mat *= np.exp(-0.5 * np.abs(gamma) ** 2)[:, None]
+        values[iy] = np.einsum("gi,ij,gj->g", mat.conj(), rho, mat).real / np.pi
     cell = (xs[1] - xs[0]) * (xs[1] - xs[0])
     return HusimiGrid(x=xs, y=xs.copy(), values=values, mass=float(values.sum() * cell))

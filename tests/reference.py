@@ -7,7 +7,9 @@ every call, the hidden step on the 2d-dimensional spin (x) field space with
 an explicit Kronecker embedding and partial trace. They are slow and
 obviously correct; the band and the engines' closed-form kernels are checked
 against them. ``reference_csv_text`` is the CSV writer's oracle: every cell
-formatted on its own by ``hlq.cli._fmt``.
+formatted on its own by ``hlq.cli._fmt``. ``reference_husimi`` is the
+Husimi grid's oracle: every grid point's coherent amplitudes at once, in one
+points^2 x d table.
 
 Spin basis |up> = (1, 0), |down> = (0, 1). Composite spin (x) field index
 k = s*d + n (spin-major), so a composite matrix splits into four d x d
@@ -165,3 +167,23 @@ def reference_csv_text(header: str, columns) -> str:
     for row in zip(*map(np.ravel, columns)):
         lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def reference_husimi(rho: np.ndarray, extent: float, points: int) -> tuple[np.ndarray, float]:
+    """(values, mass) of ``hlq.observables.husimi_grid`` from one full-grid table.
+
+    The same arithmetic as the row-by-row evaluation, on every grid point at
+    once: running product, then the Gaussian factor, then one einsum.
+    """
+    d = rho.shape[0]
+    xs = np.linspace(-extent, extent, points)
+    gx, gy = np.meshgrid(xs, xs)
+    gamma = (gx + 1j * gy).ravel()
+    mat = np.empty((gamma.size, d), dtype=complex)
+    mat[:, 0] = 1.0
+    for n in range(1, d):
+        mat[:, n] = mat[:, n - 1] * gamma / np.sqrt(n)
+    mat *= np.exp(-0.5 * np.abs(gamma) ** 2)[:, None]
+    values = (np.einsum("gi,ij,gj->g", mat.conj(), rho, mat).real / np.pi).reshape(points, points)
+    cell = (xs[1] - xs[0]) * (xs[1] - xs[0])
+    return values, float(values.sum() * cell)

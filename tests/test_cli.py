@@ -275,6 +275,38 @@ class TestExitCodes:
         cfg = write(tmp_path, text)
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
 
+    # Only the requested size is computed: no test allocates a run near the cap.
+    @pytest.mark.parametrize("steps, nbytes", [
+        ("99999999999999999999999", "27999999999999999999999720"),
+        ("10000000000", "2800000000000"),
+    ])
+    def test_run_over_size_cap_is_1_before_allocating(self, tmp_path, capsys, steps, nbytes):
+        cfg = write(tmp_path, TINY.replace("steps = 40", f"steps = {steps}"))
+        tracemalloc.start()
+        try:
+            assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            f"error: steps: {steps} steps need {nbytes} bytes of records and schedule, "
+            f"over the 1073741824-byte limit\n")
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("key, value", [
+        ("omega", "nan"), ("omega", "1e400"), ("dt", "inf"), ("steps", "1e3"),
+        ("steps", "99999999999999999999999"), ("dim", "1"), ("zeta", "nan"), ("eta", "1e400"),
+        ("initial", "coherent()"), ("omega", ""), ("dt", "0.005\ndt = 0.01"),
+    ])
+    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, key, value):
+        values = {"model": "linear", "omega": "1.2566370614", "dt": "0.005", "steps": "40",
+                  key: value}
+        cfg = write(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_config_file_is_3(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 3
 
@@ -348,6 +380,22 @@ class TestConvergeCommand:
         cfg = write(tmp_path, TINY)
         assert main(["converge", cfg, "--out-dir", str(tmp_path / "o"), "--halvings", "1"]) == 1
 
+    # 40 * 2**17 steps fit no run; 2**5000 is past the float range of dt / 2**halvings.
+    @pytest.mark.parametrize("halvings, message", [
+        ("17", "error: steps: 5242880 steps need 1468006400 bytes"),
+        ("5000", "error: halvings: steps * 2**5000 steps are over the run-size limit"),
+    ])
+    def test_finest_halving_checked_before_the_first_run(self, tmp_path, capsys, monkeypatch,
+                                                         halvings, message):
+        calls = []
+        monkeypatch.setattr(cli, "run_compare", lambda *a, **k: calls.append(a))
+        cfg = write(tmp_path, TINY)
+        assert main(["converge", cfg, "--out-dir", str(tmp_path / "o"),
+                     "--halvings", halvings]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert calls == []
+
 
 class TestHusimiCommand:
     def test_vacuum_snapshot_peak(self, tmp_path):
@@ -397,6 +445,15 @@ class TestHusimiCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("flags", [("--grid", "100000"), ("--extent", "1e200", "--grid", "3"),
+                                       ("--grid", "1"), ("--extent", "-1")])
+    def test_window_rejected_before_the_run(self, tmp_path, monkeypatch, flags):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a))
+        cfg = write(tmp_path, TINY + "dim = 12\n")
+        assert main(["husimi", cfg, "--out-dir", str(tmp_path / "o"), *flags]) == 1
+        assert calls == []
 
     def test_wide_extent_that_fits_dim_still_written(self, tmp_path):
         cfg = write(tmp_path, TINY + "dim = 12\n")
@@ -579,6 +636,17 @@ class TestSweepCommand:
             "sweep", cfg, "--out-dir", str(tmp_path / "o"), "--param", "steps",
             "--values", " , ",
         ]) == 1
+
+    def test_unparsable_value_named(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a))
+        cfg = write(tmp_path, TINY)
+        out = tmp_path / "o"
+        assert main(["sweep", cfg, "--out-dir", str(out), "--param", "dim",
+                     "--values", "4,abc"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --values: dim: cannot parse 'abc' as an integer\n")
+        assert calls == [] and not out.exists()
 
     def test_partial_failure_reported(self, tmp_path):
         cfg = write(tmp_path, "model = linear\nomega = 0\ndt = 0.01\nsteps = 10\ndim = 8\n")

@@ -453,6 +453,13 @@ class TestConfigBoundary:
         with pytest.raises(ConfigValidationError, match=message):
             run(SimConfig(**{**self.BASE, **fields}))
 
+    # validate() alone: no run is made, so nothing near the cap is allocated.
+    def test_run_size_cap_edge(self):
+        most = engines.RUN_MAX_BYTES // 280
+        SimConfig(**{**self.BASE, "steps": most}).validate()
+        with pytest.raises(ConfigValidationError, match=f"steps: {most + 1} steps need"):
+            SimConfig(**{**self.BASE, "steps": most + 1}).validate()
+
     @pytest.mark.parametrize("field, value", [
         ("omega", "1.0"), ("dt", None), ("steps", "5"), ("zeta_abs", "0.3"),
         ("eta", "1+1j"), ("gamma0", "0.3"), ("model", 3), ("outputs", "final"),

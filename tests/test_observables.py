@@ -14,13 +14,14 @@ from hlq.observables import (
     fidelity_coherent,
     ground_population,
     husimi_grid,
+    husimi_window,
     mean_photon,
     purity,
     quadrature_variances,
     trace_distance,
     trajectory_point,
 )
-from reference import annihilation_matrix
+from reference import annihilation_matrix, reference_husimi
 
 
 def vacuum(d=32):
@@ -215,3 +216,39 @@ class TestHusimi:
         rng = np.random.default_rng(17)
         grid = husimi_grid(random_density(rng, d), extent, 4)
         assert np.isfinite(grid.values).all() and math.isfinite(grid.mass)
+
+    # The row-by-row grid keeps the full-grid arithmetic, so its bits are the
+    # oracle's. Only (32, 1e20) is too wide: its corner amplitudes overflow.
+    @pytest.mark.parametrize("extent", [1.5, 5.0, 40.0, 1e20])
+    @pytest.mark.parametrize("d", [1, 2, 3, 12, 32])
+    def test_grid_bits_equal_full_grid_oracle(self, d, extent):
+        rng = np.random.default_rng(18)
+        if (d, extent) == (32, 1e20):
+            with pytest.raises(ConfigValidationError, match="too wide for dim 32"):
+                husimi_grid(vacuum(d), extent, 41)
+            return
+        for rho in (random_density(rng, d), vacuum(d)):
+            grid = husimi_grid(rho, extent, 41)
+            values, mass = reference_husimi(rho, extent, 41)
+            assert grid.values.tobytes() == values.tobytes()
+            assert np.float64(grid.mass).tobytes() == np.float64(mass).tobytes()
+
+    # The cap counts the full amplitude table; evaluated one row at a time,
+    # the grid holds little more than ``values`` itself.
+    @pytest.mark.parametrize("d", [2, 12, 32])
+    def test_peak_is_values_plus_one_row(self, d):
+        rho = random_density(np.random.default_rng(19), d)
+        tracemalloc.start()
+        try:
+            grid = husimi_grid(rho, 5.0, 401)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid.values.nbytes
+
+    def test_window_checked_without_a_state(self):
+        assert husimi_window(5, 3.0, 12) == (5.0, 3)
+        with pytest.raises(ConfigValidationError, match="needs 1920000000000 bytes"):
+            husimi_window(5.0, 100000, 12)
+        with pytest.raises(ConfigValidationError, match="too wide for dim 12"):
+            husimi_window(1e200, 3, 12)
