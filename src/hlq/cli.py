@@ -224,6 +224,8 @@ def _finish(
 
 
 def _out_dir(args) -> Path:
+    """Make and return the output directory. Commands call it once their runs have
+    returned, so a rejected input or a failed run leaves no directory behind."""
     root = args.out_dir or os.environ.get("HLQ_OUT_DIR") or "."
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
@@ -253,27 +255,30 @@ def _emit_run_outputs(
     return files
 
 
-def _run_and_emit(out_dir: Path, config: SimConfig) -> list[Path]:
-    """Run config's engine (each in turn for "both", files suffixed) and write its outputs."""
+def _runs(config: SimConfig) -> list[tuple[SimConfig, RunResult, str]]:
+    """(config, result, file suffix) of config's engine, or of each in turn for "both"."""
     if config.engine != "both":
-        return _emit_run_outputs(out_dir, config, run(config))
-    files = []
-    for engine in ("hidden", "standard"):
-        sub = replace(config, engine=engine)
-        files += _emit_run_outputs(out_dir, sub, run(sub), suffix=f"_{engine}")
-    return files
+        return [(config, run(config), "")]
+    subs = [replace(config, engine=engine) for engine in ("hidden", "standard")]
+    return [(sub, run(sub), f"_{sub.engine}") for sub in subs]
+
+
+def _emit_runs(out_dir: Path, runs) -> list[Path]:
+    return [path for config, result, suffix in runs
+            for path in _emit_run_outputs(out_dir, config, result, suffix)]
 
 
 def cmd_run(args) -> int:
     config = _load_config(args)
+    runs = _runs(config)
     out_dir = _out_dir(args)
-    return _finish(out_dir, "run", config, _run_and_emit(out_dir, config))
+    return _finish(out_dir, "run", config, _emit_runs(out_dir, runs))
 
 
 def cmd_compare(args) -> int:
     config = _load_config(args)
-    out_dir = _out_dir(args)
     result = run_compare(config)
+    out_dir = _out_dir(args)
     hidden = result.records_hidden
     oracle = [ground_state_probability(config.eps_eff, config.omega, t, model=config.model)
               for t in hidden.t.tolist()]
@@ -296,12 +301,12 @@ def cmd_converge(args) -> int:
             f"halvings: steps * 2**{args.halvings} steps are over the run-size limit")
     finest = 2**args.halvings
     replace(config, dt=config.dt / finest, steps=config.steps * finest).validate()
-    out_dir = _out_dir(args)
     dts = [config.dt / 2**i for i in range(args.halvings + 1)]
     dists = [run_compare(replace(config, dt=dt, steps=config.steps * 2**i),
                          per_step_distance=False).trace_distances[-1]
              for i, dt in enumerate(dts)]
     ratios = ["", *(_fmt(a / b) for a, b in zip(dists, dists[1:]))]
+    out_dir = _out_dir(args)
     path = out_dir / "converge.csv"
     _write_csv(path, "dt,final_trace_distance,ratio", (dts, dists, ratios))
     return _finish(out_dir, "converge", config, [path], extra={"halvings": args.halvings})
@@ -309,7 +314,6 @@ def cmd_converge(args) -> int:
 
 def cmd_husimi(args) -> int:
     config = _load_config(args)
-    out_dir = _out_dir(args)
     if args.steps:
         try:
             snaps = sorted({int(s) for s in _word_list(args.steps)})
@@ -323,6 +327,7 @@ def cmd_husimi(args) -> int:
     sub = replace(config, engine=engine)
     result = run(sub, snapshot_steps=set(snaps))
 
+    out_dir = _out_dir(args)
     files = []
     for step in snaps:
         grid = husimi_grid(result.snapshots[step], extent, points)
@@ -368,8 +373,9 @@ def cmd_sweep(args) -> int:
         try:
             sub = replace(config, **{field: value})
             sub.validate()
+            runs = _runs(sub)
             sub_dir.mkdir(parents=True, exist_ok=True)
-            emitted = _run_and_emit(sub_dir, sub)
+            emitted = _emit_runs(sub_dir, runs)
             entry["status"] = "ok"
             entry["outputs"] = _digests(emitted)
         except HlqError as exc:

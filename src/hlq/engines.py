@@ -57,9 +57,11 @@ Driver
 validates the config and schedule once, builds one lane (stepper, guard,
 trajectory recorder) per engine from the same initial state, and moves every
 lane through step j before any lane takes step j + 1. After each step a
-lane's guard checks its state and its recorder writes the observables as
-one row of the lane's ``np.recarray``, allocated once and returned as is;
-with two lanes the driver also takes the trace distance between them.
+lane's guard checks its state and its recorder takes the purity and gathers
+the state's diagonals 0, -1 and -2; the recorder reduces them 64 rows at a
+time into the lane's ``np.recarray``, allocated once and returned as is with
+every row complete. With two lanes the driver also takes the trace distance
+between them.
 """
 
 from __future__ import annotations
@@ -98,7 +100,9 @@ TRUNCATION_LIMIT = 1e-6
 
 # Largest memory a run may ask for before its first step, in bytes. It is
 # counted at _STEP_BYTES per step: two lanes' 72-byte trajectory rows plus one
-# rotating-schedule prep (136 bytes traced, the largest schedule item).
+# rotating-schedule prep (136 bytes traced, the largest schedule item). Each
+# recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes that does
+# not grow with steps, so it adds nothing per step.
 RUN_MAX_BYTES = 1 << 30
 _STEP_BYTES = 2 * 72 + 136
 

@@ -2,9 +2,18 @@
 
 All functions take a dense d x d density matrix. The quadratures are
 X = (b + b^dag)/2 and Y = (b - b^dag)/(2i), so the vacuum has
-var X = var Y = 1/4. Expectation values of b, b^2 (weighted by the ``linear``
-and ``two-boson`` bands of ``fockcore.model_band``) and b^dag b are read off
-the first three diagonals of rho, which keeps per-step recording cheap.
+var X = var Y = 1/4. Expectation values of b^dag b, b and b^2 are sums over
+the diagonals 0, -1 and -2 of rho, weighted by arange(d) and by the
+``linear`` and ``two-boson`` bands of ``fockcore.model_band``;
+``_Diagonals`` states those positions and weights once.
+
+``TrajectoryRecorder`` keeps per-step recording cheap: each step copies the
+three diagonals into a fixed buffer of ``_CHUNK`` rows with one gather and
+takes the purity; each full chunk is reduced column-wise to the moments of all
+its states at once. Reading ``records`` reduces the rows still pending, so
+every row recorded so far is complete whenever the table is read. The one-state
+functions below are the same reduction on one row, so a recorded row equals
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -45,8 +54,7 @@ def ground_population(rho: np.ndarray) -> float:
 
 def mean_photon(rho: np.ndarray) -> float:
     """<b^dag b>."""
-    d = rho.shape[0]
-    return float(np.sum(np.arange(d) * np.diagonal(rho).real))
+    return _moments(rho)[0]
 
 
 def purity(rho: np.ndarray) -> float:
@@ -56,11 +64,11 @@ def purity(rho: np.ndarray) -> float:
 
 def trajectory_point(rho: np.ndarray) -> complex:
     """<b>, the phase-space centroid of the state."""
-    return complex(np.sum(model_band("linear", rho.shape[0]) * np.diagonal(rho, -1)))
+    return _moments(rho)[1]
 
 
 def _mean_bb(rho: np.ndarray) -> complex:
-    return complex(np.sum(model_band("two-boson", rho.shape[0]) * np.diagonal(rho, -2)))
+    return _moments(rho)[2]
 
 
 def _variances(mean_n: float, mean_b: complex, mean_bb: complex) -> tuple[float, float]:
@@ -76,7 +84,38 @@ def _variances(mean_n: float, mean_b: complex, mean_bb: complex) -> tuple[float,
 
 def quadrature_variances(rho: np.ndarray) -> tuple[float, float]:
     """(var X, var Y); equals (1/4, 1/4) for the vacuum and any coherent state."""
-    return _variances(mean_photon(rho), trajectory_point(rho), _mean_bb(rho))
+    return _variances(*_moments(rho))
+
+
+class _Diagonals:
+    """Flat positions and weights of the diagonals 0, -1 and -2 of a d x d matrix.
+
+    ``index`` picks the three diagonals, in that order, out of ``rho.ravel()``
+    as one row of 3d - 3 entries. ``moments`` reduces a stack of such rows,
+    one state per row, to the columns <b^dag b>, <b> and <b^2>: each is the sum
+    along the row of one diagonal times its weights, arange(d) for the real
+    part of diagonal 0 and the ``linear`` and ``two-boson`` bands for the
+    diagonals -1 and -2.
+    """
+
+    def __init__(self, d: int):
+        n = np.arange(d)
+        self.index = np.concatenate([n * (d + 1), n[1:] * (d + 1) - 1, n[2:] * (d + 1) - 2])
+        self._cuts = (d, 2 * d - 1)
+        self._weights = (n, model_band("linear", d), model_band("two-boson", d))
+
+    def moments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        main, low1, low2 = np.split(rows, self._cuts, axis=1)
+        w_n, w_b, w_bb = self._weights
+        return (np.sum(w_n * main.real, axis=1), np.sum(w_b * low1, axis=1),
+                np.sum(w_bb * low2, axis=1))
+
+
+def _moments(rho: np.ndarray) -> tuple[float, complex, complex]:
+    """(<b^dag b>, <b>, <b^2>) of one state: the recorder's reduction on one row."""
+    diagonals = _Diagonals(rho.shape[0])
+    mean_n, mean_b, mean_bb = diagonals.moments(rho.ravel()[diagonals.index][None])
+    return float(mean_n[0]), complex(mean_b[0]), complex(mean_bb[0])
 
 
 _TRAJECTORY_DTYPE = np.dtype([
@@ -84,25 +123,69 @@ _TRAJECTORY_DTYPE = np.dtype([
     ("purity", float), ("mean_b", complex), ("var_x", float), ("var_y", float),
 ])
 
+# Rows the recorder gathers before it reduces them: its buffer is a fixed
+# _CHUNK x (3d - 3) complex entries, whatever the number of steps.
+_CHUNK = 64
+
 
 class TrajectoryRecorder:
     """Standard observables of one state per step, written in place into one table.
 
     ``records`` is the ``np.recarray`` a run returns. It is allocated once,
-    one row per step (row 0 is the initial state), and ``record(j, rho)``
-    writes row j into it, so no copy is made when the run ends. Both
-    ``records.p00`` (a column) and ``records[j].p00`` (one row) work.
+    one row per step (row 0 is the initial state), so no copy is made when the
+    run ends. Both ``records.p00`` (a column) and ``records[j].p00`` (one row)
+    work.
+
+    ``record(j, rho)`` takes the purity of rho into row j and copies the
+    diagonals 0, -1 and -2 of rho into a pending buffer of ``_CHUNK`` rows with
+    one gather; the buffer is sized from the first state. A full buffer is
+    reduced column-wise (``_Diagonals.moments``) and its rows' step, t, p00,
+    mean_n and mean_b are written as whole columns; var_x and var_y are taken
+    per state from those moments. Reading ``records`` first reduces the rows
+    still pending, so every row recorded so far is complete whenever the
+    table is read. Pending rows are kept by their j, so rows may be recorded
+    in any order, and a row never recorded is never reduced.
     """
 
     def __init__(self, steps: int, dt: float):
-        self.records = np.recarray(steps + 1, dtype=_TRAJECTORY_DTYPE)
+        self._table = np.recarray(steps + 1, dtype=_TRAJECTORY_DTYPE)
+        self._columns = self._table.view(np.ndarray)  # plain field views, no recarray lookups
+        self._purity = self._columns["purity"]
         self._dt = dt
+        self._diagonals: _Diagonals | None = None
+        self._pending: np.ndarray | None = None
+        self._rows: list[int] = []
+
+    @property
+    def records(self) -> np.recarray:
+        self._flush()
+        return self._table
 
     def record(self, j: int, rho: np.ndarray) -> None:
-        mean_n, mean_b = mean_photon(rho), trajectory_point(rho)
-        var_x, var_y = _variances(mean_n, mean_b, _mean_bb(rho))
-        self.records[j] = (j, j * self._dt, ground_population(rho), mean_n, purity(rho),
-                           mean_b, var_x, var_y)
+        self._purity[j] = purity(rho)
+        if self._diagonals is None:
+            self._diagonals = _Diagonals(rho.shape[0])
+            self._pending = np.empty((_CHUNK, self._diagonals.index.size), dtype=complex)
+        self._pending[len(self._rows)] = rho.ravel()[self._diagonals.index]
+        self._rows.append(j)
+        if len(self._rows) == _CHUNK:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._rows:
+            return
+        rows = np.array(self._rows)
+        pending = self._pending[:rows.size]
+        mean_n, mean_b, mean_bb = self._diagonals.moments(pending)
+        cols = self._columns
+        cols["step"][rows] = rows
+        cols["t"][rows] = rows * self._dt
+        cols["p00"][rows] = pending[:, 0].real
+        cols["mean_n"][rows] = mean_n
+        cols["mean_b"][rows] = mean_b
+        cols["var_x"][rows], cols["var_y"][rows] = zip(*map(
+            _variances, mean_n.tolist(), mean_b.tolist(), mean_bb.tolist()))
+        self._rows.clear()
 
 
 def fidelity_coherent(rho: np.ndarray, gamma: complex) -> float:

@@ -9,7 +9,9 @@ obviously correct; the band and the engines' closed-form kernels are checked
 against them. ``reference_csv_text`` is the CSV writer's oracle: every cell
 formatted on its own by ``hlq.cli._fmt``. ``reference_husimi`` is the
 Husimi grid's oracle: every grid point's coherent amplitudes at once, in one
-points^2 x d table.
+points^2 x d table. ``reference_records`` is the trajectory recorder's
+oracle: each row computed on its own from its state, by one 1-D sum per
+diagonal.
 
 Spin basis |up> = (1, 0), |down> = (0, 1). Composite spin (x) field index
 k = s*d + n (spin-major), so a composite matrix splits into four d x d
@@ -23,7 +25,8 @@ import numpy as np
 
 from hlq.cli import _fmt
 from hlq.errors import InvalidDimensionError, InvalidPreparationError
-from hlq.fockcore import hermiticity_defect
+from hlq.fockcore import hermiticity_defect, model_band
+from hlq.observables import _TRAJECTORY_DTYPE
 from hlq.schedules import AtomPrep
 
 HERMITICITY_TOL = 1e-12
@@ -187,3 +190,22 @@ def reference_husimi(rho: np.ndarray, extent: float, points: int) -> tuple[np.nd
     values = (np.einsum("gi,ij,gj->g", mat.conj(), rho, mat).real / np.pi).reshape(points, points)
     cell = (xs[1] - xs[0]) * (xs[1] - xs[0])
     return values, float(values.sum() * cell)
+
+
+def reference_records(states: dict, dt: float) -> np.recarray:
+    """The rows ``hlq.observables.TrajectoryRecorder`` records for ``{j: rho}``.
+
+    One table row per entry, in the mapping's order, each formed from its own
+    state as a single row was before the recorder reduced rows in chunks.
+    """
+    table = np.recarray(len(states), dtype=_TRAJECTORY_DTYPE)
+    for i, (j, rho) in enumerate(states.items()):
+        d = rho.shape[0]
+        mean_n = float(np.sum(np.arange(d) * np.diagonal(rho).real))
+        mean_b = complex(np.sum(model_band("linear", d) * np.diagonal(rho, -1)))
+        mean_bb = complex(np.sum(model_band("two-boson", d) * np.diagonal(rho, -2)))
+        x2 = 0.25 * (1.0 + 2.0 * mean_n + 2.0 * mean_bb.real)
+        y2 = 0.25 * (1.0 + 2.0 * mean_n - 2.0 * mean_bb.real)
+        table[i] = (j, j * dt, float(rho[0, 0].real), mean_n, float(np.vdot(rho, rho).real),
+                    mean_b, float(x2 - mean_b.real**2), float(y2 - mean_b.imag**2))
+    return table

@@ -13,7 +13,7 @@ import pytest
 from hlq import cli
 from hlq.cli import main, parse_config
 from hlq.engines import run, run_compare
-from hlq.errors import ConfigParseError, ConfigValidationError
+from hlq.errors import ConfigParseError, ConfigValidationError, TruncationOverflowError
 from hlq.observables import husimi_grid
 from hlq.oracles import ground_state_probability
 from reference import reference_csv_text
@@ -328,6 +328,52 @@ class TestExitCodes:
         cfg = write(tmp_path, TINY)
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == line
+
+
+class TestNoOutputOnFailure:
+    """A rejected input or a failed run exits without making --out-dir."""
+
+    OVERFLOW = "model = linear\nomega = 0\ndt = 0.01\nsteps = 400\ndim = 6\n"
+
+    @pytest.mark.parametrize("command, text, flags, code", [
+        ("run", OVERFLOW, (), 2),
+        ("run", OVERFLOW + "engine = both\n", (), 2),
+        ("compare", OVERFLOW, (), 2),
+        ("converge", OVERFLOW, ("--halvings", "2"), 2),
+        ("husimi", OVERFLOW, ("--grid", "5"), 2),
+        ("husimi", TINY + "dim = 12\n", ("--grid", "100000"), 1),
+        ("husimi", TINY + "dim = 12\n", ("--extent", "1e200", "--grid", "3"), 1),
+        ("husimi", TINY, ("--steps", "0,99"), 1),
+    ], ids=["run", "run-both", "compare", "converge", "husimi-overflow", "husimi-grid",
+            "husimi-extent", "husimi-steps"])
+    def test_out_dir_not_made(self, tmp_path, command, text, flags, code):
+        cfg = write(tmp_path, text)
+        out = tmp_path / "absent" / "o"
+        assert main([command, cfg, "--out-dir", str(out), *flags]) == code
+        assert not (tmp_path / "absent").exists()
+
+    # With engine = both, the standard run fails after the hidden one succeeded.
+    def test_both_engines_run_before_writing(self, tmp_path, monkeypatch):
+        def second_fails(config, *args, **kwargs):
+            if config.engine == "standard":
+                raise TruncationOverflowError(7, 2e-6)
+            return run(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", second_fails)
+        cfg = write(tmp_path, TINY + "engine = both\n")
+        out = tmp_path / "o"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_sweep_writes_manifest_but_no_failed_value_dir(self, tmp_path):
+        cfg = write(tmp_path, "model = linear\nomega = 0\ndt = 0.01\nsteps = 10\ndim = 8\n")
+        out = tmp_path / "out"
+        assert main(["sweep", cfg, "--out-dir", str(out), "--param", "steps",
+                     "--values", "10,600"]) == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [e["status"] for e in manifest["results"]] == ["ok", "failed"]
+        assert (out / "steps=10" / "timeseries.csv").exists()
+        assert not (out / "steps=600").exists()
 
 
 class TestCompareCommand:

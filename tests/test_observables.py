@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hlq.errors import ConfigValidationError, InvalidDimensionError
+from hlq import observables
 from hlq.fockcore import coherent_vector
 from hlq.observables import (
     HUSIMI_MAX_BYTES,
@@ -21,7 +22,7 @@ from hlq.observables import (
     trace_distance,
     trajectory_point,
 )
-from reference import annihilation_matrix, reference_husimi
+from reference import annihilation_matrix, reference_husimi, reference_records
 
 
 def vacuum(d=32):
@@ -106,6 +107,68 @@ class TestScalars:
         assert rec.purity == purity(rho)
         assert rec.mean_b == trajectory_point(rho)
         assert (rec.var_x, rec.var_y) == quadrature_variances(rho)
+
+
+class TestRecorderOracle:
+    """The chunked recorder's table equals the per-row oracle byte for byte."""
+
+    CHUNK = observables._CHUNK
+
+    # Mostly a displaced coherent state: a mean <b> of order sqrt(d) exercises
+    # the per-state variances, which whole-column squares would change.
+    @staticmethod
+    def states(d, count, seed):
+        rng = np.random.default_rng(seed)
+        spread = 0.25 * math.sqrt(d)
+        return {j: 0.8 * coherent_density(complex(*rng.normal(scale=spread, size=2)), d)
+                   + 0.2 * random_density(rng, d) for j in range(count)}
+
+    @staticmethod
+    def recorded(states, steps, dt=0.013):
+        recorder = TrajectoryRecorder(steps, dt)
+        for j, rho in states.items():
+            recorder.record(j, rho)
+        return recorder
+
+    @pytest.mark.parametrize("d", [2, 3, 12, 32, 48, 64])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_table_equals_oracle(self, d, extra):
+        rows = 3 * self.CHUNK + 5 if extra is None else self.CHUNK + extra
+        states = self.states(d, rows, seed=d)
+        table = self.recorded(states, rows - 1).records
+        assert table.tobytes() == reference_records(states, 0.013).tobytes()
+
+    @pytest.mark.parametrize("d", [3, 32])
+    def test_read_mid_run_then_record_more(self, d):
+        states = self.states(d, 2 * self.CHUNK + 9, seed=40 + d)
+        recorder = TrajectoryRecorder(len(states) - 1, 0.013)
+        mid = self.CHUNK + 7
+        for j in range(mid):
+            recorder.record(j, states[j])
+        first = recorder.records[:mid].tobytes()
+        head = {j: states[j] for j in range(mid)}
+        assert first == reference_records(head, 0.013).tobytes()
+        for j in range(mid, len(states)):
+            recorder.record(j, states[j])
+        assert recorder.records.tobytes() == reference_records(states, 0.013).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 12])
+    def test_single_out_of_order_row(self, d):
+        rho = self.states(d, 1, seed=50 + d)[0]
+        recorder = self.recorded({5: rho}, 9)
+        expected = reference_records({5: rho}, 0.013)
+        assert recorder.records[5:6].tobytes() == expected.tobytes()
+
+    def test_rows_in_reverse_order(self):
+        states = self.states(12, self.CHUNK + 3, seed=60)
+        backwards = dict(reversed(states.items()))
+        table = self.recorded(backwards, len(states) - 1).records
+        assert table.tobytes() == reference_records(states, 0.013).tobytes()
+
+    # The pending buffer is a fixed _CHUNK rows of 3d - 3 diagonal entries.
+    def test_buffer_does_not_grow_with_steps(self):
+        recorder = self.recorded(self.states(8, 3, seed=70), 100000)
+        assert recorder._pending.shape == (self.CHUNK, 3 * 8 - 3)
 
 
 class TestFidelity:
