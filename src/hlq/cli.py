@@ -62,14 +62,6 @@ from .observables import husimi_grid, husimi_window
 from .oracles import ground_state_probability
 
 
-def _fmt(value) -> str:
-    # _write_csv formats whole rows with "%d" and "%.12g" instead; both give
-    # these bytes, so a change here must be made there too.
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
-
-
 def _complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
 
@@ -82,11 +74,11 @@ def _word_list(text: str) -> tuple[str, ...]:
 # The parser of ``initial`` reads the amplitude inside ``coherent(...)``.
 _KEYS = {
     "model": ("model", str, None, str),
-    "omega": ("omega", float, "a number", _fmt),
-    "dt": ("dt", float, "a number", _fmt),
+    "omega": ("omega", float, "a number", "%.12g".__mod__),
+    "dt": ("dt", float, "a number", "%.12g".__mod__),
     "steps": ("steps", int, "an integer", int),
     "dim": ("dim", int, "an integer", int),
-    "zeta": ("zeta_abs", float, "a number", _fmt),
+    "zeta": ("zeta_abs", float, "a number", "%.12g".__mod__),
     "eta": ("eta", _complex, "a complex number", str),
     "schedule": ("schedule", str, None, str),
     "engine": ("engine", str, None, str),
@@ -169,9 +161,8 @@ def _write_csv(path: Path, header: str, columns) -> None:
     contributes its cells in (row, col) order. One ``%`` row spec is built per
     table from the column dtypes: ``%d`` for integer kinds, ``%s`` for text (a
     str array, or an object array whose cells are all str; written as they
-    are) and ``%.12g`` for everything else, which is the text ``_fmt`` gives
-    for each cell, so the bytes equal those of formatting every cell with
-    ``_fmt``. Rows are formatted and written ``_CSV_CHUNK`` (1024) at a time
+    are) and ``%.12g`` for everything else, the one number format of the CLI.
+    Rows are formatted and written ``_CSV_CHUNK`` (1024) at a time
     from plain Python values: neither the table's text nor whole columns of
     Python objects are held, and the traced peak stays near 200 KB (a 401 x
     401 three-column table) however long the table is.
@@ -305,7 +296,7 @@ def cmd_converge(args) -> int:
     dists = [run_compare(replace(config, dt=dt, steps=config.steps * 2**i),
                          per_step_distance=False).trace_distances[-1]
              for i, dt in enumerate(dts)]
-    ratios = ["", *(_fmt(a / b) for a, b in zip(dists, dists[1:]))]
+    ratios = ["", *("%.12g" % (a / b) for a, b in zip(dists, dists[1:]))]
     out_dir = _out_dir(args)
     path = out_dir / "converge.csv"
     _write_csv(path, "dt,final_trace_distance,ratio", (dts, dists, ratios))
@@ -334,7 +325,7 @@ def cmd_husimi(args) -> int:
         # The grid is square, so one formatted axis serves x and y; rows run
         # over x within each y. As an object array, its tiled columns hold
         # pointers to the axis strings, no more memory than float columns.
-        axis = np.array([_fmt(v) for v in grid.x], dtype=object)
+        axis = np.array(["%.12g" % v for v in grid.x], dtype=object)
         path = out_dir / f"husimi_step{step}.csv"
         _write_csv(path, "x,y,q", (np.tile(axis, axis.size), np.repeat(axis, axis.size),
                                    grid.values))

@@ -42,19 +42,20 @@ and S = sin(g dt) / g (dt where g = 0). Tracing out the spin prepared in
 alpha|up> + beta|down> leaves two Kraus operators K_s = <s|U|phi>, each a
 diagonal plus one band at offset +-k', so the hidden step is
 rho -> K_up rho K_up^dag + K_down rho K_down^dag done by slice updates, with
-no eigendecomposition. The blocks depend only on |eta| and are built once
-per distinct |eta| of the schedule.
+no eigendecomposition. The blocks depend only on |eta|: a kernel holds them
+for the |eta| of the current step and rebuilds them when it changes.
 
 The standard coupling is |eps| D (R0 + R0^dag) D^dag with
 D = diag(e^{i theta n / k'}), theta = arg eps + k omega tau and
 eps = eta conj(zeta). One eigh of R0 + R0^dag at build gives every step's
-propagator D W e^{-i |eps| dt w} W^dag D^dag; the middle factor is kept for
-the last |eps| seen. Every schedule takes the same path in both engines.
+propagator D W e^{-i |eps| dt w} W^dag D^dag; the middle factor is held for
+the current step's |eps| alike. A kernel holds O(dim^2) state whatever its
+schedule, and every schedule takes the same path in both engines.
 
 Driver
 ------
 ``run`` and ``run_compare`` are thin wrappers over one lockstep driver. It
-validates the config and schedule once, builds one lane (stepper, guard,
+validates the config and schedule once, builds one lane (kernel, guard,
 trajectory recorder) per engine from the same initial state, and moves every
 lane through step j before any lane takes step j + 1. After each step a
 lane's guard checks its state and its recorder takes the purity and gathers
@@ -101,8 +102,8 @@ TRUNCATION_LIMIT = 1e-6
 # Largest memory a run may ask for before its first step, in bytes. It is
 # counted at _STEP_BYTES per step: two lanes' 72-byte trajectory rows plus one
 # rotating-schedule prep (136 bytes traced, the largest schedule item). Each
-# recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes that does
-# not grow with steps, so it adds nothing per step.
+# recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes and each
+# kernel holds the factors of one step; neither grows with steps.
 RUN_MAX_BYTES = 1 << 30
 _STEP_BYTES = 2 * 72 + 136
 
@@ -274,48 +275,61 @@ def _sandwich(
     return x
 
 
+def _last_value(build):
+    """Kernel method memo: build's result for the last argument only, held on the
+    instance, so a kernel owns no reference cycle and is freed with its run."""
+    slot = "_last" + build.__name__
+
+    def memo(self, x):
+        last = getattr(self, slot, None)
+        if last is None or last[0] != x:
+            last = (x, build(self, x))
+            setattr(self, slot, last)
+        return last[1]
+
+    return memo
+
+
 class _HiddenKernel:
     """Spin-assisted step as two banded Kraus operators from closed-form blocks.
 
-    Per |eta|: C_up = cos(g_up dt), C_down = cos(g_down dt), and the bands
-    -i S_up R0 and -i S_down R0^dag. Per step the prep amplitudes and the
+    For the step's |eta|: C_up = cos(g_up dt), C_down = cos(g_down dt), and the
+    bands -i S_up R0 and -i S_down R0^dag. Per step the prep amplitudes and the
     phase conj(eta) e^{-i k omega tau} enter as scalars:
 
         K_up   = alpha C_up + beta conj(eta) e^{-ik omega tau} (-i S_up R0),
         K_down = alpha eta e^{ik omega tau} (-i S_down R0^dag) + beta C_down.
+
+    ``unitarity_defect`` is the largest defect of the joint blocks built so far.
     """
 
-    def __init__(
-        self,
-        r: np.ndarray,
-        k_low: int,
-        k_omega: float,
-        dt: float,
-        eta_abs_values: set[float],
-    ):
-        d, n = r.size + k_low, r.size
+    def __init__(self, r: np.ndarray, k_low: int, k_omega: float, dt: float):
+        self.r = r
         self.k_low = k_low
         self.k_omega = k_omega
-        self.blocks = {}
-        defects = []
-        for eta_abs in eta_abs_values:
-            g_up, g_down = np.zeros(d), np.zeros(d)
-            g_up[:n] = g_down[k_low:] = eta_abs * np.abs(r)
-            c_up, c_down = np.cos(g_up * dt), np.cos(g_down * dt)
-            band_up = -1j * _sin_over(g_up, dt)[:n] * r
-            band_down = -1j * _sin_over(g_down, dt)[k_low:] * r.conj()
-            self.blocks[eta_abs] = (c_up, band_up, c_down, band_down)
-            joint = np.block([
-                [np.diag(c_up), eta_abs * np.diag(band_up, k_low)],
-                [eta_abs * np.diag(band_down, -k_low), np.diag(c_down)],
-            ])
-            defects.append(unitarity_defect(joint))
-        self.unitarity_defect = max(defects)
+        self.dt = dt
+        self.unitarity_defect = 0.0
+
+    @_last_value
+    def _blocks(self, eta_abs: float):
+        r, k_low, dt = self.r, self.k_low, self.dt
+        d, n = r.size + k_low, r.size
+        g_up, g_down = np.zeros(d), np.zeros(d)
+        g_up[:n] = g_down[k_low:] = eta_abs * np.abs(r)
+        c_up, c_down = np.cos(g_up * dt), np.cos(g_down * dt)
+        band_up = -1j * _sin_over(g_up, dt)[:n] * r
+        band_down = -1j * _sin_over(g_down, dt)[k_low:] * r.conj()
+        joint = np.block([
+            [np.diag(c_up), eta_abs * np.diag(band_up, k_low)],
+            [eta_abs * np.diag(band_down, -k_low), np.diag(c_down)],
+        ])
+        self.unitarity_defect = max(self.unitarity_defect, unitarity_defect(joint))
+        return c_up, band_up, c_down, band_down
 
     def step(
         self, rho: np.ndarray, prep: _schedules.AtomPrep, tau: float
     ) -> np.ndarray:
-        c_up, band_up, c_down, band_down = self.blocks[abs(prep.eta)]
+        c_up, band_up, c_down, band_down = self._blocks(abs(prep.eta))
         coupling = prep.eta.conjugate() * cmath.exp(-1j * self.k_omega * tau)
         up = _sandwich(rho, prep.alpha * c_up, prep.beta * coupling * band_up,
                        self.k_low, upper=True)
@@ -337,7 +351,10 @@ class _StandardKernel:
         self.k_omega = k_omega
         self.dt = dt
         self._fock = np.arange(h0.shape[0]) / k_low
-        self._memo: tuple[float, np.ndarray] | None = None
+
+    @_last_value
+    def _base(self, eps_abs: float) -> np.ndarray:
+        return (self.v * np.exp(-1j * eps_abs * self.dt * self.w)) @ self.vh
 
     def step(
         self, rho: np.ndarray, prep: _schedules.AtomPrep, tau: float
@@ -346,12 +363,9 @@ class _StandardKernel:
         eps_abs = abs(eps)
         if eps_abs == 0.0:
             return rho
-        if self._memo is None or self._memo[0] != eps_abs:
-            base = (self.v * np.exp(-1j * eps_abs * self.dt * self.w)) @ self.vh
-            self._memo = (eps_abs, base)
         theta = cmath.phase(eps) + self.k_omega * tau
         q = np.exp(1j * theta * self._fock)
-        u = (q[:, None] * self._memo[1]) * q.conj()
+        u = (q[:, None] * self._base(eps_abs)) * q.conj()
         return u @ rho @ u.conj().T
 
 
@@ -413,35 +427,27 @@ class _Guard:
 
     def finish(self, purities: np.ndarray) -> RunDiagnostics:
         """Close the diagnostics; the purity range is read from the recorded column."""
-        if self.deep:
-            self.diag.min_purity = min(1.0, float(purities.min()))
-            self.diag.max_purity = max(1.0, float(purities.max()))
-        else:
+        self.diag.min_purity = min(1.0, float(purities.min()))
+        self.diag.max_purity = max(1.0, float(purities.max()))
+        if not self.deep:
             self.diag.min_eigenvalue = 0.0
         return self.diag
 
 
-def _build_stepper(config: SimConfig, engine: str, schedule):
+def _build_stepper(config: SimConfig, engine: str):
     k_low = LOWERED_QUANTA[config.model]
     k_omega = phase_multiplicity(config.model, config.phase) * config.omega
-    r = model_band(config.model, config.dim)
-    if engine == "hidden":
-        kernel = _HiddenKernel(
-            r, k_low, k_omega, config.dt, {abs(p.eta) for p in schedule}
-        )
-    else:
-        kernel = _StandardKernel(r, k_low, k_omega, config.dt)
-    return kernel.step, kernel.unitarity_defect
+    kind = _HiddenKernel if engine == "hidden" else _StandardKernel
+    return kind(model_band(config.model, config.dim), k_low, k_omega, config.dt)
 
 
 class _Lane:
-    """One engine in the lockstep driver: its state, stepper, guard, recorder and snapshots."""
+    """One engine in the lockstep driver: its state, kernel, guard, recorder and snapshots."""
 
-    def __init__(self, config: SimConfig, engine: str, schedule, deep: bool, wanted: set[int]):
+    def __init__(self, config: SimConfig, engine: str, deep: bool, wanted: set[int]):
         self.rho = initial_state(config)
-        self.step, udef = _build_stepper(config, engine, schedule)
+        self.kernel = _build_stepper(config, engine)
         self.guard = _Guard(deep)
-        self.guard.diag.propagator_unitarity_defect = udef
         self.recorder = TrajectoryRecorder(config.steps, config.dt)
         self.wanted = wanted
         self.snapshots: dict[int, np.ndarray] = {}
@@ -455,6 +461,7 @@ class _Lane:
 
     def result(self) -> RunResult:
         records = self.recorder.records
+        self.guard.diag.propagator_unitarity_defect = self.kernel.unitarity_defect
         return RunResult(records, self.rho, self.guard.finish(records.purity), self.snapshots)
 
 
@@ -487,14 +494,14 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
     bad = sorted(s for s in wanted if s not in range(config.steps + 1))
     if bad:
         raise ConfigValidationError(f"steps: snapshot(s) {bad} outside [0, {config.steps}]")
-    lanes = [_Lane(config, engine, schedule, deep_checks, wanted) for engine in engines]
+    lanes = [_Lane(config, engine, deep_checks, wanted) for engine in engines]
     distances = [0.0] if len(lanes) == 2 else []
     dt = config.dt
     for j in range(1, config.steps + 1):
         tau = (j - 0.5) * dt
         prep = schedule[j - 1]
         for lane in lanes:
-            lane.rho = lane.step(lane.rho, prep, tau)
+            lane.rho = lane.kernel.step(lane.rho, prep, tau)
             lane.observe(j)
         if distances:
             due = per_step_distance or j == config.steps

@@ -7,7 +7,7 @@ every call, the hidden step on the 2d-dimensional spin (x) field space with
 an explicit Kronecker embedding and partial trace. They are slow and
 obviously correct; the band and the engines' closed-form kernels are checked
 against them. ``reference_csv_text`` is the CSV writer's oracle: every cell
-formatted on its own by ``hlq.cli._fmt``. ``reference_husimi`` is the
+formatted on its own by ``format_cell``. ``reference_husimi`` is the
 Husimi grid's oracle: every grid point's coherent amplitudes at once, in one
 points^2 x d table. ``reference_records`` is the trajectory recorder's
 oracle: each row computed on its own from its state, by one 1-D sum per
@@ -23,7 +23,6 @@ import cmath
 
 import numpy as np
 
-from hlq.cli import _fmt
 from hlq.errors import InvalidDimensionError, InvalidPreparationError
 from hlq.fockcore import hermiticity_defect, model_band
 from hlq.observables import _TRAJECTORY_DTYPE
@@ -163,12 +162,19 @@ def standard_step(
     return u @ rho @ u.conj().T
 
 
+def format_cell(value) -> str:
+    """One CSV number as the CLI writes it: integers in full, anything else as %.12g."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.12g}"
+
+
 def reference_csv_text(header: str, columns) -> str:
     """The text ``hlq.cli._write_csv`` writes: columns flattened row-major, one
-    row per line, strings as they are and every other cell through ``_fmt``."""
+    row per line, strings as they are and every other cell through ``format_cell``."""
     lines = [header]
     for row in zip(*map(np.ravel, columns)):
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
+        lines.append(",".join(v if isinstance(v, str) else format_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

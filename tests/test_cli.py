@@ -16,7 +16,7 @@ from hlq.engines import run, run_compare
 from hlq.errors import ConfigParseError, ConfigValidationError, TruncationOverflowError
 from hlq.observables import husimi_grid
 from hlq.oracles import ground_state_probability
-from reference import reference_csv_text
+from reference import format_cell, reference_csv_text
 
 SLOW_CONFIG = """\
 # slow linear run
@@ -507,18 +507,19 @@ class TestHusimiCommand:
         assert main(["husimi", cfg, "--out-dir", str(out), "--steps", "0", "--extent", "40",
                      "--grid", "3"]) == 0
         _, rows = read_csv(out / "husimi_step0.csv")
-        assert [r[2] for r in rows] == ["0"] * 4 + [cli._fmt(1.0 / math.pi)] + ["0"] * 4
+        assert [r[2] for r in rows] == ["0"] * 4 + [format_cell(1.0 / math.pi)] + ["0"] * 4
 
 
 class TestCsvText:
-    """Each CSV is its in-memory table, one row per line, every cell formatted by _fmt."""
+    """Each CSV is its in-memory table, one row per line, every cell formatted by format_cell."""
 
     CONFIG = ("model = linear\nomega = 1.3\ndt = 0.01\nsteps = 12\ndim = 8\n"
               "eta = 0.8-0.3j\nschedule = rotating\ninitial = coherent(0.3+0.1j)\n")
 
     @staticmethod
     def assert_text(path: Path, header: str, rows) -> None:
-        lines = [",".join(c if isinstance(c, str) else cli._fmt(c) for c in row) for row in rows]
+        lines = [",".join(c if isinstance(c, str) else format_cell(c) for c in row)
+                 for row in rows]
         assert path.read_text() == "\n".join([header, *lines]) + "\n"
 
     def setup(self, tmp_path, command, *flags):
@@ -572,7 +573,7 @@ class TestCsvText:
         for i in range(3):
             sub = replace(config, dt=config.dt / 2**i, steps=config.steps * 2**i)
             dist = run_compare(sub, per_step_distance=False).trace_distances[-1]
-            rows.append((sub.dt, dist, "" if prev is None else cli._fmt(prev / dist)))
+            rows.append((sub.dt, dist, "" if prev is None else format_cell(prev / dist)))
             prev = dist
         self.assert_text(out / "converge.csv", "dt,final_trace_distance,ratio", rows)
         assert out.joinpath("converge.csv").read_text().splitlines()[1].endswith(",")

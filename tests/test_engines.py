@@ -2,8 +2,10 @@
 
 import cmath
 import dataclasses
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -64,6 +66,16 @@ def pulse_schedule(n, eta, seed=3):
                          float(jitter[j]), eta)[0]
         for j in range(n)
     ]
+
+
+def eta_schedule(n, two_values=False, seed=5):
+    """|zeta| = 0.4 with a seeded phase; |eta| new every step, or swapping between two values."""
+    phases = np.random.default_rng(seed).uniform(-0.3, 0.3, n)
+    if two_values:
+        etas = [(0.8 + 0.3j, 1.3 - 0.2j)[j % 2] for j in range(n)]
+    else:
+        etas = [(0.6 + 0.8 * j / n) * cmath.exp(0.1j * j) for j in range(n)]
+    return [uniform_schedule(1, 0.4, float(p), eta)[0] for p, eta in zip(phases, etas)]
 
 
 def reference_run(cfg, sched, engine):
@@ -229,7 +241,7 @@ class TestCachedStepping:
         cfg = self.config("linear", "uniform")
         sched = make_schedule(cfg)
         p0 = sched[0]
-        step, _ = engines._build_stepper(cfg, "hidden", sched)
+        step = engines._build_stepper(cfg, "hidden").step
         rng = np.random.default_rng(28)
         rho = random_density(rng, cfg.dim)
         direct = hidden_step(rho, p0, model_operator("linear", cfg.dim), 1, cfg.omega, 0.0, cfg.dt)
@@ -248,8 +260,8 @@ class TestCachedStepping:
             prep = random_prep(rng, complex(rng.normal(), rng.normal()))
             tau = rng.uniform(0.0, 5.0)
             rho = random_density(rng, d)
-            step_h, _ = engines._build_stepper(cfg, "hidden", [prep])
-            step_s, _ = engines._build_stepper(cfg, "standard", [prep])
+            step_h = engines._build_stepper(cfg, "hidden").step
+            step_s = engines._build_stepper(cfg, "standard").step
             eps = prep.eta * np.conj(prep.zeta)
             ref_h = hidden_step(rho, prep, r0, k, cfg.omega, tau, cfg.dt)
             ref_s = standard_step(rho, eps, r0, k, cfg.omega, tau, cfg.dt)
@@ -280,6 +292,50 @@ class TestCachedStepping:
         run_compare(cfg, sched, per_step_distance=False)
         assert len(calls) <= 2
 
+    @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
+    @pytest.mark.parametrize("two_values", [False, True])
+    def test_varying_eta_matches_direct(self, model, two_values):
+        cfg = self.config(model, "uniform")
+        sched = eta_schedule(cfg.steps, two_values)
+        ref_h = reference_run(cfg, sched, "hidden")
+        single = run(cfg, sched, deep_checks=False).final
+        both = run_compare(cfg, sched, per_step_distance=False)
+        assert np.max(np.abs(single - ref_h)) <= 1e-10
+        assert np.max(np.abs(both.final_hidden - ref_h)) <= 1e-10
+        ref_s = reference_run(cfg, sched, "standard")
+        assert np.max(np.abs(both.final_standard - ref_s)) <= 1e-10
+
+    @pytest.mark.parametrize("engine", ["hidden", "standard"])
+    def test_kernel_freed_without_cycle_collector(self, engine):
+        # The held factors live on the kernel, not in a cycle through it, so
+        # a finished run's kernel goes at once rather than at the next full
+        # collection (dead kernels otherwise pile up across runs).
+        cfg = self.config("linear", "uniform")
+        kernel = engines._build_stepper(cfg, engine)
+        kernel.step(initial_state(cfg), make_schedule(cfg)[0], 0.5 * cfg.dt)
+        gone = weakref.ref(kernel)
+        gc.disable()
+        try:
+            del kernel
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_kernel_state_does_not_grow_with_steps(self):
+        # A new |eta| every step rebuilds the hidden blocks every step; the
+        # peak still grows only by the 72-byte record row per added step.
+        peaks = []
+        for steps in (500, 5000):
+            cfg = SimConfig(model="linear", omega=1.3, dt=0.002, steps=steps, dim=16)
+            sched = eta_schedule(steps)
+            tracemalloc.start()
+            try:
+                run(cfg, sched, deep_checks=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1.2 * 72 * 4500
+
     def test_unitarity_defect_reported_for_varying_schedule(self, monkeypatch):
         sentinel = 0.123
         monkeypatch.setattr(engines, "unitarity_defect", lambda u: sentinel)
@@ -288,6 +344,27 @@ class TestCachedStepping:
         res = run_compare(cfg, pulse_schedule(cfg.steps, eta), per_step_distance=False)
         assert res.diagnostics_hidden.propagator_unitarity_defect == sentinel
         assert res.diagnostics_standard.propagator_unitarity_defect == sentinel
+
+        # Each check returns a new value, keyed by the checked matrix's size:
+        # the hidden lane reports the largest over its block builds, one per
+        # step whose |eta| differs from the step before.
+        rng = np.random.default_rng(31)
+        checked = []
+
+        def fake(u):
+            checked.append((u.shape[0], rng.uniform()))
+            return checked[-1][1]
+
+        monkeypatch.setattr(engines, "unitarity_defect", fake)
+        for two_values in (False, True):
+            checked.clear()
+            sched = eta_schedule(cfg.steps, two_values)
+            res = run_compare(cfg, sched, per_step_distance=False)
+            hidden = [v for n, v in checked if n == 2 * cfg.dim]
+            standard = [v for n, v in checked if n == cfg.dim]
+            assert len(hidden) == cfg.steps
+            assert res.diagnostics_hidden.propagator_unitarity_defect == max(hidden)
+            assert [res.diagnostics_standard.propagator_unitarity_defect] == standard
 
     def test_two_boson_phase_multiplicity_emerges(self):
         # conjugating V(0) by e^{i phi n} must reproduce jc_hamiltonian at k = 2
@@ -660,8 +737,5 @@ class TestLockstepDriver:
         assert len(calls) == cfg.steps + 1
         purities = res.records.purity
         assert purities.min() < 1.0 - 1e-6
-        if deep:
-            assert res.diagnostics.min_purity == min(1.0, float(purities.min()))
-            assert res.diagnostics.max_purity == max(1.0, float(purities.max()))
-        else:
-            assert res.diagnostics.min_purity == res.diagnostics.max_purity == 1.0
+        assert res.diagnostics.min_purity == min(1.0, float(purities.min()))
+        assert res.diagnostics.max_purity == max(1.0, float(purities.max()))
