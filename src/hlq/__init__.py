@@ -1,12 +1,16 @@
 """Truncated-Fock-space simulator for driven (an)harmonic oscillator modes.
 
-The package steps a field density matrix through short time slices in two
+The package steps a field state through short time slices in two
 interchangeable ways: a semiclassical drive (``standard`` engine) and a
 spin-assisted encoding in which every step adjoins, couples and discards a
 virtual two-state spin whose coherence carries the drive amplitude
-(``hidden`` engine). Closed-form and quadrature reference answers for the
-vacuum survival probability live in :mod:`hlq.oracles`; observables and
-phase-space views in :mod:`hlq.observables`.
+(``hidden`` engine). The hidden step mixes, so that engine steps the density
+matrix. The standard step is unitary and every run starts pure (vacuum or
+coherent), so that engine steps the state vector psi and forms
+rho = psi psi^dag once per step; both return density matrices.
+Closed-form and quadrature reference answers for the vacuum survival
+probability live in :mod:`hlq.oracles`; observables and phase-space views in
+:mod:`hlq.observables`.
 """
 
 from .engines import (

@@ -47,22 +47,30 @@ for the |eta| of the current step and rebuilds them when it changes.
 
 The standard coupling is |eps| D (R0 + R0^dag) D^dag with
 D = diag(e^{i theta n / k'}), theta = arg eps + k omega tau and
-eps = eta conj(zeta). One eigh of R0 + R0^dag at build gives every step's
-propagator D W e^{-i |eps| dt w} W^dag D^dag; the middle factor is held for
-the current step's |eps| alike. A kernel holds O(dim^2) state whatever its
-schedule, and every schedule takes the same path in both engines.
+eps = eta conj(zeta). One eigh, R0 + R0^dag = W diag(w) W^dag, at build
+gives every step's propagator D W e^{-i |eps| dt w} W^dag D^dag. Every
+standard state is pure: a run starts from the vacuum or a coherent state and
+each step is unitary. So the standard lane holds the state vector psi and
+steps it by two matrix-vector products,
+
+    psi -> q * (W (e^{-i |eps| dt w} * (W^dag (conj(q) * psi)))),   q = e^{i theta n / k'},
+
+holding the d phases e^{-i |eps| dt w} for the current step's |eps| alike.
+A kernel holds O(dim^2) state whatever its schedule, and every schedule takes
+the same path in both engines.
 
 Driver
 ------
 ``run`` and ``run_compare`` are thin wrappers over one lockstep driver. It
 validates the config and schedule once, builds one lane (kernel, guard,
 trajectory recorder) per engine from the same initial state, and moves every
-lane through step j before any lane takes step j + 1. After each step a
-lane's guard checks its state and its recorder takes the purity and gathers
-the state's diagonals 0, -1 and -2; the recorder reduces them 64 rows at a
-time into the lane's ``np.recarray``, allocated once and returned as is with
-every row complete. With two lanes the driver also takes the trace distance
-between them.
+lane through step j before any lane takes step j + 1. After each step a lane
+forms its density matrix (the hidden lane holds it, the standard lane takes
+psi psi^dag), its guard checks that matrix, and its recorder takes the purity
+and gathers the diagonals 0, -1 and -2; the recorder reduces them 64 rows at
+a time into the lane's ``np.recarray``, allocated once and returned as is
+with every row complete. With two lanes the driver also takes the trace
+distance between them.
 """
 
 from __future__ import annotations
@@ -251,6 +259,29 @@ class CompareResult:
     diagnostics_standard: RunDiagnostics
 
 
+def initial_vector(config: SimConfig) -> np.ndarray:
+    """Vacuum or (renormalized) truncated coherent state vector."""
+    if config.initial == "vacuum":
+        psi = np.zeros(config.dim, dtype=complex)
+        psi[0] = 1.0
+        return psi
+    c = coherent_vector(config.gamma0, config.dim)
+    nrm = np.linalg.norm(c)
+    if nrm == 0.0:
+        raise ConfigValidationError("initial: coherent amplitude underflowed")
+    # Renormalize the truncated tail so the state has unit norm exactly.
+    return c / nrm
+
+
+def _pure_density(psi: np.ndarray) -> np.ndarray:
+    return np.outer(psi, psi.conj())
+
+
+def initial_state(config: SimConfig) -> np.ndarray:
+    """Vacuum or (renormalized) truncated coherent density matrix."""
+    return _pure_density(initial_vector(config))
+
+
 def _sin_over(g: np.ndarray, dt: float) -> np.ndarray:
     """sin(g dt) / g elementwise, dt where g = 0."""
     s = np.full(g.shape, dt)
@@ -301,6 +332,9 @@ class _HiddenKernel:
         K_down = alpha eta e^{ik omega tau} (-i S_down R0^dag) + beta C_down.
 
     ``unitarity_defect`` is the largest defect of the joint blocks built so far.
+    The joint propagator couples |up, i> only with |down, i + k'>, so its
+    defect is taken over those 2 x 2 pairs, the k' uncoupled levels of each
+    spin padding out the last k' pairs: O(dim) per build.
     """
 
     def __init__(self, r: np.ndarray, k_low: int, k_omega: float, dt: float):
@@ -319,12 +353,18 @@ class _HiddenKernel:
         c_up, c_down = np.cos(g_up * dt), np.cos(g_down * dt)
         band_up = -1j * _sin_over(g_up, dt)[:n] * r
         band_down = -1j * _sin_over(g_down, dt)[k_low:] * r.conj()
-        joint = np.block([
-            [np.diag(c_up), eta_abs * np.diag(band_up, k_low)],
-            [eta_abs * np.diag(band_down, -k_low), np.diag(c_down)],
-        ])
-        self.unitarity_defect = max(self.unitarity_defect, unitarity_defect(joint))
+        pairs = np.zeros((d, 2, 2), dtype=complex)
+        pairs[:, 0, 0], pairs[:, 1, 1] = c_up, np.roll(c_down, -k_low)
+        pairs[:n, 0, 1], pairs[:n, 1, 0] = eta_abs * band_up, eta_abs * band_down
+        self.unitarity_defect = max(self.unitarity_defect, unitarity_defect(pairs))
         return c_up, band_up, c_down, band_down
+
+    # The hidden step mixes, so this kernel steps the density matrix itself.
+    start = staticmethod(_pure_density)
+
+    @staticmethod
+    def density(rho: np.ndarray) -> np.ndarray:
+        return rho
 
     def step(
         self, rho: np.ndarray, prep: _schedules.AtomPrep, tau: float
@@ -340,7 +380,7 @@ class _HiddenKernel:
 
 
 class _StandardKernel:
-    """Semiclassical step: conjugation by D W e^{-i |eps| dt w} W^dag D^dag."""
+    """Semiclassical step of the state vector by D W e^{-i |eps| dt w} W^dag D^dag."""
 
     def __init__(self, r: np.ndarray, k_low: int, k_omega: float, dt: float):
         # Complex on purpose: a real h0 sends eigh down LAPACK's real-symmetric path.
@@ -352,36 +392,26 @@ class _StandardKernel:
         self.dt = dt
         self._fock = np.arange(h0.shape[0]) / k_low
 
+    @staticmethod
+    def start(psi: np.ndarray) -> np.ndarray:
+        return psi
+
+    density = staticmethod(_pure_density)
+
     @_last_value
-    def _base(self, eps_abs: float) -> np.ndarray:
-        return (self.v * np.exp(-1j * eps_abs * self.dt * self.w)) @ self.vh
+    def _phases(self, eps_abs: float) -> np.ndarray:
+        return np.exp(-1j * eps_abs * self.dt * self.w)
 
     def step(
-        self, rho: np.ndarray, prep: _schedules.AtomPrep, tau: float
+        self, psi: np.ndarray, prep: _schedules.AtomPrep, tau: float
     ) -> np.ndarray:
         eps = prep.eta * prep.zeta.conjugate()
         eps_abs = abs(eps)
         if eps_abs == 0.0:
-            return rho
+            return psi
         theta = cmath.phase(eps) + self.k_omega * tau
         q = np.exp(1j * theta * self._fock)
-        u = (q[:, None] * self._base(eps_abs)) * q.conj()
-        return u @ rho @ u.conj().T
-
-
-def initial_state(config: SimConfig) -> np.ndarray:
-    """Vacuum or (renormalized) truncated coherent density matrix."""
-    if config.initial == "vacuum":
-        rho = np.zeros((config.dim, config.dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
-    c = coherent_vector(config.gamma0, config.dim)
-    nrm = np.linalg.norm(c)
-    if nrm == 0.0:
-        raise ConfigValidationError("initial: coherent amplitude underflowed")
-    # Renormalize the truncated tail so the state has unit trace exactly.
-    c = c / nrm
-    return np.outer(c, c.conj())
+        return q * (self.v @ (self._phases(eps_abs) * (self.vh @ (q.conj() * psi))))
 
 
 def make_schedule(config: SimConfig) -> list[_schedules.AtomPrep]:
@@ -442,11 +472,15 @@ def _build_stepper(config: SimConfig, engine: str):
 
 
 class _Lane:
-    """One engine in the lockstep driver: its state, kernel, guard, recorder and snapshots."""
+    """One engine in the lockstep driver: its state, kernel, guard, recorder and snapshots.
+
+    ``state`` is what the kernel steps; ``rho``, its density matrix, is what
+    the guard, recorder, snapshots, trace distance and result see.
+    """
 
     def __init__(self, config: SimConfig, engine: str, deep: bool, wanted: set[int]):
-        self.rho = initial_state(config)
         self.kernel = _build_stepper(config, engine)
+        self.state = self.kernel.start(initial_vector(config))
         self.guard = _Guard(deep)
         self.recorder = TrajectoryRecorder(config.steps, config.dt)
         self.wanted = wanted
@@ -454,6 +488,7 @@ class _Lane:
         self.observe(0)
 
     def observe(self, j: int) -> None:
+        self.rho = self.kernel.density(self.state)
         self.guard.inspect(self.rho, j)
         self.recorder.record(j, self.rho)
         if j in self.wanted:
@@ -501,7 +536,7 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
         tau = (j - 0.5) * dt
         prep = schedule[j - 1]
         for lane in lanes:
-            lane.rho = lane.kernel.step(lane.rho, prep, tau)
+            lane.state = lane.kernel.step(lane.state, prep, tau)
             lane.observe(j)
         if distances:
             due = per_step_distance or j == config.steps

@@ -50,8 +50,8 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-abs deviation of u^dag u from the identity."""
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    """Max-abs deviation of u^dag u from the identity, the largest over a stack of u."""
+    return float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
 
 
 def coherent_vector(gamma: complex, d: int) -> np.ndarray:

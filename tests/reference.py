@@ -6,7 +6,9 @@ coupling at the mid-step time and exponentiate it by eigendecomposition on
 every call, the hidden step on the 2d-dimensional spin (x) field space with
 an explicit Kronecker embedding and partial trace. They are slow and
 obviously correct; the band and the engines' closed-form kernels are checked
-against them. ``reference_csv_text`` is the CSV writer's oracle: every cell
+against them. ``joint_propagator`` assembles the hidden kernel's closed-form
+blocks into that dense 2d x 2d propagator, the oracle for the kernel's
+pairwise unitarity check. ``reference_csv_text`` is the CSV writer's oracle: every cell
 formatted on its own by ``format_cell``. ``reference_husimi`` is the
 Husimi grid's oracle: every grid point's coherent amplitudes at once, in one
 points^2 x d table. ``reference_records`` is the trajectory recorder's
@@ -130,6 +132,20 @@ def interaction_hamiltonian(
     """Semiclassical coupling conj(eps) R(tau) + eps R(tau)^dag on the field alone."""
     rt = r0 * cmath.exp(-1j * k * omega * tau)
     return np.conj(eps) * rt + eps * rt.conj().T
+
+
+def joint_propagator(
+    c_up: np.ndarray, band_up: np.ndarray, c_down: np.ndarray, band_down: np.ndarray,
+    eta_abs: float, k_low: int,
+) -> np.ndarray:
+    """The dense 2d x 2d spin-field propagator of the hidden kernel's blocks at tau = 0.
+
+    Its ``unitarity_defect`` is the oracle for the kernel's check over 2 x 2 pairs.
+    """
+    return np.block([
+        [np.diag(c_up), eta_abs * np.diag(band_up, k_low)],
+        [eta_abs * np.diag(band_down, -k_low), np.diag(c_down)],
+    ])
 
 
 def hidden_step(

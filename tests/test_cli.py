@@ -267,6 +267,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: trace (nan+nanj) at step 1 is not finite; reduce dt or eta\n")
 
+    def test_non_finite_standard_state_is_2(self, tmp_path, capsys):
+        # |eps| dt overflows, so the standard kernel's phases are not finite.
+        cfg = write(tmp_path, "model = linear\nomega = 1\ndt = 100\nsteps = 3\ndim = 8\n"
+                              "eta = 1e308\nengine = standard\n")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: trace (nan+nanj) at step 1 is not finite; reduce dt or eta\n")
+
     @pytest.mark.parametrize("text", [
         "model = linear\nomega = 1e308\ndt = 1\nsteps = 3\n",
         TINY + "initial = coherent(1e200)\n",

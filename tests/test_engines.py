@@ -25,7 +25,7 @@ from hlq.errors import (
     NonFiniteStateError,
     TruncationOverflowError,
 )
-from hlq.fockcore import coherent_vector, hermiticity_defect
+from hlq.fockcore import coherent_vector, hermiticity_defect, unitarity_defect
 from hlq.observables import (
     fidelity_coherent,
     quadrature_variances,
@@ -36,9 +36,11 @@ from hlq.oracles import ground_state_probability
 from hlq.schedules import AtomPrep, uniform_schedule
 from reference import (
     annihilation_matrix,
+    hermitian_propagator,
     hidden_step,
     interaction_hamiltonian,
     jc_hamiltonian,
+    joint_propagator,
     model_operator,
     standard_step,
 )
@@ -50,6 +52,11 @@ def random_density(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def random_vector(rng, d):
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return psi / np.linalg.norm(psi)
 
 
 def random_prep(rng, eta):
@@ -260,13 +267,17 @@ class TestCachedStepping:
             prep = random_prep(rng, complex(rng.normal(), rng.normal()))
             tau = rng.uniform(0.0, 5.0)
             rho = random_density(rng, d)
+            psi = random_vector(rng, d)
             step_h = engines._build_stepper(cfg, "hidden").step
             step_s = engines._build_stepper(cfg, "standard").step
             eps = prep.eta * np.conj(prep.zeta)
             ref_h = hidden_step(rho, prep, r0, k, cfg.omega, tau, cfg.dt)
-            ref_s = standard_step(rho, eps, r0, k, cfg.omega, tau, cfg.dt)
+            # The standard kernel steps the state vector: psi' psi'^dag against
+            # the dense conjugation of psi psi^dag.
+            ref_s = standard_step(np.outer(psi, psi.conj()), eps, r0, k, cfg.omega, tau, cfg.dt)
+            out_s = step_s(psi, prep, tau)
             assert np.max(np.abs(step_h(rho, prep, tau) - ref_h)) <= 1e-13
-            assert np.max(np.abs(step_s(rho, prep, tau) - ref_s)) <= 1e-13
+            assert np.max(np.abs(np.outer(out_s, out_s.conj()) - ref_s)) <= 1e-13
 
     @pytest.mark.parametrize("engine", ["hidden", "standard"])
     def test_pulse_run_matches_reference(self, engine):
@@ -312,7 +323,8 @@ class TestCachedStepping:
         # collection (dead kernels otherwise pile up across runs).
         cfg = self.config("linear", "uniform")
         kernel = engines._build_stepper(cfg, engine)
-        kernel.step(initial_state(cfg), make_schedule(cfg)[0], 0.5 * cfg.dt)
+        start = kernel.start(engines.initial_vector(cfg))
+        kernel.step(start, make_schedule(cfg)[0], 0.5 * cfg.dt)
         gone = weakref.ref(kernel)
         gc.disable()
         try:
@@ -322,19 +334,22 @@ class TestCachedStepping:
             gc.enable()
 
     def test_kernel_state_does_not_grow_with_steps(self):
-        # A new |eta| every step rebuilds the hidden blocks every step; the
-        # peak still grows only by the 72-byte record row per added step.
-        peaks = []
-        for steps in (500, 5000):
-            cfg = SimConfig(model="linear", omega=1.3, dt=0.002, steps=steps, dim=16)
-            sched = eta_schedule(steps)
-            tracemalloc.start()
-            try:
-                run(cfg, sched, deep_checks=False)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 1.2 * 72 * 4500
+        # A new |eta| every step rebuilds the hidden blocks and the standard
+        # phases every step; the peak still grows only by the 72-byte record
+        # row per added step.
+        for engine in ("hidden", "standard"):
+            peaks = []
+            for steps in (500, 5000):
+                cfg = SimConfig(model="linear", omega=1.3, dt=0.002, steps=steps, dim=16,
+                                engine=engine)
+                sched = eta_schedule(steps)
+                tracemalloc.start()
+                try:
+                    run(cfg, sched, deep_checks=False)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] - peaks[0] <= 1.2 * 72 * 4500, engine
 
     def test_unitarity_defect_reported_for_varying_schedule(self, monkeypatch):
         sentinel = 0.123
@@ -345,14 +360,15 @@ class TestCachedStepping:
         assert res.diagnostics_hidden.propagator_unitarity_defect == sentinel
         assert res.diagnostics_standard.propagator_unitarity_defect == sentinel
 
-        # Each check returns a new value, keyed by the checked matrix's size:
-        # the hidden lane reports the largest over its block builds, one per
-        # step whose |eta| differs from the step before.
+        # Each check returns a new value, keyed by the checked matrix's size
+        # (the hidden kernel checks a stack of 2 x 2 pairs, the standard one
+        # its d x d eigenbasis): the hidden lane reports the largest over its
+        # block builds, one per step whose |eta| differs from the step before.
         rng = np.random.default_rng(31)
         checked = []
 
         def fake(u):
-            checked.append((u.shape[0], rng.uniform()))
+            checked.append((u.shape[-1], rng.uniform()))
             return checked[-1][1]
 
         monkeypatch.setattr(engines, "unitarity_defect", fake)
@@ -360,11 +376,41 @@ class TestCachedStepping:
             checked.clear()
             sched = eta_schedule(cfg.steps, two_values)
             res = run_compare(cfg, sched, per_step_distance=False)
-            hidden = [v for n, v in checked if n == 2 * cfg.dim]
+            hidden = [v for n, v in checked if n == 2]
             standard = [v for n, v in checked if n == cfg.dim]
             assert len(hidden) == cfg.steps
             assert res.diagnostics_hidden.propagator_unitarity_defect == max(hidden)
             assert [res.diagnostics_standard.propagator_unitarity_defect] == standard
+
+    @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
+    @pytest.mark.parametrize("d", [2, 3, 8, 32, 64])
+    def test_pairwise_unitarity_matches_dense(self, model, d):
+        k_low = engines.LOWERED_QUANTA[model]
+        for eta_abs in (0.3, 1.2, 7.0):
+            for dt in (1e-3, 0.1):
+                cfg = SimConfig(model=model, omega=0.0, dt=dt, steps=1, dim=d)
+                kernel = engines._build_stepper(cfg, "hidden")
+                blocks = kernel._blocks(eta_abs)
+                joint = joint_propagator(*blocks, eta_abs, k_low)
+                # the blocks are exp(-i dt V) at tau = 0 and real eta
+                v = jc_hamiltonian(model_operator(model, d), 1, eta_abs, 0.0, 0.0)
+                assert np.max(np.abs(joint - hermitian_propagator(v, dt))) <= 1e-13
+                dense = unitarity_defect(joint)
+                assert abs(kernel.unitarity_defect - dense) <= 4.4e-16, (eta_abs, dt)
+
+    def test_corrupted_block_reaches_diagnostics(self, monkeypatch):
+        # A sin(g dt) / g band off by one part in 1e3 breaks the joint
+        # unitarity far past the 1e-12 invariant bound: the pairwise check
+        # sees what the dense one does.
+        sin_over = engines._sin_over
+        monkeypatch.setattr(engines, "_sin_over", lambda g, dt: (1 + 1e-3) * sin_over(g, dt))
+        cfg = SimConfig(model="two-boson", omega=1.0, dt=1e-2, steps=20, dim=12, eta=0.9 - 0.3j)
+        blocks = engines._build_stepper(cfg, "hidden")._blocks(abs(cfg.eta))
+        dense = unitarity_defect(joint_propagator(*blocks, abs(cfg.eta), 2))
+        assert dense > 1e-6
+        for diag in (run(cfg, deep_checks=False).diagnostics,
+                     run_compare(cfg, per_step_distance=False).diagnostics_hidden):
+            assert abs(diag.propagator_unitarity_defect - dense) <= 4.4e-16
 
     def test_two_boson_phase_multiplicity_emerges(self):
         # conjugating V(0) by e^{i phi n} must reproduce jc_hamiltonian at k = 2
@@ -376,6 +422,48 @@ class TestCachedStepping:
         q = np.concatenate((fock, fock))
         conj = (q[:, None] * v0) * q.conj()[None, :]
         assert np.max(np.abs(conj - jc_hamiltonian(r0, 2, eta, omega, tau))) <= 1e-12
+
+
+class TestStandardLane:
+    """The standard lane steps a state vector; all it shows is the density psi psi^dag."""
+
+    @staticmethod
+    def config(model, schedule, steps=300):
+        return SimConfig(model=model, omega=1.3, dt=2e-3, steps=steps, dim=24, zeta_abs=0.41,
+                         eta=0.8 + 0.5j, schedule=schedule, engine="standard",
+                         initial="coherent", gamma0=0.7 - 0.4j)
+
+    @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
+    @pytest.mark.parametrize("schedule", ["uniform", "alternating", "rotating"])
+    def test_purity_stays_one(self, model, schedule):
+        purity = run(self.config(model, schedule), deep_checks=False).records.purity
+        assert np.max(np.abs(purity - 1.0)) <= 1e-12
+
+    def test_final_and_snapshots_are_psi_psi_dag(self):
+        cfg = self.config("two-boson", "rotating", steps=60)
+        res = run(cfg, snapshot_steps=range(cfg.steps + 1))
+        kernel = engines._build_stepper(cfg, "standard")
+        psi = kernel.start(engines.initial_vector(cfg))
+        assert np.array_equal(res.snapshots[0], np.outer(psi, psi.conj()))
+        for j, prep in enumerate(make_schedule(cfg), start=1):
+            psi = kernel.step(psi, prep, (j - 0.5) * cfg.dt)
+            assert np.array_equal(res.snapshots[j], np.outer(psi, psi.conj())), j
+        assert np.array_equal(res.final, np.outer(psi, psi.conj()))
+
+    def test_deep_guard_inspects_every_density(self, monkeypatch):
+        seen = []
+        inspect = engines._Guard.inspect
+
+        def recording(guard, rho, step):
+            seen.append((step, rho.shape))
+            return inspect(guard, rho, step)
+
+        monkeypatch.setattr(engines._Guard, "inspect", recording)
+        cfg = self.config("intensity", "uniform")
+        res = run(cfg)
+        assert seen == [(j, (cfg.dim, cfg.dim)) for j in range(cfg.steps + 1)]
+        # psi psi^dag is Hermitian up to the rounding of one product
+        assert res.diagnostics.max_hermiticity_defect <= np.finfo(float).eps
 
 
 class TestRun:
@@ -505,6 +593,18 @@ class TestNonFiniteStop:
             with pytest.raises(NonFiniteStateError, match="trace .*nan.* at step 1") as info:
                 call(cfg, deep_checks=deep)
             assert info.value.step == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_standard_overflow_names_first_bad_step(self, deep):
+        # Steps 1 and 2 carry no drift (zeta = 0); step 3's |eps| dt overflows.
+        cfg = SimConfig(model="linear", omega=1.0, dt=100.0, steps=4, dim=8, engine="standard")
+        inert = AtomPrep(1.0, 0.0, 1.0)
+        bad = uniform_schedule(1, 0.5, 0.0, 1e308)[0]
+        with pytest.raises(NonFiniteStateError, match=r"trace .*nan.* at step 3") as info:
+            run(cfg, [inert, inert, bad, inert], deep_checks=deep)
+        assert info.value.step == 3
 
     def test_deep_guard_checks_hermiticity_before_eigvalsh(self):
         rho = initial_state(SimConfig(model="linear", omega=1.0, dt=0.01, steps=3, dim=8))
