@@ -99,7 +99,7 @@ def _convert(key: str, text: str, error):
 
 
 def parse_config(text: str) -> SimConfig:
-    """Parse a flat key-value document into a validated SimConfig."""
+    """Parse a flat key-value document into a SimConfig, which checks itself as it is made."""
     raw: dict[str, tuple[str, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -142,9 +142,7 @@ def parse_config(text: str) -> SimConfig:
                 f"initial: expected 'vacuum' or 'coherent(<amplitude>)', got {value!r}"
             )
 
-    config = SimConfig(**kwargs)
-    config.validate()
-    return config
+    return SimConfig(**kwargs)
 
 
 # Rows formatted per write: the text and Python values held at once stay
@@ -284,14 +282,14 @@ def cmd_converge(args) -> int:
     config = _load_config(args)
     if args.halvings < 2:
         raise ConfigValidationError(f"halvings: must be >= 2, got {args.halvings}")
-    # The finest halving is the longest run, so it is validated before the first.
+    # The finest halving is the longest run: making its config checks it before any run.
     # Each halving doubles the steps: past RUN_MAX_BYTES.bit_length() halvings
     # every config is over the run-size cap, and 2**halvings is not formed.
     if args.halvings > RUN_MAX_BYTES.bit_length():
         raise ConfigValidationError(
             f"halvings: steps * 2**{args.halvings} steps are over the run-size limit")
     finest = 2**args.halvings
-    replace(config, dt=config.dt / finest, steps=config.steps * finest).validate()
+    replace(config, dt=config.dt / finest, steps=config.steps * finest)
     dts = [config.dt / 2**i for i in range(args.halvings + 1)]
     dists = [run_compare(replace(config, dt=dt, steps=config.steps * 2**i),
                          per_step_distance=False).trace_distances[-1]
@@ -362,9 +360,7 @@ def cmd_sweep(args) -> int:
         sub_dir = out_dir / f"{args.param}={tok}"
         entry = {"value": tok, "dir": sub_dir.name}
         try:
-            sub = replace(config, **{field: value})
-            sub.validate()
-            runs = _runs(sub)
+            runs = _runs(replace(config, **{field: value}))
             sub_dir.mkdir(parents=True, exist_ok=True)
             emitted = _emit_runs(sub_dir, runs)
             entry["status"] = "ok"

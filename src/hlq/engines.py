@@ -61,16 +61,17 @@ the same path in both engines.
 
 Driver
 ------
-``run`` and ``run_compare`` are thin wrappers over one lockstep driver. It
-validates the config and schedule once, builds one lane (kernel, guard,
-trajectory recorder) per engine from the same initial state, and moves every
-lane through step j before any lane takes step j + 1. After each step a lane
-forms its density matrix (the hidden lane holds it, the standard lane takes
-psi psi^dag), its guard checks that matrix, and its recorder takes the purity
-and gathers the diagonals 0, -1 and -2; the recorder reduces them 64 rows at
-a time into the lane's ``np.recarray``, allocated once and returned as is
-with every row complete. With two lanes the driver also takes the trace
-distance between them.
+``run`` and ``run_compare`` are thin wrappers over one lockstep driver. A
+``SimConfig`` is checked when it is made, so the driver checks only what the
+caller passes beside it: the schedule, each of its preps, and the snapshot
+steps. It builds one lane (kernel, guard, trajectory recorder) per engine from
+the same initial state, and moves every lane through step j before any lane
+takes step j + 1. After each step a lane forms its density matrix (the hidden
+lane holds it, the standard lane takes psi psi^dag), its guard checks that
+matrix, and its recorder appends the row: it takes the purity and gathers the
+diagonals 0, -1 and -2, and reduces them 64 rows at a time into the lane's
+``np.recarray``, allocated once and returned as is with every row complete.
+With two lanes the driver also takes the trace distance between them.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,12 +129,16 @@ def phase_multiplicity(model: str, convention: str) -> int:
     return 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Run description shared by the engines and the CLI.
 
     ``zeta_abs`` is the magnitude of the per-step spin coherence (the drive
     strength knob); ``gamma0`` is only read when ``initial = "coherent"``.
+
+    A config is immutable and checked by ``validate`` when it is made, so a
+    bad value raises ``ConfigValidationError`` from the constructor, and
+    ``dataclasses.replace`` checks the config it makes in the same way.
     """
 
     model: str
@@ -157,6 +163,9 @@ class SimConfig:
     def eps_eff(self) -> float:
         """|eta| * zeta_abs, the strength entering the closed-form laws."""
         return abs(self.eta) * self.zeta_abs
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         # The string fields are type-checked by the membership tests below.
@@ -490,7 +499,7 @@ class _Lane:
     def observe(self, j: int) -> None:
         self.rho = self.kernel.density(self.state)
         self.guard.inspect(self.rho, j)
-        self.recorder.record(j, self.rho)
+        self.recorder.record(self.rho)
         if j in self.wanted:
             self.snapshots[j] = self.rho.copy()
 
@@ -508,24 +517,34 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
     states after every step (row 0 is 0.0; nan except after the last step
     when ``per_step_distance`` is off).
     """
-    config.validate()
     if "both" in engines:
         raise ConfigValidationError(
             "engine: run() drives a single engine; use run_compare for 'both'"
         )
     if schedule is None:
         schedule = make_schedule(config)
+    if not isinstance(schedule, Sequence):  # steps index it, so a set or an iterator won't do
+        raise ConfigValidationError(
+            f"schedule: must be a sequence of AtomPrep, got {type(schedule).__name__}"
+        )
     if len(schedule) != config.steps:
         raise ConfigValidationError(
             f"steps: schedule length {len(schedule)} != steps {config.steps}"
         )
     for j, prep in enumerate(schedule, start=1):
         try:
+            if not isinstance(prep, _schedules.AtomPrep):
+                raise InvalidPreparationError(f"expected an AtomPrep, got {prep!r}")
             prep.validate()
         except InvalidPreparationError as exc:
             raise InvalidPreparationError(f"schedule step {j}: {exc}") from None
 
-    wanted = set(snapshot_steps)
+    try:
+        wanted = set(snapshot_steps)
+    except TypeError:
+        raise ConfigValidationError(
+            f"steps: snapshots must be a collection of step numbers, got {snapshot_steps!r}"
+        ) from None
     bad = sorted(s for s in wanted if s not in range(config.steps + 1))
     if bad:
         raise ConfigValidationError(f"steps: snapshot(s) {bad} outside [0, {config.steps}]")

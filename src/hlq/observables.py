@@ -7,13 +7,13 @@ the diagonals 0, -1 and -2 of rho, weighted by arange(d) and by the
 ``linear`` and ``two-boson`` bands of ``fockcore.model_band``;
 ``_Diagonals`` states those positions and weights once.
 
-``TrajectoryRecorder`` keeps per-step recording cheap: each step copies the
-three diagonals into a fixed buffer of ``_CHUNK`` rows with one gather and
-takes the purity; each full chunk is reduced column-wise to the moments of all
-its states at once. Reading ``records`` reduces the rows still pending, so
-every row recorded so far is complete whenever the table is read. The one-state
-functions below are the same reduction on one row, so a recorded row equals
-them bit for bit.
+``TrajectoryRecorder`` keeps per-step recording cheap: each step appends the
+next row, copying the three diagonals into a fixed buffer of ``_CHUNK`` rows
+with one gather and taking the purity; each full chunk is reduced column-wise
+to the moments of all its states at once. Reading ``records`` reduces the rows
+still pending, so every row recorded so far is complete whenever the table is
+read. The one-state functions below are the same reduction on one row, so a
+recorded row equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -136,15 +136,15 @@ class TrajectoryRecorder:
     run ends. Both ``records.p00`` (a column) and ``records[j].p00`` (one row)
     work.
 
-    ``record(j, rho)`` takes the purity of rho into row j and copies the
-    diagonals 0, -1 and -2 of rho into a pending buffer of ``_CHUNK`` rows with
-    one gather; the buffer is sized from the first state. A full buffer is
-    reduced column-wise (``_Diagonals.moments``) and its rows' step, t, p00,
-    mean_n and mean_b are written as whole columns; var_x and var_y are taken
-    per state from those moments. Reading ``records`` first reduces the rows
-    still pending, so every row recorded so far is complete whenever the
-    table is read. Pending rows are kept by their j, so rows may be recorded
-    in any order, and a row never recorded is never reduced.
+    ``record(rho)`` appends the next row, 0 first: it takes the purity of rho
+    into that row and copies the diagonals 0, -1 and -2 of rho into a pending
+    buffer of ``_CHUNK`` rows with one gather; the buffer is sized from the
+    first state. The pending rows are always one contiguous range, so a full
+    buffer is reduced column-wise (``_Diagonals.moments``) and its rows' step,
+    t, p00, mean_n and mean_b are written as whole column slices; var_x and
+    var_y are taken per state from those moments. Reading ``records`` first
+    reduces the rows still pending, so every row recorded so far is complete
+    whenever the table is read.
     """
 
     def __init__(self, steps: int, dt: float):
@@ -154,38 +154,39 @@ class TrajectoryRecorder:
         self._dt = dt
         self._diagonals: _Diagonals | None = None
         self._pending: np.ndarray | None = None
-        self._rows: list[int] = []
+        self._done = 0  # rows reduced into the table; rows _done..._next - 1 are pending
+        self._next = 0
 
     @property
     def records(self) -> np.recarray:
         self._flush()
         return self._table
 
-    def record(self, j: int, rho: np.ndarray) -> None:
-        self._purity[j] = purity(rho)
+    def record(self, rho: np.ndarray) -> None:
+        self._purity[self._next] = purity(rho)
         if self._diagonals is None:
             self._diagonals = _Diagonals(rho.shape[0])
             self._pending = np.empty((_CHUNK, self._diagonals.index.size), dtype=complex)
-        self._pending[len(self._rows)] = rho.ravel()[self._diagonals.index]
-        self._rows.append(j)
-        if len(self._rows) == _CHUNK:
+        self._pending[self._next - self._done] = rho.ravel()[self._diagonals.index]
+        self._next += 1
+        if self._next - self._done == _CHUNK:
             self._flush()
 
     def _flush(self) -> None:
-        if not self._rows:
+        if self._next == self._done:
             return
-        rows = np.array(self._rows)
-        pending = self._pending[:rows.size]
+        rows = slice(self._done, self._next)
+        pending = self._pending[:self._next - self._done]
         mean_n, mean_b, mean_bb = self._diagonals.moments(pending)
         cols = self._columns
-        cols["step"][rows] = rows
-        cols["t"][rows] = rows * self._dt
+        cols["step"][rows] = range(self._done, self._next)
+        cols["t"][rows] = cols["step"][rows] * self._dt
         cols["p00"][rows] = pending[:, 0].real
         cols["mean_n"][rows] = mean_n
         cols["mean_b"][rows] = mean_b
         cols["var_x"][rows], cols["var_y"][rows] = zip(*map(
             _variances, mean_n.tolist(), mean_b.tolist(), mean_bb.tolist()))
-        self._rows.clear()
+        self._done = self._next
 
 
 def fidelity_coherent(rho: np.ndarray, gamma: complex) -> float:

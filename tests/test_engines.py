@@ -33,7 +33,7 @@ from hlq.observables import (
     trajectory_point,
 )
 from hlq.oracles import ground_state_probability
-from hlq.schedules import AtomPrep, uniform_schedule
+from hlq.schedules import AtomPrep, alternating_schedule, uniform_schedule
 from reference import (
     annihilation_matrix,
     hermitian_propagator,
@@ -532,19 +532,17 @@ class TestRun:
     def test_non_integer_steps_and_dim_rejected(self):
         base = dict(model="linear", omega=1.0, dt=0.01, steps=5)
         for field, value in (("steps", 3.5), ("dim", 3.5), ("steps", 5.0)):
-            cfg = SimConfig(**{**base, field: value})
             with pytest.raises(ConfigValidationError, match=f"{field}: must be an integer"):
-                run(cfg)
+                run(SimConfig(**{**base, field: value}))
         res = run(SimConfig(**{**base, "steps": np.int64(5), "dim": np.int32(8)}))
         assert len(res.records) == 6 and res.final.shape == (8, 8)
 
     @pytest.mark.parametrize("gamma0", [complex("nan"), complex("inf"), complex(0.3, math.nan)])
     @pytest.mark.parametrize("deep", [False, True])
     def test_non_finite_coherent_amplitude_rejected(self, gamma0, deep):
-        cfg = SimConfig(model="linear", omega=1.0, dt=0.01, steps=5,
-                        initial="coherent", gamma0=gamma0)
         with pytest.raises(ConfigValidationError, match="initial: amplitude must be finite"):
-            run(cfg, deep_checks=deep)
+            run(SimConfig(model="linear", omega=1.0, dt=0.01, steps=5,
+                          initial="coherent", gamma0=gamma0), deep_checks=deep)
 
     def test_out_of_range_snapshots_rejected(self):
         cfg = SimConfig(model="linear", omega=1.0, dt=0.01, steps=5)
@@ -661,6 +659,53 @@ class TestConfigBoundary:
         cfg = SimConfig(**{**self.BASE, "steps": 4})
         with pytest.raises(InvalidPreparationError, match=f"^schedule step 3: {message}"):
             call(cfg, schedule)
+
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda: [1, 2, 3], InvalidPreparationError,
+         r"^schedule step 1: expected an AtomPrep, got 1$"),
+        (lambda: [None] * 3, InvalidPreparationError,
+         r"^schedule step 1: expected an AtomPrep, got None$"),
+        (lambda: "abc", InvalidPreparationError,
+         r"^schedule step 1: expected an AtomPrep, got 'a'$"),
+        (lambda: iter(uniform_schedule(3, 0.5)), ConfigValidationError,
+         r"^schedule: must be a sequence of AtomPrep, got list_iterator$"),
+        (lambda: set(alternating_schedule(3, 0.5)), ConfigValidationError,
+         r"^schedule: must be a sequence of AtomPrep, got set$"),
+    ], ids=["ints", "nones", "string", "iterator", "set"])
+    @pytest.mark.parametrize("call", [run, run_compare])
+    def test_malformed_explicit_schedule_typed(self, make, error, message, call):
+        cfg = SimConfig(**{**self.BASE, "steps": 3})
+        with pytest.raises(error, match=message):
+            call(cfg, make())
+
+    def test_snapshot_steps_not_a_collection(self):
+        cfg = SimConfig(**{**self.BASE, "steps": 3})
+        with pytest.raises(ConfigValidationError,
+                           match=r"^steps: snapshots must be a collection of step numbers"):
+            run(cfg, snapshot_steps=None)
+
+    # One out-of-range or mistyped value per field; a field added to SimConfig
+    # without one here fails the lookup below.
+    BAD = dict(model="bogus", omega=math.inf, dt=0.0, steps=0, dim=1, zeta_abs=0.7,
+               eta=complex("nan"), schedule="sawtooth", engine="quantum", initial="thermal",
+               gamma0=complex("inf"), phase="detuned", outputs=("final", "movie"))
+    VALID = dict(BASE, initial="coherent", gamma0=0.3)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SimConfig)])
+    def test_replace_checks_like_the_constructor(self, field):
+        bad = {field: self.BAD[field]}
+        with pytest.raises(ConfigValidationError) as made:
+            SimConfig(**{**self.VALID, **bad})
+        with pytest.raises(ConfigValidationError) as replaced:
+            dataclasses.replace(SimConfig(**self.VALID), **bad)
+        assert str(replaced.value) == str(made.value)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = SimConfig(**self.VALID)
+        for f in dataclasses.fields(SimConfig):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+        assert cfg == SimConfig(**self.VALID)
 
     def test_numpy_scalars_accepted(self):
         plain = run(SimConfig(**self.BASE, zeta_abs=0.3, eta=0.8 + 0.2j, initial="coherent",

@@ -110,7 +110,7 @@ class TestModelOperator:
             recorder = TrajectoryRecorder(5, 0.1)
             for j in range(5):
                 rho = random_density(rng, d)
-                recorder.record(j, rho)
+                recorder.record(rho)
                 rec = recorder.records[j]
                 mean_b, mean_bb = np.trace(rho @ b), np.trace(rho @ b @ b)
                 assert abs(trajectory_point(rho) - mean_b) <= 1e-14

@@ -97,9 +97,11 @@ class TestScalars:
 
     def test_record_bundles_scalars(self):
         rng = np.random.default_rng(14)
-        rho = random_density(rng, 10)
+        states = [random_density(rng, 10) for _ in range(4)]
         recorder = TrajectoryRecorder(3, 0.04)
-        recorder.record(3, rho)
+        for state in states:
+            recorder.record(state)
+        rho = states[3]
         rec = recorder.records[3]
         assert rec.step == 3 and rec.t == 3 * 0.04
         assert rec.p00 == ground_population(rho)
@@ -126,8 +128,8 @@ class TestRecorderOracle:
     @staticmethod
     def recorded(states, steps, dt=0.013):
         recorder = TrajectoryRecorder(steps, dt)
-        for j, rho in states.items():
-            recorder.record(j, rho)
+        for rho in states.values():
+            recorder.record(rho)
         return recorder
 
     @pytest.mark.parametrize("d", [2, 3, 12, 32, 48, 64])
@@ -144,26 +146,13 @@ class TestRecorderOracle:
         recorder = TrajectoryRecorder(len(states) - 1, 0.013)
         mid = self.CHUNK + 7
         for j in range(mid):
-            recorder.record(j, states[j])
+            recorder.record(states[j])
         first = recorder.records[:mid].tobytes()
         head = {j: states[j] for j in range(mid)}
         assert first == reference_records(head, 0.013).tobytes()
         for j in range(mid, len(states)):
-            recorder.record(j, states[j])
+            recorder.record(states[j])
         assert recorder.records.tobytes() == reference_records(states, 0.013).tobytes()
-
-    @pytest.mark.parametrize("d", [2, 12])
-    def test_single_out_of_order_row(self, d):
-        rho = self.states(d, 1, seed=50 + d)[0]
-        recorder = self.recorded({5: rho}, 9)
-        expected = reference_records({5: rho}, 0.013)
-        assert recorder.records[5:6].tobytes() == expected.tobytes()
-
-    def test_rows_in_reverse_order(self):
-        states = self.states(12, self.CHUNK + 3, seed=60)
-        backwards = dict(reversed(states.items()))
-        table = self.recorded(backwards, len(states) - 1).records
-        assert table.tobytes() == reference_records(states, 0.013).tobytes()
 
     # The pending buffer is a fixed _CHUNK rows of 3d - 3 diagonal entries.
     def test_buffer_does_not_grow_with_steps(self):
