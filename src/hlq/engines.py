@@ -41,7 +41,7 @@ with g_up = |eta| sqrt(diag(R0 R0^dag)), g_down = |eta| sqrt(diag(R0^dag R0))
 and S = sin(g dt) / g (dt where g = 0). Tracing out the spin prepared in
 alpha|up> + beta|down> leaves two Kraus operators K_s = <s|U|phi>, each a
 diagonal plus one band at offset +-k', so the hidden step is
-rho -> K_up rho K_up^dag + K_down rho K_down^dag done by slice updates, with
+rho -> K_up rho K_up^dag + K_down rho K_down^dag, one pass over both, with
 no eigendecomposition. The blocks depend only on |eta|: a kernel holds them
 for the |eta| of the current step and rebuilds them when it changes.
 
@@ -113,7 +113,7 @@ TRUNCATION_LIMIT = 1e-6
 # counted at _STEP_BYTES per step: two lanes' 72-byte trajectory rows plus one
 # rotating-schedule prep (136 bytes traced, the largest schedule item). Each
 # recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes and each
-# kernel holds the factors of one step; neither grows with steps.
+# kernel holds the factors and work buffers of one step; neither grows with steps.
 RUN_MAX_BYTES = 1 << 30
 _STEP_BYTES = 2 * 72 + 136
 
@@ -165,6 +165,8 @@ class SimConfig:
         return abs(self.eta) * self.zeta_abs
 
     def __post_init__(self) -> None:
+        if isinstance(self.outputs, list):  # held as a tuple, so the config stays hashable
+            object.__setattr__(self, "outputs", tuple(self.outputs))
         self.validate()
 
     def validate(self) -> None:
@@ -172,7 +174,7 @@ class SimConfig:
         for names, kind, what in ((("omega", "dt", "zeta_abs"), numbers.Real, "a number"),
                                   (("steps", "dim"), numbers.Integral, "an integer"),
                                   (("eta", "gamma0"), numbers.Complex, "a complex number"),
-                                  (("outputs",), (tuple, list), "a tuple of names")):
+                                  (("outputs",), tuple, "a tuple of names")):
             for name in names:
                 value = getattr(self, name)
                 if not isinstance(value, kind):
@@ -299,22 +301,6 @@ def _sin_over(g: np.ndarray, dt: float) -> np.ndarray:
     return s
 
 
-def _sandwich(
-    rho: np.ndarray, a: np.ndarray, b: np.ndarray, k_low: int, upper: bool
-) -> np.ndarray:
-    """K rho K^dag for K = diag(a) plus the band b at offset +k_low (upper) or -k_low."""
-    n = rho.shape[0] - k_low
-    band, src = slice(None, n), slice(k_low, None)
-    if not upper:
-        band, src = src, band
-    x = a[:, None] * rho
-    x[band] += b[:, None] * rho[src]
-    t = x[:, src] * b.conj()
-    x *= a.conj()
-    x[:, band] += t
-    return x
-
-
 def _last_value(build):
     """Kernel method memo: build's result for the last argument only, held on the
     instance, so a kernel owns no reference cycle and is freed with its run."""
@@ -330,28 +316,39 @@ def _last_value(build):
     return memo
 
 
+def _lanes(a: np.ndarray, start: int, lane_step: int, shape: tuple[int, int]) -> np.ndarray:
+    """(2, *shape) view of C-contiguous a: lane l starts at flat entry start + l * lane_step."""
+    s = a.itemsize
+    return np.ndarray((2, *shape), a.dtype, a, start * s, (lane_step * s, a.shape[-1] * s, s))
+
+
 class _HiddenKernel:
     """Spin-assisted step as two banded Kraus operators from closed-form blocks.
 
-    For the step's |eta|: C_up = cos(g_up dt), C_down = cos(g_down dt), and the
-    bands -i S_up R0 and -i S_down R0^dag. Per step the prep amplitudes and the
-    phase conj(eta) e^{-i k omega tau} enter as scalars:
+    ``_blocks`` stacks C_up, C_down and the bands -i S_up R0, -i S_down R0^dag
+    (each in its first n = d - k' entries) for the step's |eta|; times
+    [alpha, beta, beta c, alpha conj(c)], c = conj(eta) e^{-i k omega tau}, it
+    gives K_up's and K_down's diagonal a and band b. On (2, d, d) buffers, one
+    lane per operator, a step is x = a rho, x[band rows] += b rho[source rows],
+    t[band cols] = x[source cols] conj(b), x = x conj(a) + t, then x[up] + x[down],
+    each pair of lane slices one ``_lanes`` view. t is -0 off its band columns
+    and x + (-0) is x, so every entry gets the operations of K rho K^dag.
 
-        K_up   = alpha C_up + beta conj(eta) e^{-ik omega tau} (-i S_up R0),
-        K_down = alpha eta e^{ik omega tau} (-i S_down R0^dag) + beta C_down.
-
-    ``unitarity_defect`` is the largest defect of the joint blocks built so far.
-    The joint propagator couples |up, i> only with |down, i + k'>, so its
-    defect is taken over those 2 x 2 pairs, the k' uncoupled levels of each
-    spin padding out the last k' pairs: O(dim) per build.
+    ``unitarity_defect`` is the largest defect of the joint blocks built so far,
+    taken over the 2 x 2 pairs (|up, i>, |down, i + k'>) the joint propagator
+    couples, the k' uncoupled levels of each spin padding the last k': O(dim).
     """
 
     def __init__(self, r: np.ndarray, k_low: int, k_omega: float, dt: float):
-        self.r = r
-        self.k_low = k_low
-        self.k_omega = k_omega
-        self.dt = dt
+        self.r, self.k_low, self.k_omega, self.dt = r, k_low, k_omega, dt
         self.unitarity_defect = 0.0
+        n, d = r.size, r.size + k_low
+        self._x, self._rows = np.empty((2, d, d), dtype=complex), np.empty((2, n, d), dtype=complex)
+        self._t = np.full((2, d, d), complex(-0.0, -0.0))
+        # (up, down) lanes: x[:n] and x[k':]; x[:, k':] and x[:, :n]; t[:, :n] and t[:, k':]
+        self._band_rows = _lanes(self._x, 0, d * d + k_low * d, (n, d))
+        self._source_cols = _lanes(self._x, k_low, d * d - k_low, (d, n))
+        self._band_cols = _lanes(self._t, 0, d * d + k_low, (d, n))
 
     @_last_value
     def _blocks(self, eta_abs: float):
@@ -359,14 +356,15 @@ class _HiddenKernel:
         d, n = r.size + k_low, r.size
         g_up, g_down = np.zeros(d), np.zeros(d)
         g_up[:n] = g_down[k_low:] = eta_abs * np.abs(r)
-        c_up, c_down = np.cos(g_up * dt), np.cos(g_down * dt)
-        band_up = -1j * _sin_over(g_up, dt)[:n] * r
-        band_down = -1j * _sin_over(g_down, dt)[k_low:] * r.conj()
+        stack = np.zeros((4, d), dtype=complex)
+        stack[0], stack[1] = np.cos(g_up * dt), np.cos(g_down * dt)
+        stack[2, :n] = -1j * _sin_over(g_up, dt)[:n] * r
+        stack[3, :n] = -1j * _sin_over(g_down, dt)[k_low:] * r.conj()
         pairs = np.zeros((d, 2, 2), dtype=complex)
-        pairs[:, 0, 0], pairs[:, 1, 1] = c_up, np.roll(c_down, -k_low)
-        pairs[:n, 0, 1], pairs[:n, 1, 0] = eta_abs * band_up, eta_abs * band_down
+        pairs[:, 0, 0], pairs[:, 1, 1] = stack[0], np.roll(stack[1], -k_low)
+        pairs[:n, 0, 1], pairs[:n, 1, 0] = eta_abs * stack[2:, :n]
         self.unitarity_defect = max(self.unitarity_defect, unitarity_defect(pairs))
-        return c_up, band_up, c_down, band_down
+        return stack
 
     # The hidden step mixes, so this kernel steps the density matrix itself.
     start = staticmethod(_pure_density)
@@ -375,17 +373,22 @@ class _HiddenKernel:
     def density(rho: np.ndarray) -> np.ndarray:
         return rho
 
-    def step(
-        self, rho: np.ndarray, prep: _schedules.AtomPrep, tau: float
-    ) -> np.ndarray:
-        c_up, band_up, c_down, band_down = self._blocks(abs(prep.eta))
-        coupling = prep.eta.conjugate() * cmath.exp(-1j * self.k_omega * tau)
-        up = _sandwich(rho, prep.alpha * c_up, prep.beta * coupling * band_up,
-                       self.k_low, upper=True)
-        down = _sandwich(rho, prep.beta * c_down,
-                         prep.alpha * coupling.conjugate() * band_down,
-                         self.k_low, upper=False)
-        return up + down
+    def step(self, rho: np.ndarray, prep: _schedules.AtomPrep, tau: float) -> np.ndarray:
+        c = prep.eta.conjugate() * cmath.exp(-1j * self.k_omega * tau)
+        ab = (np.array([prep.alpha, prep.beta, prep.beta * c, prep.alpha * c.conjugate()])[:, None]
+              * self._blocks(abs(prep.eta)))
+        rho = np.ascontiguousarray(rho, dtype=complex)
+        n, k, d, x = self.r.size, self.k_low, rho.shape[0], self._x
+        # Operand order as written: numpy's complex loops round a * b and b * a apart.
+        np.multiply(ab[:2, :, None], rho, out=x)
+        # (rho[k':], rho[:n]) are the rows that up's and down's band rows read
+        self._band_rows += np.multiply(ab[2:, :n, None], _lanes(rho, k * d, -k * d, (n, d)),
+                                       out=self._rows)
+        ab = ab.conj()
+        np.multiply(self._source_cols, ab[2:, None, :n], out=self._band_cols)
+        x *= ab[:2, None, :]
+        x += self._t
+        return x[0] + x[1]
 
 
 class _StandardKernel:

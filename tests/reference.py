@@ -8,7 +8,9 @@ an explicit Kronecker embedding and partial trace. They are slow and
 obviously correct; the band and the engines' closed-form kernels are checked
 against them. ``joint_propagator`` assembles the hidden kernel's closed-form
 blocks into that dense 2d x 2d propagator, the oracle for the kernel's
-pairwise unitarity check. ``reference_csv_text`` is the CSV writer's oracle: every cell
+pairwise unitarity check. ``two_pass_hidden_step`` is the hidden kernel's step as
+one ``sandwich`` call per Kraus operator, the byte-for-byte oracle of its
+stacked pass. ``reference_csv_text`` is the CSV writer's oracle: every cell
 formatted on its own by ``format_cell``. ``reference_husimi`` is the
 Husimi grid's oracle: every grid point's coherent amplitudes at once, in one
 points^2 x d table. ``reference_records`` is the trajectory recorder's
@@ -25,6 +27,7 @@ import cmath
 
 import numpy as np
 
+from hlq.engines import _sin_over
 from hlq.errors import InvalidDimensionError, InvalidPreparationError
 from hlq.fockcore import hermiticity_defect, model_band
 from hlq.observables import _TRAJECTORY_DTYPE
@@ -162,6 +165,42 @@ def hidden_step(
     u = hermitian_propagator(jc_hamiltonian(r0, k, prep.eta, omega, tau), dt)
     w = u @ tensor_embed(a, rho) @ u.conj().T
     return partial_trace_spin(w)
+
+
+def sandwich(rho: np.ndarray, a: np.ndarray, b: np.ndarray, k_low: int, upper: bool) -> np.ndarray:
+    """K rho K^dag for K = diag(a) plus the band b at offset +k_low (upper) or -k_low."""
+    n = rho.shape[0] - k_low
+    band, src = slice(None, n), slice(k_low, None)
+    if not upper:
+        band, src = src, band
+    x = a[:, None] * rho
+    x[band] += b[:, None] * rho[src]
+    t = x[:, src] * b.conj()
+    x *= a.conj()
+    x[:, band] += t
+    return x
+
+
+def two_pass_hidden_step(
+    rho: np.ndarray, prep: AtomPrep, r: np.ndarray, k_low: int, k_omega: float,
+    tau: float, dt: float,
+) -> np.ndarray:
+    """The hidden kernel's step as one ``sandwich`` per Kraus operator.
+
+    The blocks are built in closed form with real cosines and each band at its
+    own d - k' entries; the kernel's one stacked pass must equal this byte for byte.
+    """
+    d, n = r.size + k_low, r.size
+    g_up, g_down = np.zeros(d), np.zeros(d)
+    g_up[:n] = g_down[k_low:] = abs(prep.eta) * np.abs(r)
+    c_up, c_down = np.cos(g_up * dt), np.cos(g_down * dt)
+    band_up = -1j * _sin_over(g_up, dt)[:n] * r
+    band_down = -1j * _sin_over(g_down, dt)[k_low:] * r.conj()
+    coupling = prep.eta.conjugate() * cmath.exp(-1j * k_omega * tau)
+    up = sandwich(rho, prep.alpha * c_up, prep.beta * coupling * band_up, k_low, upper=True)
+    down = sandwich(rho, prep.beta * c_down, prep.alpha * coupling.conjugate() * band_down,
+                    k_low, upper=False)
+    return up + down
 
 
 def standard_step(

@@ -25,7 +25,7 @@ from hlq.errors import (
     NonFiniteStateError,
     TruncationOverflowError,
 )
-from hlq.fockcore import coherent_vector, hermiticity_defect, unitarity_defect
+from hlq.fockcore import coherent_vector, hermiticity_defect, model_band, unitarity_defect
 from hlq.observables import (
     fidelity_coherent,
     quadrature_variances,
@@ -43,6 +43,7 @@ from reference import (
     joint_propagator,
     model_operator,
     standard_step,
+    two_pass_hidden_step,
 )
 
 OMEGA_SLOW = 2 * math.pi / 5
@@ -390,8 +391,9 @@ class TestCachedStepping:
             for dt in (1e-3, 0.1):
                 cfg = SimConfig(model=model, omega=0.0, dt=dt, steps=1, dim=d)
                 kernel = engines._build_stepper(cfg, "hidden")
-                blocks = kernel._blocks(eta_abs)
-                joint = joint_propagator(*blocks, eta_abs, k_low)
+                c_up, c_down, band_up, band_down = kernel._blocks(eta_abs)
+                n = d - k_low
+                joint = joint_propagator(c_up, band_up[:n], c_down, band_down[:n], eta_abs, k_low)
                 # the blocks are exp(-i dt V) at tau = 0 and real eta
                 v = jc_hamiltonian(model_operator(model, d), 1, eta_abs, 0.0, 0.0)
                 assert np.max(np.abs(joint - hermitian_propagator(v, dt))) <= 1e-13
@@ -405,8 +407,10 @@ class TestCachedStepping:
         sin_over = engines._sin_over
         monkeypatch.setattr(engines, "_sin_over", lambda g, dt: (1 + 1e-3) * sin_over(g, dt))
         cfg = SimConfig(model="two-boson", omega=1.0, dt=1e-2, steps=20, dim=12, eta=0.9 - 0.3j)
-        blocks = engines._build_stepper(cfg, "hidden")._blocks(abs(cfg.eta))
-        dense = unitarity_defect(joint_propagator(*blocks, abs(cfg.eta), 2))
+        kernel = engines._build_stepper(cfg, "hidden")
+        c_up, c_down, band_up, band_down = kernel._blocks(abs(cfg.eta))
+        dense = unitarity_defect(joint_propagator(c_up, band_up[:10], c_down, band_down[:10],
+                                                  abs(cfg.eta), 2))
         assert dense > 1e-6
         for diag in (run(cfg, deep_checks=False).diagnostics,
                      run_compare(cfg, per_step_distance=False).diagnostics_hidden):
@@ -422,6 +426,54 @@ class TestCachedStepping:
         q = np.concatenate((fock, fock))
         conj = (q[:, None] * v0) * q.conj()[None, :]
         assert np.max(np.abs(conj - jc_hamiltonian(r0, 2, eta, omega, tau))) <= 1e-12
+
+
+class TestStackedHiddenStep:
+    """The hidden kernel's one stacked pass against one ``sandwich`` per Kraus operator."""
+
+    @staticmethod
+    def replay(cfg, schedule):
+        """(step, stacked state, two-pass state) after every step, both from the same start."""
+        kernel = engines._build_stepper(cfg, "hidden")
+        r, k_low = model_band(cfg.model, cfg.dim), engines.LOWERED_QUANTA[cfg.model]
+        k_omega = phase_multiplicity(cfg.model, cfg.phase) * cfg.omega
+        stacked = two_pass = initial_state(cfg)
+        for j, prep in enumerate(schedule, start=1):
+            tau = (j - 0.5) * cfg.dt
+            stacked = kernel.step(stacked, prep, tau)
+            two_pass = two_pass_hidden_step(two_pass, prep, r, k_low, k_omega, tau, cfg.dt)
+            yield j, stacked, two_pass
+
+    @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
+    @pytest.mark.parametrize("d", [2, 3, 12, 32, 64])
+    @pytest.mark.parametrize("schedule", ["uniform", "alternating", "rotating"])
+    @pytest.mark.parametrize("initial", ["vacuum", "coherent"])
+    def test_equals_two_pass_bytes(self, model, d, schedule, initial):
+        # The last two keep exact zeros in the state (a real or imaginary eta,
+        # dt = 1 turning cosines negative), where a zero's sign would differ first.
+        for eta, omega, dt in ((0.9 - 0.4j, 1.3, 0.05), (0j, 1.3, 0.05), (2j, 0.0, 1.0),
+                               (1 + 0j, 2.0, 1.0)):
+            cfg = SimConfig(model=model, omega=omega, dt=dt, steps=40, dim=d, zeta_abs=0.4,
+                            eta=eta, schedule=schedule, initial=initial, gamma0=0.6 - 0.3j)
+            for j, stacked, two_pass in self.replay(cfg, make_schedule(cfg)):
+                assert stacked.tobytes() == two_pass.tobytes(), (eta, j)
+
+    def test_real_amplitudes_equal_values(self):
+        # float alpha or beta make the two-pass diagonal factors real, so an exact
+        # zero can come out with the other sign; every value is still equal
+        cfg = SimConfig(model="linear", omega=0.7, dt=1.0, steps=40, dim=12)
+        for prep in (AtomPrep(-0.8, 0.6, 3.0), AtomPrep(0.0, -1.0, 2 + 1j)):
+            for j, stacked, two_pass in self.replay(cfg, [prep] * cfg.steps):
+                assert np.array_equal(stacked, two_pass), (prep, j)
+
+    def test_non_contiguous_state(self):
+        rng = np.random.default_rng(41)
+        cfg = SimConfig(model="two-boson", omega=1.3, dt=0.05, steps=1, dim=12, eta=0.9 - 0.4j)
+        rho = random_density(rng, 24)[::2, ::2]
+        prep = make_schedule(cfg)[0]
+        expected = two_pass_hidden_step(rho, prep, model_band("two-boson", 12), 2, 2.6, 0.3, 0.05)
+        step = engines._build_stepper(cfg, "hidden").step(rho, prep, 0.3)
+        assert step.tobytes() == expected.tobytes()
 
 
 class TestStandardLane:
@@ -716,6 +768,16 @@ class TestConfigBoundary:
                                 initial="coherent", gamma0=np.complex128(0.2 - 0.1j),
                                 outputs=["final"]))
         assert np.array_equal(plain.final, scalars.final)
+
+    def test_list_outputs_held_as_tuple(self):
+        names = ["final"]
+        cfg = SimConfig(**self.BASE, outputs=names)
+        names.append("movie")
+        assert cfg.outputs == ("final",)
+        assert hash(cfg) == hash(SimConfig(**self.BASE, outputs=("final",)))
+        assert dataclasses.replace(cfg, outputs=["timeseries"]).outputs == ("timeseries",)
+        with pytest.raises(ConfigValidationError, match=r"^outputs: unknown value\(s\) \['movie"):
+            dataclasses.replace(cfg, outputs=["final", "movie"])
 
 
 class TestEngineAgreement:
