@@ -8,6 +8,12 @@ converge  dt-halving agreement study   -> converge.csv
 husimi    phase-space snapshots        -> husimi_step<j>.csv (+ trajectory.csv)
 sweep     re-run over a parameter list -> per-value subdirectories
 
+With ``engine = both``, ``run`` and each ``sweep`` value step the two engines
+together in one lockstep run with deep checks on, as ``compare`` does, and
+write ``timeseries_<engine>.csv`` and ``final_state_<engine>.csv`` per engine;
+a failure names the earliest step at which either engine fails. ``husimi``
+snapshots the hidden engine when ``engine = both``.
+
 Every subcommand takes one config-file path and an optional ``--out-dir``
 (falling back to the HLQ_OUT_DIR environment variable, then the working
 directory), writes a ``manifest.json`` naming every emitted file with its
@@ -50,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engines import RUN_MAX_BYTES, RunResult, SimConfig, run, run_compare
+from .engines import RUN_MAX_BYTES, SimConfig, run, run_compare
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -225,43 +231,39 @@ def _load_config(args) -> SimConfig:
     return parse_config(Path(args.config).read_text())
 
 
-def _emit_run_outputs(
-    out_dir: Path, config: SimConfig, result: RunResult, suffix: str = ""
-) -> list[Path]:
-    files = []
-    if "timeseries" in config.outputs:
-        r = result.records
-        path = out_dir / f"timeseries{suffix}.csv"
-        _write_csv(path, "step,t,pulse_area_over_pi,p00,mean_n,purity,re_b,im_b,var_x,var_y",
-                   (r.step, r.t, config.omega * r.t / math.pi, r.p00, r.mean_n, r.purity,
-                    r.mean_b.real, r.mean_b.imag, r.var_x, r.var_y))
-        files.append(path)
-    if "final" in config.outputs:
-        rho = result.final
-        path = out_dir / f"final_state{suffix}.csv"
-        _write_csv(path, "row,col,re,im", (*np.indices(rho.shape), rho.real, rho.imag))
-        files.append(path)
-    return files
-
-
-def _runs(config: SimConfig) -> list[tuple[SimConfig, RunResult, str]]:
-    """(config, result, file suffix) of config's engine, or of each in turn for "both"."""
+def _runs(config: SimConfig) -> list[tuple[str, np.recarray, np.ndarray]]:
+    """(file suffix, records, final state) of config's engine, or of each lockstep lane
+    for "both", whose first failing step in either lane stops the run."""
     if config.engine != "both":
-        return [(config, run(config), "")]
-    subs = [replace(config, engine=engine) for engine in ("hidden", "standard")]
-    return [(sub, run(sub), f"_{sub.engine}") for sub in subs]
+        result = run(config)
+        return [("", result.records, result.final)]
+    res = run_compare(config, per_step_distance=False, deep_checks=True)
+    return [("_hidden", res.records_hidden, res.final_hidden),
+            ("_standard", res.records_standard, res.final_standard)]
 
 
-def _emit_runs(out_dir: Path, runs) -> list[Path]:
-    return [path for config, result, suffix in runs
-            for path in _emit_run_outputs(out_dir, config, result, suffix)]
+def _emit_runs(out_dir: Path, config: SimConfig, runs) -> list[Path]:
+    """Write the outputs config asks for of every (suffix, records, final) in runs."""
+    files = []
+    for suffix, r, rho in runs:
+        if "timeseries" in config.outputs:
+            path = out_dir / f"timeseries{suffix}.csv"
+            _write_csv(path, "step,t,pulse_area_over_pi,p00,mean_n,purity,re_b,im_b,var_x,var_y",
+                       (r.step, r.t, config.omega * r.t / math.pi, r.p00, r.mean_n, r.purity,
+                        r.mean_b.real, r.mean_b.imag, r.var_x, r.var_y))
+            files.append(path)
+        if "final" in config.outputs:
+            path = out_dir / f"final_state{suffix}.csv"
+            _write_csv(path, "row,col,re,im", (*np.indices(rho.shape), rho.real, rho.imag))
+            files.append(path)
+    return files
 
 
 def cmd_run(args) -> int:
     config = _load_config(args)
     runs = _runs(config)
     out_dir = _out_dir(args)
-    return _finish(out_dir, "run", config, _emit_runs(out_dir, runs))
+    return _finish(out_dir, "run", config, _emit_runs(out_dir, config, runs))
 
 
 def cmd_compare(args) -> int:
@@ -360,9 +362,10 @@ def cmd_sweep(args) -> int:
         sub_dir = out_dir / f"{args.param}={tok}"
         entry = {"value": tok, "dir": sub_dir.name}
         try:
-            runs = _runs(replace(config, **{field: value}))
+            sub = replace(config, **{field: value})
+            runs = _runs(sub)
             sub_dir.mkdir(parents=True, exist_ok=True)
-            emitted = _emit_runs(sub_dir, runs)
+            emitted = _emit_runs(sub_dir, sub, runs)
             entry["status"] = "ok"
             entry["outputs"] = _digests(emitted)
         except HlqError as exc:

@@ -87,6 +87,7 @@ import numpy as np
 from . import schedules as _schedules
 from .errors import (
     ConfigValidationError,
+    InvalidModelError,
     InvalidPreparationError,
     NonFiniteStateError,
     TruncationOverflowError,
@@ -124,6 +125,8 @@ def phase_multiplicity(model: str, convention: str) -> int:
         raise ConfigValidationError(
             f"phase: unknown convention {convention!r}, expected one of {PHASE_CONVENTIONS}"
         )
+    if model not in MODELS:
+        raise InvalidModelError(f"unknown model {model!r}, expected one of {MODELS}")
     if convention == "operator":
         return LOWERED_QUANTA[model]
     return 1

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -19,6 +20,11 @@ MODELS = ("linear", "two-boson", "intensity")
 
 # Quanta removed by one application of the lowering operator of each model.
 LOWERED_QUANTA = {"linear": 1, "two-boson": 2, "intensity": 1}
+
+
+def _check_dim(d: int) -> None:
+    if not isinstance(d, numbers.Integral) or d < 1:
+        raise InvalidDimensionError(f"truncation dimension must be an integer >= 1, got {d!r}")
 
 
 def model_band(model: str, d: int) -> np.ndarray:
@@ -34,8 +40,7 @@ def model_band(model: str, d: int) -> np.ndarray:
     """
     if model not in MODELS:
         raise InvalidModelError(f"unknown model {model!r}, expected one of {MODELS}")
-    if d < 1:
-        raise InvalidDimensionError(f"truncation dimension must be >= 1, got {d}")
+    _check_dim(d)
     root = np.sqrt(np.arange(d))
     if model == "linear":
         return root[1:]
@@ -60,10 +65,12 @@ def coherent_vector(gamma: complex, d: int) -> np.ndarray:
     The entries are built by the stable running product, not by factorials.
     The vector is left unnormalized: its norm falls short of 1 by the
     truncated Poisson tail, which is how far |gamma| overflows dim. A
-    non-finite gamma, or one whose |gamma|^2 overflows, is rejected.
+    non-finite gamma, one whose |gamma|^2 overflows, or one that is not a number
+    is rejected.
     """
-    if d < 1:
-        raise InvalidDimensionError(f"truncation dimension must be >= 1, got {d}")
+    _check_dim(d)
+    if not isinstance(gamma, numbers.Complex):
+        raise ConfigValidationError(f"coherent amplitude {gamma!r} is not a number")
     size = math.hypot(gamma.real, gamma.imag)  # abs() and ** raise on overflow
     if not math.isfinite(size * size):
         raise ConfigValidationError(

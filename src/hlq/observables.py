@@ -1,6 +1,8 @@
 """Scalar observables, per-step trajectories and phase-space views of a field state.
 
-All functions take a dense d x d density matrix. The quadratures are
+All functions take a dense d x d density matrix; the one-state functions
+reject any other shape with ``InvalidDimensionError`` (the recorder and
+``purity``, which run every step, do not check). The quadratures are
 X = (b + b^dag)/2 and Y = (b - b^dag)/(2i), so the vacuum has
 var X = var Y = 1/4. Expectation values of b^dag b, b and b^2 are sums over
 the diagonals 0, -1 and -2 of rho, weighted by arange(d) and by the
@@ -47,8 +49,17 @@ class HusimiGrid:
     mass: float
 
 
+def _check_state(rho: np.ndarray) -> int:
+    """d of a d x d state; any other shape raises InvalidDimensionError."""
+    shape = np.shape(rho)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidDimensionError(f"state must be a square 2-D array, got shape {shape}")
+    return shape[0]
+
+
 def ground_population(rho: np.ndarray) -> float:
     """<0|rho|0>, the survival probability of the empty mode."""
+    _check_state(rho)
     return float(rho[0, 0].real)
 
 
@@ -113,7 +124,7 @@ class _Diagonals:
 
 def _moments(rho: np.ndarray) -> tuple[float, complex, complex]:
     """(<b^dag b>, <b>, <b^2>) of one state: the recorder's reduction on one row."""
-    diagonals = _Diagonals(rho.shape[0])
+    diagonals = _Diagonals(_check_state(rho))
     mean_n, mean_b, mean_bb = diagonals.moments(rho.ravel()[diagonals.index][None])
     return float(mean_n[0]), complex(mean_b[0]), complex(mean_bb[0])
 
@@ -191,12 +202,13 @@ class TrajectoryRecorder:
 
 def fidelity_coherent(rho: np.ndarray, gamma: complex) -> float:
     """<gamma|rho|gamma> against the truncated coherent vector."""
-    c = coherent_vector(gamma, rho.shape[0])
+    c = coherent_vector(gamma, _check_state(rho))
     return float((c.conj() @ rho @ c).real)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) sum |eigenvalues(a - b)| for Hermitian a, b."""
+    _check_state(a)
     if a.shape != b.shape:
         raise InvalidDimensionError(f"shape mismatch {a.shape} vs {b.shape}")
     diff = a - b
@@ -207,9 +219,10 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 def husimi_window(extent: float, resolution: int, d: int) -> tuple[float, int]:
     """Checked (extent, points) of a square Husimi window for a dim-d state.
 
-    ``extent`` must be finite and > 0 and ``resolution`` >= 2. A window whose
-    resolution^2 x d x 16-byte amplitude table exceeds ``HUSIMI_MAX_BYTES``,
-    or that is too wide for d, raises ``ConfigValidationError``: a value the
+    ``extent`` must be finite and > 0 and ``resolution`` a whole number >= 2.
+    A window whose resolution^2 x d x 16-byte amplitude table exceeds
+    ``HUSIMI_MAX_BYTES``, or that is too wide for d, raises
+    ``ConfigValidationError``: a value the
     grid forms would overflow to inf, and Q or the mass to NaN. Those values
     are the squared span (2 * extent)^2, which bounds |gamma|^2 and the cell
     area, and the running product gamma^n / sqrt((n-1)!) (before its division
@@ -218,9 +231,14 @@ def husimi_window(extent: float, resolution: int, d: int) -> tuple[float, int]:
     e = float(extent)
     if not (math.isfinite(e) and e > 0.0):
         raise ConfigValidationError(f"husimi extent must be finite and > 0, got {extent!r}")
-    points = int(resolution)
-    if points < 2:
-        raise InvalidDimensionError("husimi grid needs at least 2 points per axis")
+    try:
+        points = int(resolution)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
+        points = 0
+    if points != resolution or points < 2:
+        raise InvalidDimensionError(
+            f"husimi grid needs a whole number of at least 2 points per axis, "
+            f"got {resolution!r}")
     nbytes = points * points * d * 16
     if nbytes > HUSIMI_MAX_BYTES:
         raise ConfigValidationError(
@@ -245,7 +263,7 @@ def husimi_grid(rho: np.ndarray, extent: float = 5.0, resolution: int = 201) -> 
     It is evaluated one y-row at a time, so the peak is about ``values`` plus
     one row; the cap still counts the full resolution^2 x dim x 16-byte table.
     """
-    d = rho.shape[0]
+    d = _check_state(rho)
     e, points = husimi_window(extent, resolution, d)
     xs = np.linspace(-e, e, points)
     values = np.empty((points, points))

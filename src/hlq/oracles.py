@@ -36,12 +36,20 @@ sinh r = (2 |eps| / Omega) |sin(Omega t)|.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .errors import ConfigValidationError, InvalidModelError
 from .fockcore import LOWERED_QUANTA, MODELS
+
+
+def _check_finite(**values) -> None:
+    """Raise ConfigValidationError for a NaN or infinite value, real or complex."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ConfigValidationError(f"{name}: must be finite, got {value!r}")
 
 
 def ground_state_probability(
@@ -53,6 +61,7 @@ def ground_state_probability(
     """Closed-form p(T) for a vacuum-started mode under a drive of strength eps_eff."""
     if model not in MODELS:
         raise InvalidModelError(f"unknown model {model!r}, expected one of {MODELS}")
+    _check_finite(eps_eff=eps_eff, omega=omega, t_final=t_final)
     m = LOWERED_QUANTA[model]
     e = abs(eps_eff)
     if omega == 0.0:
@@ -75,6 +84,7 @@ def greens_quadrature_probability(
     """
     if resolution < 100:
         raise ConfigValidationError(f"resolution must be >= 100, got {resolution}")
+    _check_finite(eps_eff=eps_eff, omega=omega, t_final=t_final)
     if t_final == 0.0:
         return 1.0
     n = int(resolution)
@@ -106,6 +116,10 @@ def two_boson_variances(
     Delta = k omega / 2 <= 2 |eps|: that is the parametric-gain regime, where
     the variances grow without bound and Omega turns imaginary.
     """
+    _check_finite(eps=eps, omega=omega)
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ConfigValidationError(f"t: must be finite, got {t!r}")
     delta = 0.5 * k * omega
     if delta <= 2.0 * abs(eps):
         raise ConfigValidationError(
@@ -113,7 +127,6 @@ def two_boson_variances(
             f"{delta!r} <= {2.0 * abs(eps)!r} (parametric gain)"
         )
     big = math.sqrt(delta * delta - 4.0 * abs(eps) ** 2)
-    t = np.asarray(t, dtype=float)
     rot = np.exp(1j * delta * t)
     s = np.sin(big * t)
     u = rot * (np.cos(big * t) - 1j * (delta / big) * s)

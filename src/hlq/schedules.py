@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
-from .errors import InvalidCoherenceError, InvalidPreparationError
+from .errors import ConfigValidationError, InvalidCoherenceError, InvalidPreparationError
 
 SCHEDULES = ("uniform", "alternating", "rotating")
 
@@ -68,6 +69,18 @@ def _mixing_angle(zeta_abs: float) -> float:
     return 0.5 * math.asin(2.0 * zeta_abs)
 
 
+def _check_request(n_steps: int, **values) -> None:
+    """Raise ConfigValidationError unless n_steps is an integer >= 0 and every value,
+    real or complex, is a finite number of finite modulus, so every prep made passes
+    ``AtomPrep.validate``."""
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ConfigValidationError(f"n_steps: must be an integer >= 0, got {n_steps!r}")
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Complex)
+                and math.isfinite(math.hypot(value.real, value.imag))):
+            raise ConfigValidationError(f"{name}: must be a finite number, got {value!r}")
+
+
 def uniform_schedule(
     n_steps: int,
     zeta_abs: float,
@@ -75,6 +88,7 @@ def uniform_schedule(
     eta: complex = 1.0,
 ) -> list[AtomPrep]:
     """N identical preps with zeta = zeta_abs * exp(i phase)."""
+    _check_request(n_steps, phase=phase, eta=eta)
     theta = _mixing_angle(zeta_abs)
     prep = AtomPrep(
         alpha=complex(math.cos(theta)),
@@ -89,6 +103,7 @@ def alternating_schedule(
     eta: complex = 1.0,
 ) -> list[AtomPrep]:
     """Preps whose coherence flips sign every step: zeta_j = (-1)^(j-1) zeta_abs."""
+    _check_request(n_steps, eta=eta)
     theta = _mixing_angle(zeta_abs)
     even = AtomPrep(complex(math.cos(theta)), complex(math.sin(theta)), complex(eta))
     odd = AtomPrep(complex(math.cos(theta)), complex(-math.sin(theta)), complex(eta))
@@ -106,7 +121,16 @@ def rotating_schedule(
 
     tau_j = (j - 1/2) dt is the mid-step time at which the engines evaluate
     their couplings. At omega = 0 this degenerates to the uniform schedule.
+    The last phase omega tau_N must be finite too.
     """
+    _check_request(n_steps, omega=omega, dt=dt, eta=eta)
+    try:  # bounds every phase omega tau_j
+        span = abs(omega * dt) * n_steps
+    except OverflowError:  # n_steps past the float range
+        span = math.inf
+    if not math.isfinite(span):
+        raise ConfigValidationError(
+            f"omega * dt * n_steps overflows (omega {omega!r}, dt {dt!r}, n_steps {n_steps!r})")
     theta = _mixing_angle(zeta_abs)
     a = complex(math.cos(theta))
     s = math.sin(theta)

@@ -360,14 +360,13 @@ class TestNoOutputOnFailure:
         assert main([command, cfg, "--out-dir", str(out), *flags]) == code
         assert not (tmp_path / "absent").exists()
 
-    # With engine = both, the standard run fails after the hidden one succeeded.
+    # With engine = both, the standard lane fails after both lanes have stepped.
     def test_both_engines_run_before_writing(self, tmp_path, monkeypatch):
-        def second_fails(config, *args, **kwargs):
-            if config.engine == "standard":
-                raise TruncationOverflowError(7, 2e-6)
-            return run(config, *args, **kwargs)
+        def standard_fails(config, *args, **kwargs):
+            run_compare(config, *args, **kwargs)
+            raise TruncationOverflowError(7, 2e-6)
 
-        monkeypatch.setattr(cli, "run", second_fails)
+        monkeypatch.setattr(cli, "run_compare", standard_fails)
         cfg = write(tmp_path, TINY + "engine = both\n")
         out = tmp_path / "o"
         assert main(["run", cfg, "--out-dir", str(out)]) == 2
@@ -382,6 +381,69 @@ class TestNoOutputOnFailure:
         assert [e["status"] for e in manifest["results"]] == ["ok", "failed"]
         assert (out / "steps=10" / "timeseries.csv").exists()
         assert not (out / "steps=600").exists()
+
+
+class TestEngineBoth:
+    """engine = both is one lockstep run; its lanes write the single-engine runs' bytes."""
+
+    ROTATING = ("omega = 1.3\ndt = 0.01\nsteps = 30\ndim = 12\neta = 0.8-0.3j\n"
+                "schedule = rotating\ninitial = coherent(0.3+0.2j)\n")
+    # The standard lane overflows at step 8, the hidden one at step 9.
+    OVERFLOW = ("model = linear\nomega = 0\ndt = 0.05\nsteps = 400\ndim = 8\neta = 3\n"
+                "engine = both\n")
+
+    @staticmethod
+    def outputs(tmp_path, text, *argv) -> dict[str, Path]:
+        """Out dir of `hlq <argv> --out-dir` per engine, run on text plus the engine line."""
+        out = {}
+        for engine in ("both", "hidden", "standard"):
+            cfg = write(tmp_path, text + f"engine = {engine}\n", f"{engine}.cfg")
+            out[engine] = tmp_path / engine
+            assert main([argv[0], cfg, "--out-dir", str(out[engine]), *argv[1:]]) == 0
+        return out
+
+    @staticmethod
+    def assert_lanes_equal_runs(out: dict[str, Path], sub: str = "") -> None:
+        for engine in ("hidden", "standard"):
+            for kind in ("timeseries", "final_state"):
+                lane = out["both"] / sub / f"{kind}_{engine}.csv"
+                single = out[engine] / sub / f"{kind}.csv"
+                assert lane.read_bytes() == single.read_bytes()
+
+    @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
+    def test_run_files_equal_single_engine_runs(self, tmp_path, model):
+        out = self.outputs(tmp_path, f"model = {model}\n" + self.ROTATING, "run")
+        self.assert_lanes_equal_runs(out)
+
+    def test_sweep_files_equal_single_engine_sweeps(self, tmp_path):
+        out = self.outputs(tmp_path, "model = two-boson\n" + self.ROTATING, "sweep",
+                           "--param", "omega", "--values", "0.7,1.9")
+        for value in ("0.7", "1.9"):
+            self.assert_lanes_equal_runs(out, f"omega={value}")
+
+    def test_one_deep_checked_lockstep_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recorded(config, *args, **kwargs):
+            calls.append(kwargs)
+            return run_compare(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("run called for both"))
+        monkeypatch.setattr(cli, "run_compare", recorded)
+        cfg = write(tmp_path, TINY + "engine = both\n")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+        assert calls == [{"per_step_distance": False, "deep_checks": True}]
+
+    def test_overflow_names_earliest_step_of_either_engine(self, tmp_path, capsys):
+        cfg = write(tmp_path, self.OVERFLOW)
+        errors = []
+        for command in ("run", "compare"):
+            out = tmp_path / command
+            assert main([command, cfg, "--out-dir", str(out)]) == 2
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: ") and " at step 8 " in errors[0]
 
 
 class TestCompareCommand:

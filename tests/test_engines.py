@@ -21,6 +21,7 @@ from hlq.engines import (
 )
 from hlq.errors import (
     ConfigValidationError,
+    InvalidModelError,
     InvalidPreparationError,
     NonFiniteStateError,
     TruncationOverflowError,
@@ -139,6 +140,11 @@ class TestCouplings:
         assert phase_multiplicity("intensity", "operator") == 1
         for model in ("linear", "two-boson", "intensity"):
             assert phase_multiplicity(model, "coherence") == 1
+
+    @pytest.mark.parametrize("convention", ["operator", "coherence"])
+    def test_phase_multiplicity_unknown_model(self, convention):
+        with pytest.raises(InvalidModelError, match="unknown model 'foo'"):
+            phase_multiplicity("foo", convention)
 
 
 class TestHiddenStep:

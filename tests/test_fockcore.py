@@ -86,6 +86,11 @@ class TestModelOperator:
         with pytest.raises(InvalidModelError):
             model_band("cubic", 8)
 
+    def test_non_integer_dim_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="must be an integer >= 1, got 2.5"):
+            model_band("linear", 2.5)
+        assert model_band("linear", np.int64(3)).size == 2
+
     def test_d1_degenerate(self):
         for model in MODELS:
             assert model_band(model, 1).shape == (0,)
@@ -271,6 +276,14 @@ class TestCoherentVector:
         with pytest.raises(ConfigValidationError, match="coherent amplitude .* not finite or"):
             coherent_vector(gamma, 8)
 
+    def test_non_number_amplitude_rejected(self):
+        with pytest.raises(ConfigValidationError, match="coherent amplitude 'x' is not a number"):
+            coherent_vector("x", 3)
+
+    def test_non_integer_dim_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="must be an integer >= 1, got 2.5"):
+            coherent_vector(0.1, 2.5)
+
     def test_poisson_weights(self):
         gamma = 1.3
         c = coherent_vector(gamma, 10)
@@ -294,3 +307,4 @@ def test_public_api_leaves_out_test_oracles():
     assert not hasattr(hlq.errors, "InvalidHamiltonianError")
     assert not hasattr(hlq.engines, "_band")
     assert hlq.model_band is hlq.fockcore.model_band
+

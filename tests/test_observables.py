@@ -172,7 +172,7 @@ class TestFidelity:
         )
 
     @pytest.mark.parametrize("gamma",
-                             [1e200, complex(1e154, 1e154), math.nan, complex(0, math.inf)])
+                             [1e200, complex(1e154, 1e154), math.nan, complex(0, math.inf), "x"])
     def test_bad_amplitude_rejected(self, gamma):
         with pytest.raises(ConfigValidationError, match="coherent amplitude"):
             fidelity_coherent(vacuum(8), gamma)
@@ -240,6 +240,11 @@ class TestHusimi:
         with pytest.raises(InvalidDimensionError, match="at least 2 points"):
             husimi_grid(vacuum(), 1.0, 1)
 
+    @pytest.mark.parametrize("resolution", [2.5, math.nan, math.inf, "5"])
+    def test_non_whole_resolution_rejected(self, resolution):
+        with pytest.raises(InvalidDimensionError, match="whole number of at least 2 points"):
+            husimi_grid(vacuum(4), 5.0, resolution)
+
     # Only the requested size is computed: no test allocates a table near the cap.
     def test_table_over_cap_rejected_before_allocating(self):
         rho = np.zeros((12, 12), dtype=complex)
@@ -304,3 +309,22 @@ class TestHusimi:
             husimi_window(5.0, 100000, 12)
         with pytest.raises(ConfigValidationError, match="too wide for dim 12"):
             husimi_window(1e200, 3, 12)
+
+
+class TestMalformedState:
+    """One-state observables reject anything but a square 2-D array."""
+
+    @pytest.mark.parametrize("func", [
+        lambda rho: trace_distance(rho, rho),
+        lambda rho: fidelity_coherent(rho, 0.3),
+        lambda rho: husimi_grid(rho, 2.0, 5),
+        mean_photon,
+        quadrature_variances,
+        trajectory_point,
+        ground_population,
+    ], ids=["trace_distance", "fidelity_coherent", "husimi_grid", "mean_photon",
+            "quadrature_variances", "trajectory_point", "ground_population"])
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_rejected(self, func, shape):
+        with pytest.raises(InvalidDimensionError, match="square 2-D array"):
+            func(np.zeros(shape, dtype=complex))

@@ -139,3 +139,35 @@ class TestTwoBosonVariances:
     def test_parametric_gain_regime_rejected(self, eps, omega, k):
         with pytest.raises(ConfigValidationError):
             two_boson_variances(eps, omega, [0.0, 1.0], k=k)
+
+
+class TestNonFiniteArguments:
+    NAN, INF = float("nan"), float("inf")
+
+    def test_infinite_omega_rejected(self):
+        with pytest.raises(ConfigValidationError, match="omega: must be finite, got inf"):
+            ground_state_probability(0.5, self.INF, 1.0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((NAN, 1.0, 1.0), "eps_eff"), ((0.5, NAN, 1.0), "omega"), ((0.5, 1.0, NAN), "t_final"),
+        ((0.5, 0.0, INF), "t_final"),
+    ])
+    def test_closed_form_rejects_nan(self, args, name):
+        with pytest.raises(ConfigValidationError, match=f"{name}: must be finite"):
+            ground_state_probability(*args)
+
+    @pytest.mark.parametrize("args, name", [
+        ((NAN, 1.0, 1.0), "eps_eff"), ((0.5, NAN, 1.0), "omega"), ((0.5, 1.0, NAN), "t_final"),
+    ])
+    def test_quadrature_rejects_nan(self, args, name):
+        with pytest.raises(ConfigValidationError, match=f"{name}: must be finite"):
+            greens_quadrature_probability(*args, resolution=100)
+
+    # A NaN fails the gain comparison, so unchecked it would reach numpy and warn.
+    @pytest.mark.parametrize("args, name", [
+        ((complex(NAN, 0.0), 3.0, [0.1]), "eps"), ((0.1, NAN, [0.1]), "omega"),
+        ((0.1, 3.0, [0.1, NAN]), "t"),
+    ])
+    def test_two_boson_variances_reject_nan(self, args, name):
+        with pytest.raises(ConfigValidationError, match=f"{name}: must be finite"):
+            two_boson_variances(*args)

@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from hlq.errors import InvalidCoherenceError, InvalidPreparationError
+from hlq.errors import (
+    ConfigValidationError,
+    InvalidCoherenceError,
+    InvalidPreparationError,
+)
 from hlq.schedules import (
     AtomPrep,
     alternating_schedule,
@@ -108,3 +112,38 @@ def test_eta_passed_through():
 def test_prep_zeta_definition():
     prep = AtomPrep(alpha=0.6 * cmath.exp(0.3j), beta=0.8 * cmath.exp(-0.5j), eta=1.0)
     assert prep.zeta == pytest.approx(np.conj(prep.alpha) * prep.beta)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: uniform_schedule(2.5, 0.3), "n_steps"),
+    (lambda: alternating_schedule(2.5, 0.3), "n_steps"),
+    (lambda: rotating_schedule(2.5, 0.3, 1.0, 0.1), "n_steps"),
+    (lambda: uniform_schedule(-1, 0.3), "n_steps"),
+    (lambda: alternating_schedule(-1, 0.3), "n_steps"),
+    (lambda: rotating_schedule(-1, 0.3, 1.0, 0.1), "n_steps"),
+    (lambda: uniform_schedule("3", 0.3), "n_steps"),
+    (lambda: uniform_schedule(2, 0.3, NAN), "phase"),
+    (lambda: uniform_schedule(2, 0.3, INF), "phase"),
+    (lambda: uniform_schedule(2, 0.3, 0.0, complex("nan")), "eta"),
+    (lambda: alternating_schedule(2, 0.3, complex(0.0, INF)), "eta"),
+    (lambda: rotating_schedule(2, 0.3, NAN, 0.1), "omega"),
+    (lambda: rotating_schedule(2, 0.3, 1.0, -INF), "dt"),
+    (lambda: rotating_schedule(2, 0.3, 1.0, 0.1, NAN), "eta"),
+    (lambda: rotating_schedule(2, 0.3, 1e308, 10.0), "overflows"),
+])
+def test_generator_inputs_typed(make, name):
+    with pytest.raises(ConfigValidationError, match=name):
+        make()
+
+
+def test_generator_preps_pass_validate():
+    for n in (0, 3, np.int64(3), np.int32(4)):
+        for schedule in (uniform_schedule(n, 0.3, np.float64(0.4), 0.8 - 0.3j),
+                         alternating_schedule(n, 0.3, 1e308 + 1e308j),
+                         rotating_schedule(n, 0.3, np.float64(1.3), np.float32(0.01), 2j)):
+            assert len(schedule) == n
+            for prep in schedule:
+                prep.validate()
