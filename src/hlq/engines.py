@@ -43,7 +43,10 @@ alpha|up> + beta|down> leaves two Kraus operators K_s = <s|U|phi>, each a
 diagonal plus one band at offset +-k', so the hidden step is
 rho -> K_up rho K_up^dag + K_down rho K_down^dag, one pass over both, with
 no eigendecomposition. The blocks depend only on |eta|: a kernel holds them
-for the |eta| of the current step and rebuilds them when it changes.
+for the |eta| of the current step and rebuilds them when it changes. The pass
+runs on nine d x d buffers the kernel holds (576 KiB at dim 64), every numpy
+call with operands of its output's shape, so a step allocates nothing that
+grows with dim and writes the state back into the kernel's own buffer.
 
 The standard coupling is |eps| D (R0 + R0^dag) D^dag with
 D = diag(e^{i theta n / k'}), theta = arg eps + k omega tau and
@@ -55,7 +58,8 @@ steps it by two matrix-vector products,
 
     psi -> q * (W (e^{-i |eps| dt w} * (W^dag (conj(q) * psi)))),   q = e^{i theta n / k'},
 
-holding the d phases e^{-i |eps| dt w} for the current step's |eps| alike.
+holding the d phases e^{-i |eps| dt w} for the current step's |eps| alike. It
+forms psi psi^dag in three d x d buffers it holds (192 KiB at dim 64).
 A kernel holds O(dim^2) state whatever its schedule, and every schedule takes
 the same path in both engines.
 
@@ -114,7 +118,9 @@ TRUNCATION_LIMIT = 1e-6
 # counted at _STEP_BYTES per step: two lanes' 72-byte trajectory rows plus one
 # rotating-schedule prep (136 bytes traced, the largest schedule item). Each
 # recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes and each
-# kernel holds the factors and work buffers of one step; neither grows with steps.
+# kernel holds the factors and work buffers of one step, neither growing with
+# steps: the hidden kernel nine d x d complex buffers, the standard one five
+# (psi psi^dag in three, and W and W^dag), 576 and 320 KiB at dim 64.
 RUN_MAX_BYTES = 1 << 30
 _STEP_BYTES = 2 * 72 + 136
 
@@ -319,10 +325,14 @@ def _last_value(build):
     return memo
 
 
-def _lanes(a: np.ndarray, start: int, lane_step: int, shape: tuple[int, int]) -> np.ndarray:
-    """(2, *shape) view of C-contiguous a: lane l starts at flat entry start + l * lane_step."""
+def _lanes(a: np.ndarray, start: int, lane_step: int, shape: tuple[int, ...]) -> np.ndarray:
+    """(2, *shape) view of C-contiguous a: lane l starts at flat entry start + l * lane_step.
+
+    A one-entry shape is a flat run; a (rows, cols) shape takes rows of a's width.
+    """
     s = a.itemsize
-    return np.ndarray((2, *shape), a.dtype, a, start * s, (lane_step * s, a.shape[-1] * s, s))
+    inner = (a.shape[-1] * s, s) if len(shape) == 2 else (s,)
+    return np.ndarray((2, *shape), a.dtype, a, start * s, (lane_step * s, *inner))
 
 
 class _HiddenKernel:
@@ -331,11 +341,28 @@ class _HiddenKernel:
     ``_blocks`` stacks C_up, C_down and the bands -i S_up R0, -i S_down R0^dag
     (each in its first n = d - k' entries) for the step's |eta|; times
     [alpha, beta, beta c, alpha conj(c)], c = conj(eta) e^{-i k omega tau}, it
-    gives K_up's and K_down's diagonal a and band b. On (2, d, d) buffers, one
-    lane per operator, a step is x = a rho, x[band rows] += b rho[source rows],
-    t[band cols] = x[source cols] conj(b), x = x conj(a) + t, then x[up] + x[down],
-    each pair of lane slices one ``_lanes`` view. t is -0 off its band columns
-    and x + (-0) is x, so every entry gets the operations of K rho K^dag.
+    gives K_up's and K_down's diagonal a and band b. A step is, on one lane per
+    operator, x = a rho, x[band rows] += b rho[source rows],
+    t[band cols] = x[source cols] conj(b), x = x conj(a) + t, then x[up] + x[down].
+
+    Every numpy call on that path has operands of its output's shape, taken
+    from buffers the kernel holds: none broadcasts, so numpy's ufunc iterator
+    allocates no buffer, and none makes a temporary. The kernel holds nine
+    d x d complex buffers, 576 KiB at dim 64:
+
+    - x, two lanes;
+    - the planes a_i and conj(a_j), two lanes each, refilled only when the
+      step's prep is another object than the last one's;
+    - the plane p, two lanes: b_i on the band rows, which becomes their
+      products b rho, then conj(b_j) on the band columns, which becomes t;
+    - rho, which the lane sum is written into and the next step reads.
+
+    The band rows and band columns of both lanes are each one flat run per
+    lane, the column source shifted by k' entries, so each stage is one call
+    over a (2, run) view with contiguous lanes. The column products that wrap
+    from one row into the next land off the band columns; they are overwritten
+    by -0 - 0j, and x + (-0) is x, so every entry gets the operations of
+    K rho K^dag.
 
     ``unitarity_defect`` is the largest defect of the joint blocks built so far,
     taken over the 2 x 2 pairs (|up, i>, |down, i + k'>) the joint propagator
@@ -345,13 +372,21 @@ class _HiddenKernel:
     def __init__(self, r: np.ndarray, k_low: int, k_omega: float, dt: float):
         self.r, self.k_low, self.k_omega, self.dt = r, k_low, k_omega, dt
         self.unitarity_defect = 0.0
-        n, d = r.size, r.size + k_low
-        self._x, self._rows = np.empty((2, d, d), dtype=complex), np.empty((2, n, d), dtype=complex)
-        self._t = np.full((2, d, d), complex(-0.0, -0.0))
-        # (up, down) lanes: x[:n] and x[k':]; x[:, k':] and x[:, :n]; t[:, :n] and t[:, k':]
-        self._band_rows = _lanes(self._x, 0, d * d + k_low * d, (n, d))
-        self._source_cols = _lanes(self._x, k_low, d * d - k_low, (d, n))
-        self._band_cols = _lanes(self._t, 0, d * d + k_low, (d, n))
+        n, d, k = r.size, r.size + k_low, k_low
+        self._rho = np.empty((d, d), dtype=complex)
+        self._x, self._a, self._ac = (np.empty((2, d, d), dtype=complex) for _ in range(3))
+        self._p = np.zeros((2, d, d), dtype=complex)
+        self._coef, self._ab, self._abc = (np.empty((4, d), dtype=complex) for _ in range(3))
+        self._prep = None
+        # (up, down) lanes: band rows x[:n] and x[k':] read rho[k':] and rho[:n];
+        # band columns t[:, :n] and t[:, k':] read x[:, k':] and x[:, :n]
+        self._band_rows = _lanes(self._x, 0, d * d + k * d, (n * d,))
+        self._row_products = self._p.reshape(2, d * d)[:, :n * d]
+        self._source_rows = _lanes(self._rho, k * d, -k * d, (n * d,))
+        self._col_planes = _lanes(self._p, 0, d * d + k, (d, n))
+        self._band_cols = _lanes(self._p, 0, d * d + k, (d * d - k,))
+        self._source_cols = _lanes(self._x, k, d * d - k, (d * d - k,))
+        self._wrapped = _lanes(self._p, n, d * d - n, (d, k))
 
     @_last_value
     def _blocks(self, eta_abs: float):
@@ -377,25 +412,44 @@ class _HiddenKernel:
         return rho
 
     def step(self, rho: np.ndarray, prep: _schedules.AtomPrep, tau: float) -> np.ndarray:
+        """The state after one step, in the kernel's own buffer, which the next step overwrites.
+
+        A caller's array is copied in first and never written.
+        """
+        if rho is not self._rho:
+            np.copyto(self._rho, rho)
         c = prep.eta.conjugate() * cmath.exp(-1j * self.k_omega * tau)
-        ab = (np.array([prep.alpha, prep.beta, prep.beta * c, prep.alpha * c.conjugate()])[:, None]
-              * self._blocks(abs(prep.eta)))
-        rho = np.ascontiguousarray(rho, dtype=complex)
-        n, k, d, x = self.r.size, self.k_low, rho.shape[0], self._x
+        coef, ab, abc, x, p, n = self._coef, self._ab, self._abc, self._x, self._p, self.r.size
+        np.copyto(coef, np.array([prep.alpha, prep.beta, prep.beta * c,
+                                  prep.alpha * c.conjugate()])[:, None])
         # Operand order as written: numpy's complex loops round a * b and b * a apart.
-        np.multiply(ab[:2, :, None], rho, out=x)
-        # (rho[k':], rho[:n]) are the rows that up's and down's band rows read
-        self._band_rows += np.multiply(ab[2:, :n, None], _lanes(rho, k * d, -k * d, (n, d)),
-                                       out=self._rows)
-        ab = ab.conj()
-        np.multiply(self._source_cols, ab[2:, None, :n], out=self._band_cols)
-        x *= ab[:2, None, :]
-        x += self._t
-        return x[0] + x[1]
+        np.multiply(coef, self._blocks(abs(prep.eta)), out=ab)
+        np.conjugate(ab, out=abc)
+        if prep is not self._prep:  # AtomPrep is frozen; a value key would merge -0.0 and 0.0
+            self._prep = prep
+            np.copyto(self._a, ab[:2, :, None])
+            np.copyto(self._ac, abc[:2, None, :])
+        for lane in 0, 1:
+            np.multiply(self._a[lane], self._rho, out=x[lane])
+        np.copyto(p[:, :n], ab[2:, :n, None])
+        self._band_rows += np.multiply(self._row_products, self._source_rows,
+                                       out=self._row_products)
+        np.copyto(self._col_planes, abc[2:, None, :n])
+        np.multiply(self._source_cols, self._band_cols, out=self._band_cols)
+        self._wrapped.fill(complex(-0.0, -0.0))
+        x *= self._ac
+        x += p
+        return np.add(x[0], x[1], out=self._rho)
 
 
 class _StandardKernel:
-    """Semiclassical step of the state vector by D W e^{-i |eps| dt w} W^dag D^dag."""
+    """Semiclassical step of the state vector by D W e^{-i |eps| dt w} W^dag D^dag.
+
+    ``density`` writes psi psi^dag into a d x d buffer the kernel holds, as
+    one same-shape multiply of a row plane (psi_i) by a column plane
+    (conj(psi_j)): three d x d complex buffers, 192 KiB at dim 64, beside the
+    eigenbasis W and W^dag.
+    """
 
     def __init__(self, r: np.ndarray, k_low: int, k_omega: float, dt: float):
         # Complex on purpose: a real h0 sends eigh down LAPACK's real-symmetric path.
@@ -406,12 +460,17 @@ class _StandardKernel:
         self.k_omega = k_omega
         self.dt = dt
         self._fock = np.arange(h0.shape[0]) / k_low
+        self._rho, self._rows, self._cols = (np.empty_like(h0) for _ in range(3))
 
     @staticmethod
     def start(psi: np.ndarray) -> np.ndarray:
         return psi
 
-    density = staticmethod(_pure_density)
+    def density(self, psi: np.ndarray) -> np.ndarray:
+        """psi psi^dag, byte for byte np.outer(psi, psi.conj()), in the kernel's own buffer."""
+        np.copyto(self._rows, psi[:, None])
+        np.copyto(self._cols, psi.conj())
+        return np.multiply(self._rows, self._cols, out=self._rho)
 
     @_last_value
     def _phases(self, eps_abs: float) -> np.ndarray:

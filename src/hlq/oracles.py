@@ -64,10 +64,13 @@ def ground_state_probability(
     _check_finite(eps_eff=eps_eff, omega=omega, t_final=t_final)
     m = LOWERED_QUANTA[model]
     e = abs(eps_eff)
-    if omega == 0.0:
-        return math.exp(-m * (e * t_final) ** 2)
-    s = math.sin(0.5 * omega * t_final)
-    return math.exp(-4.0 * m * (e * s / omega) ** 2)
+    try:
+        if omega == 0.0:
+            return math.exp(-m * (e * t_final) ** 2)
+        s = math.sin(0.5 * omega * t_final)
+        return math.exp(-4.0 * m * (e * s / omega) ** 2)
+    except OverflowError:  # the exponent is past the float range, where exp gives 0
+        return 0.0
 
 
 def greens_quadrature_probability(
@@ -99,7 +102,16 @@ def greens_quadrature_probability(
     we = w * e
     prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(we)[:-1]))
     inner = e.conj() * (prefix + 0.5 * we)
-    b_val = -1j * abs(eps_eff) ** 2 * h * h * np.sum(w * inner)
+    try:
+        scale = abs(eps_eff) ** 2 * h * h
+    except OverflowError:  # |eps|^2 is past the float range; (|eps| h)^2 may not be
+        try:
+            scale = (abs(eps_eff) * h) ** 2
+        except OverflowError:
+            scale = math.inf
+    if math.isinf(scale):  # the exponent is past the float range, where exp gives 0
+        return 0.0
+    b_val = -1j * scale * np.sum(w * inner)
     return float(np.exp(2.0 * b_val.imag))
 
 
@@ -125,6 +137,10 @@ def two_boson_variances(
         raise ConfigValidationError(
             f"two-boson oracle needs k omega / 2 > 2 |eps|, got "
             f"{delta!r} <= {2.0 * abs(eps)!r} (parametric gain)"
+        )
+    if not math.isfinite(delta * delta):  # abs(eps) ** 2 < delta^2 / 4 is then finite
+        raise ConfigValidationError(
+            f"two-boson oracle: (k omega / 2)^2 overflows, got k omega / 2 = {delta!r}"
         )
     big = math.sqrt(delta * delta - 4.0 * abs(eps) ** 2)
     rot = np.exp(1j * delta * t)

@@ -3,9 +3,15 @@
 import cmath
 import dataclasses
 import gc
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,18 +457,30 @@ class TestStackedHiddenStep:
             yield j, stacked, two_pass
 
     @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
-    @pytest.mark.parametrize("d", [2, 3, 12, 32, 64])
+    @pytest.mark.parametrize("d", [2, 3, 12, 32, 48, 64, 96])
     @pytest.mark.parametrize("schedule", ["uniform", "alternating", "rotating"])
     @pytest.mark.parametrize("initial", ["vacuum", "coherent"])
     def test_equals_two_pass_bytes(self, model, d, schedule, initial):
         # The last two keep exact zeros in the state (a real or imaginary eta,
         # dt = 1 turning cosines negative), where a zero's sign would differ first.
+        # numpy buffers a call differently either side of 8,192 entries: 2 x 64^2
+        # and 96^2 are past it.
         for eta, omega, dt in ((0.9 - 0.4j, 1.3, 0.05), (0j, 1.3, 0.05), (2j, 0.0, 1.0),
                                (1 + 0j, 2.0, 1.0)):
             cfg = SimConfig(model=model, omega=omega, dt=dt, steps=40, dim=d, zeta_abs=0.4,
                             eta=eta, schedule=schedule, initial=initial, gamma0=0.6 - 0.3j)
             for j, stacked, two_pass in self.replay(cfg, make_schedule(cfg)):
                 assert stacked.tobytes() == two_pass.tobytes(), (eta, j)
+
+    def test_value_equal_preps_refill_the_planes(self):
+        # -0.0 == 0.0, so these preps compare equal, but their diagonal factors differ
+        # in a zero's sign, which reaches the state at dt = 1 (cosines turn negative).
+        eta = 0.9 - 0.4j
+        plus, minus = AtomPrep(0j, 1 + 0j, eta), AtomPrep(complex(-0.0, 0.0), 1 + 0j, eta)
+        assert plus == minus
+        cfg = SimConfig(model="linear", omega=1.3, dt=1.0, steps=8, dim=12, eta=eta)
+        for j, stacked, two_pass in self.replay(cfg, [plus, minus] * 4):
+            assert stacked.tobytes() == two_pass.tobytes(), j
 
     def test_real_amplitudes_equal_values(self):
         # float alpha or beta make the two-pass diagonal factors real, so an exact
@@ -480,6 +498,28 @@ class TestStackedHiddenStep:
         expected = two_pass_hidden_step(rho, prep, model_band("two-boson", 12), 2, 2.6, 0.3, 0.05)
         step = engines._build_stepper(cfg, "hidden").step(rho, prep, 0.3)
         assert step.tobytes() == expected.tobytes()
+
+
+    def test_state_held_by_the_kernel(self):
+        # The kernel steps its own buffer: a caller's array is read and never
+        # written, and a run's final state is its last snapshot, untouched by
+        # a later run.
+        rng = np.random.default_rng(43)
+        cfg = SimConfig(model="intensity", omega=1.3, dt=0.05, steps=12, dim=12, eta=0.9 - 0.4j,
+                        schedule="rotating")
+        sched = make_schedule(cfg)
+        kernel = engines._build_stepper(cfg, "hidden")
+        rho = random_density(rng, cfg.dim)
+        before = rho.tobytes()
+        state = kernel.step(rho, sched[0], 0.5 * cfg.dt)
+        assert rho.tobytes() == before
+        assert kernel.step(state, sched[1], 1.5 * cfg.dt) is state
+
+        first = run(cfg, snapshot_steps={cfg.steps})
+        assert first.final.tobytes() == first.snapshots[cfg.steps].tobytes()
+        kept = first.final.copy()
+        run(dataclasses.replace(cfg, eta=0.3j), deep_checks=False)
+        assert first.final.tobytes() == kept.tobytes()
 
 
 class TestStandardLane:
@@ -508,6 +548,23 @@ class TestStandardLane:
             assert np.array_equal(res.snapshots[j], np.outer(psi, psi.conj())), j
         assert np.array_equal(res.final, np.outer(psi, psi.conj()))
 
+    def test_density_is_outer_bytes_in_a_held_buffer(self):
+        # Signed zeros in either part of psi, where a zero's sign would differ first.
+        rng = np.random.default_rng(44)
+        for d in (2, 3, 12, 32, 64, 96):
+            cfg = SimConfig(model="linear", omega=1.3, dt=0.01, steps=1, dim=d, engine="standard")
+            kernel = engines._build_stepper(cfg, "standard")
+            held = kernel.density(random_vector(rng, d))
+            for _ in range(20):
+                psi = random_vector(rng, d)
+                zeros = rng.integers(0, 4, d)
+                psi.real[zeros == 1] = rng.choice([0.0, -0.0], d)[zeros == 1]
+                psi.imag[zeros == 2] = rng.choice([0.0, -0.0], d)[zeros == 2]
+                psi[zeros == 3] = complex(-0.0, -0.0)
+                rho = kernel.density(psi)
+                assert rho is held
+                assert rho.tobytes() == np.outer(psi, psi.conj()).tobytes(), d
+
     def test_deep_guard_inspects_every_density(self, monkeypatch):
         seen = []
         inspect = engines._Guard.inspect
@@ -522,6 +579,74 @@ class TestStandardLane:
         assert seen == [(j, (cfg.dim, cfg.dim)) for j in range(cfg.steps + 1)]
         # psi psi^dag is Hermitian up to the rounding of one product
         assert res.diagnostics.max_hermiticity_defect <= np.finfo(float).eps
+
+
+class TestStepHeap:
+    """The step path allocates nothing that grows with dim, so it never reaches malloc's trim cliff."""
+
+    @pytest.mark.parametrize("engine", ["hidden", "standard"])
+    @pytest.mark.parametrize("d", [12, 32, 48, 64, 96])
+    def test_step_and_density_allocate_little(self, engine, d):
+        cfg = SimConfig(model="linear", omega=1.3, dt=1e-3, steps=8, dim=d, engine=engine,
+                        initial="coherent", gamma0=1.0 + 0.5j, schedule="rotating")
+        sched = make_schedule(cfg)
+        kernel = engines._build_stepper(cfg, engine)
+        state = kernel.start(engines.initial_vector(cfg))
+        for j in range(1, cfg.steps):  # warm-up; a rotating schedule's prep is new every step
+            state = kernel.step(state, sched[j - 1], (j - 0.5) * cfg.dt)
+            kernel.density(state)
+        tracemalloc.start()
+        try:
+            state = kernel.step(state, sched[-1], (cfg.steps - 0.5) * cfg.dt)
+            kernel.density(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+    CHILD = """
+import json, math, resource
+from hlq.engines import SimConfig, run, run_compare
+
+def config(model, dim, engine, initial):
+    return SimConfig(model=model, omega=2 * math.pi / 5, dt=1e-2 if model == "linear" else 1e-3,
+                     steps=1000, dim=dim, engine=engine, initial=initial, gamma0=1.5 + 1.0j,
+                     phase="coherence")
+
+def compare(cfg, deep_checks):
+    return run_compare(cfg, per_step_distance=False, deep_checks=deep_checks)
+
+cases = {"hidden 64": (config("linear", 64, "hidden", "coherent"), run),
+         "hidden 96": (config("linear", 96, "hidden", "coherent"), run),
+         "two-boson 48": (config("two-boson", 48, "hidden", "vacuum"), run),
+         "standard 64": (config("linear", 64, "standard", "coherent"), run),
+         "standard 96": (config("linear", 96, "standard", "coherent"), run),
+         "compare 64": (config("linear", 64, "hidden", "coherent"), compare)}
+faults = {}
+for name, (cfg, call) in cases.items():
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call(cfg, deep_checks=False)
+        faults[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.steps
+print(json.dumps(faults))
+"""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="MALLOC_TRIM_THRESHOLD_ and the 128 KiB trim threshold are glibc's")
+    def test_second_run_takes_no_page_faults_under_eager_trim(self):
+        # With the trim threshold at 0, glibc hands back every freed top chunk, so a
+        # step that allocates and frees >= 128 KiB faults its pages in again each
+        # step. The second run of each case in one process counts what the step
+        # path itself costs. At dim 96 the recorder's 64-row reduction still
+        # allocates ~290 KiB per flush, about 1 fault per step.
+        env = dict(os.environ, MALLOC_TRIM_THRESHOLD_="0", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(engines.__file__).parents[1]),
+                                               os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", self.CHILD], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        faults = json.loads(out.stdout)
+        for name, per_step in faults.items():
+            assert per_step <= (2.0 if name.endswith("96") else 1.0), (name, faults)
 
 
 class TestRun:

@@ -171,3 +171,28 @@ class TestNonFiniteArguments:
     def test_two_boson_variances_reject_nan(self, args, name):
         with pytest.raises(ConfigValidationError, match=f"{name}: must be finite"):
             two_boson_variances(*args)
+
+
+class TestOverflowingArguments:
+    """Finite arguments whose squares leave the float range give the p -> 0 limit or a typed error."""
+
+    def test_closed_form_past_float_range_is_zero(self):
+        assert ground_state_probability(1e200, 1.0, 1.0) == 0.0
+
+    def test_static_closed_form_past_float_range_is_zero(self):
+        assert ground_state_probability(1e200, 0.0, 1.0) == 0.0
+
+    # |eps|^2 overflows; |eps|^2 h^2 overflows without raising, where -1j * inf gave nan
+    @pytest.mark.parametrize("eps, t", [(1e200, 1.0), (1e150, 1e10)])
+    def test_quadrature_past_float_range_is_zero(self, eps, t):
+        assert greens_quadrature_probability(eps, 1.0, t, resolution=100) == 0.0
+
+    def test_quadrature_large_eps_over_short_time(self):
+        # |eps|^2 overflows but |eps T| = 1: the static law exp(-1) still holds
+        p = greens_quadrature_probability(1e200, 0.0, 1e-200, resolution=1000)
+        assert p == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    def test_two_boson_variances_detuning_past_float_range(self):
+        # unchecked, Delta^2 overflows inside sqrt and the variances come out nan, nan
+        with pytest.raises(ConfigValidationError, match=r"\(k omega / 2\)\^2 overflows"):
+            two_boson_variances(1.0, 1e200, [0.0, 1.0])
