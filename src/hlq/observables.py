@@ -16,6 +16,10 @@ to the moments of all its states at once. Reading ``records`` reduces the rows
 still pending, so every row recorded so far is complete whenever the table is
 read. The one-state functions below are the same reduction on one row, so a
 recorded row equals them bit for bit.
+
+``husimi_grid`` evaluates Q on blocks of grid rows: each block's
+coherent-amplitude table is built in one pass, and Q = <gamma|rho|gamma>/pi
+of every point in the block takes one matrix product with rho.
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from .fockcore import coherent_vector, model_band
 # Largest coherent-amplitude table (resolution^2 x dim complex entries) that
 # husimi_grid will allocate, in bytes.
 HUSIMI_MAX_BYTES = 1 << 30
+
+# Amplitude table husimi_grid evaluates per block of grid rows, in bytes.
+_HUSIMI_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -102,30 +109,53 @@ class _Diagonals:
     """Flat positions and weights of the diagonals 0, -1 and -2 of a d x d matrix.
 
     ``index`` picks the three diagonals, in that order, out of ``rho.ravel()``
-    as one row of 3d - 3 entries. ``moments`` reduces a stack of such rows,
-    one state per row, to the columns <b^dag b>, <b> and <b^2>: each is the sum
-    along the row of one diagonal times its weights, arange(d) for the real
-    part of diagonal 0 and the ``linear`` and ``two-boson`` bands for the
-    diagonals -1 and -2.
+    as one row of ``index.size`` entries (3d - 3 for d >= 2). ``moments``
+    reduces a stack of up to ``rows`` such complex rows, one state per row, to
+    the columns <b^dag b>, <b> and <b^2>: each is the sum along the row of one
+    diagonal times its weights, arange(d) for the real part of diagonal 0 and
+    the ``linear`` and ``two-boson`` bands for the diagonals -1 and -2.
+
+    The weights are two full (rows, index.size) planes: a real one, arange(d)
+    and then ones, which scales the real parts in place, and a complex one,
+    zeros and then the bands, which scales the whole rows in place after
+    diagonal 0 is summed. Every call is then one flat run over operands of one
+    shape and type: none casts, broadcasts, buffers a strided operand or
+    allocates a block. The returned columns are views of held buffers, valid
+    until the next call.
     """
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, rows: int = 1):
         n = np.arange(d)
         self.index = np.concatenate([n * (d + 1), n[1:] * (d + 1) - 1, n[2:] * (d + 1) - 2])
+        self._d = d
         self._cuts = (d, 2 * d - 1)
-        self._weights = (n, model_band("linear", d), model_band("two-boson", d))
+        self._weights_n = np.ones((rows, self.index.size))
+        self._weights_n[:, :d] = n
+        self._weights_b = np.zeros((rows, self.index.size), dtype=complex)
+        self._weights_b[:, d:2 * d - 1] = model_band("linear", d)
+        self._weights_b[:, 2 * d - 1:] = model_band("two-boson", d)
+        self._sums = (np.empty(rows), np.empty(rows, dtype=complex), np.empty(rows, dtype=complex))
 
     def moments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        main, low1, low2 = np.split(rows, self._cuts, axis=1)
-        w_n, w_b, w_bb = self._weights
-        return (np.sum(w_n * main.real, axis=1), np.sum(w_b * low1, axis=1),
-                np.sum(w_bb * low2, axis=1))
+        """The three columns of a contiguous complex128 stack ``rows``, which is overwritten."""
+        k = rows.shape[0]
+        mean_n, mean_b, mean_bb = (total[:k] for total in self._sums)
+        np.multiply(self._weights_n[:k], rows.real, out=rows.real)
+        np.sum(rows.real[:, :self._d], axis=1, out=mean_n)
+        np.multiply(self._weights_b[:k], rows, out=rows)
+        _, low1, low2 = np.split(rows, self._cuts, axis=1)
+        np.sum(low1, axis=1, out=mean_b)
+        np.sum(low2, axis=1, out=mean_bb)
+        return mean_n, mean_b, mean_bb
 
 
 def _moments(rho: np.ndarray) -> tuple[float, complex, complex]:
     """(<b^dag b>, <b>, <b^2>) of one state: the recorder's reduction on one row."""
     diagonals = _Diagonals(_check_state(rho))
-    mean_n, mean_b, mean_bb = diagonals.moments(rho.ravel()[diagonals.index][None])
+    # A complex128 copy, which the in-place products need; a real or complex64
+    # state's entries cast to it exactly.
+    row = np.asarray(np.ravel(rho)[diagonals.index], dtype=complex)
+    mean_n, mean_b, mean_bb = diagonals.moments(row[None])
     return float(mean_n[0]), complex(mean_b[0]), complex(mean_bb[0])
 
 
@@ -151,11 +181,11 @@ class TrajectoryRecorder:
     into that row and copies the diagonals 0, -1 and -2 of rho into a pending
     buffer of ``_CHUNK`` rows with one gather; the buffer is sized from the
     first state. The pending rows are always one contiguous range, so a full
-    buffer is reduced column-wise (``_Diagonals.moments``) and its rows' step,
-    t, p00, mean_n and mean_b are written as whole column slices; var_x and
-    var_y are taken per state from those moments. Reading ``records`` first
-    reduces the rows still pending, so every row recorded so far is complete
-    whenever the table is read.
+    buffer is reduced column-wise (``_Diagonals.moments``, in place, after
+    p00 is copied out) and its rows' step, t, p00, mean_n and mean_b are
+    written as whole column slices; var_x and var_y are taken per state from
+    those moments. Reading ``records`` first reduces the rows still pending,
+    so every row recorded so far is complete whenever the table is read.
     """
 
     def __init__(self, steps: int, dt: float):
@@ -176,7 +206,7 @@ class TrajectoryRecorder:
     def record(self, rho: np.ndarray) -> None:
         self._purity[self._next] = purity(rho)
         if self._diagonals is None:
-            self._diagonals = _Diagonals(rho.shape[0])
+            self._diagonals = _Diagonals(rho.shape[0], _CHUNK)
             self._pending = np.empty((_CHUNK, self._diagonals.index.size), dtype=complex)
         self._pending[self._next - self._done] = rho.ravel()[self._diagonals.index]
         self._next += 1
@@ -188,11 +218,11 @@ class TrajectoryRecorder:
             return
         rows = slice(self._done, self._next)
         pending = self._pending[:self._next - self._done]
-        mean_n, mean_b, mean_bb = self._diagonals.moments(pending)
         cols = self._columns
+        cols["p00"][rows] = pending[:, 0].real
+        mean_n, mean_b, mean_bb = self._diagonals.moments(pending)
         cols["step"][rows] = range(self._done, self._next)
         cols["t"][rows] = cols["step"][rows] * self._dt
-        cols["p00"][rows] = pending[:, 0].real
         cols["mean_n"][rows] = mean_n
         cols["mean_b"][rows] = mean_b
         cols["var_x"][rows], cols["var_y"][rows] = zip(*map(
@@ -255,26 +285,49 @@ def husimi_window(extent: float, resolution: int, d: int) -> tuple[float, int]:
     return e, points
 
 
+def _coherent_rows(xs: np.ndarray, ys: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Coherent amplitudes <n|gamma> of the grid rows gamma = x + iy, written into ``out``.
+
+    ``out`` is d x (ys.size * xs.size): column g holds the truncated coherent
+    vector of the g-th point, the points running over x within each y. Each
+    point gets the same arithmetic whichever rows share a call: the running
+    product gamma^n / sqrt(n!), then the factor exp(-|gamma|^2 / 2).
+    """
+    gamma = (xs + 1j * ys[:, None]).ravel()
+    out[0] = 1.0
+    for n in range(1, out.shape[0]):
+        np.multiply(out[n - 1], gamma, out=out[n])
+        np.divide(out[n], np.sqrt(n), out=out[n])
+    out *= np.exp(-0.5 * np.abs(gamma) ** 2)
+    return out
+
+
 def husimi_grid(rho: np.ndarray, extent: float = 5.0, resolution: int = 201) -> HusimiGrid:
     """Husimi function Q(x, y) = <gamma|rho|gamma>/pi at gamma = x + iy.
 
     ``resolution`` points per axis over [-extent, extent], a window checked by
     ``husimi_window``. Q is bounded by 1/pi and integrates to 1 over the plane.
-    It is evaluated one y-row at a time, so the peak is about ``values`` plus
-    one row; the cap still counts the full resolution^2 x dim x 16-byte table.
+    It is evaluated on blocks of y-rows, as many as fit ``_HUSIMI_BLOCK_BYTES``
+    of amplitude table (at least one): each block's table A is built in one
+    pass and Q = Re sum_n conj(A) * (rho @ A) / pi takes one matrix product.
+    So the peak is about ``values`` plus one block; the cap still counts the
+    full resolution^2 x dim x 16-byte table.
     """
     d = _check_state(rho)
     e, points = husimi_window(extent, resolution, d)
     xs = np.linspace(-e, e, points)
     values = np.empty((points, points))
-    mat = np.empty((points, d), dtype=complex)
-    for iy, y in enumerate(xs):
-        # Coherent amplitudes of the row's points by running product.
-        gamma = xs + 1j * y
-        mat[:, 0] = 1.0
-        for n in range(1, d):
-            mat[:, n] = mat[:, n - 1] * gamma / np.sqrt(n)
-        mat *= np.exp(-0.5 * np.abs(gamma) ** 2)[:, None]
-        values[iy] = np.einsum("gi,ij,gj->g", mat.conj(), rho, mat).real / np.pi
+    rows = min(points, max(1, _HUSIMI_BLOCK_BYTES // (16 * d * points)))
+    table, product = np.empty((2, d * rows * points), dtype=complex)
+    for start in range(0, points, rows):
+        ys = xs[start:start + rows]
+        size = d * ys.size * points
+        amp = _coherent_rows(xs, ys, table[:size].reshape(d, -1))
+        # Re(conj(a) * b) = a.re * b.re + a.im * b.im: multiply the interleaved
+        # float views, sum down each column, then add each point's two parts.
+        parts = np.matmul(rho, amp, out=product[:size].reshape(d, -1)).view(float)
+        parts *= amp.view(float)
+        sums = parts.sum(axis=0)
+        values[start:start + ys.size] = ((sums[0::2] + sums[1::2]) / np.pi).reshape(ys.size, -1)
     cell = (xs[1] - xs[0]) * (xs[1] - xs[0])
     return HusimiGrid(x=xs, y=xs.copy(), values=values, mass=float(values.sum() * cell))

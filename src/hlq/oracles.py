@@ -126,7 +126,9 @@ def two_boson_variances(
     ``k`` is the phase multiplicity of the rotating factor (2 under the
     ``operator`` convention). Vectorised over ``t``. Raises when
     Delta = k omega / 2 <= 2 |eps|: that is the parametric-gain regime, where
-    the variances grow without bound and Omega turns imaginary.
+    the variances grow without bound and Omega turns imaginary. Also raises
+    when Delta^2 or Delta t leaves the float range, where the variances would
+    come out NaN.
     """
     _check_finite(eps=eps, omega=omega)
     t = np.asarray(t, dtype=float)
@@ -141,6 +143,12 @@ def two_boson_variances(
     if not math.isfinite(delta * delta):  # abs(eps) ** 2 < delta^2 / 4 is then finite
         raise ConfigValidationError(
             f"two-boson oracle: (k omega / 2)^2 overflows, got k omega / 2 = {delta!r}"
+        )
+    t_max = float(np.max(np.abs(t), initial=0.0))
+    if not math.isfinite(delta * t_max):  # Omega <= Delta, so Omega t is then finite too
+        raise ConfigValidationError(
+            f"two-boson oracle: (k omega / 2) t overflows, got k omega / 2 = {delta!r} "
+            f"at |t| = {t_max!r}"
         )
     big = math.sqrt(delta * delta - 4.0 * abs(eps) ** 2)
     rot = np.exp(1j * delta * t)

@@ -13,9 +13,9 @@ one ``sandwich`` call per Kraus operator, the byte-for-byte oracle of its
 stacked pass. ``reference_csv_text`` is the CSV writer's oracle: every cell
 formatted on its own by ``format_cell``. ``reference_husimi`` is the
 Husimi grid's oracle: every grid point's coherent amplitudes at once, in one
-points^2 x d table. ``reference_records`` is the trajectory recorder's
-oracle: each row computed on its own from its state, by one 1-D sum per
-diagonal.
+points^2 x d table (``reference_amplitudes``), and Q from one einsum.
+``reference_records`` is the trajectory recorder's oracle: each row computed
+on its own from its state, by one 1-D sum per diagonal.
 
 Spin basis |up> = (1, 0), |down> = (0, 1). Composite spin (x) field index
 k = s*d + n (spin-major), so a composite matrix splits into four d x d
@@ -233,13 +233,12 @@ def reference_csv_text(header: str, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_husimi(rho: np.ndarray, extent: float, points: int) -> tuple[np.ndarray, float]:
-    """(values, mass) of ``hlq.observables.husimi_grid`` from one full-grid table.
+def reference_amplitudes(extent: float, points: int, d: int) -> np.ndarray:
+    """The full-grid points^2 x d coherent-amplitude table, row g at the g-th grid point.
 
-    The same arithmetic as the row-by-row evaluation, on every grid point at
-    once: running product, then the Gaussian factor, then one einsum.
+    Running product, then the Gaussian factor, on every grid point at once;
+    the points run over x within each y.
     """
-    d = rho.shape[0]
     xs = np.linspace(-extent, extent, points)
     gx, gy = np.meshgrid(xs, xs)
     gamma = (gx + 1j * gy).ravel()
@@ -248,6 +247,17 @@ def reference_husimi(rho: np.ndarray, extent: float, points: int) -> tuple[np.nd
     for n in range(1, d):
         mat[:, n] = mat[:, n - 1] * gamma / np.sqrt(n)
     mat *= np.exp(-0.5 * np.abs(gamma) ** 2)[:, None]
+    return mat
+
+
+def reference_husimi(rho: np.ndarray, extent: float, points: int) -> tuple[np.ndarray, float]:
+    """(values, mass) of ``hlq.observables.husimi_grid`` from one full-grid table.
+
+    Every grid point's amplitudes at once (``reference_amplitudes``), then
+    Q from one three-operand einsum.
+    """
+    xs = np.linspace(-extent, extent, points)
+    mat = reference_amplitudes(extent, points, rho.shape[0])
     values = (np.einsum("gi,ij,gj->g", mat.conj(), rho, mat).real / np.pi).reshape(points, points)
     cell = (xs[1] - xs[0]) * (xs[1] - xs[0])
     return values, float(values.sum() * cell)

@@ -637,8 +637,7 @@ print(json.dumps(faults))
         # With the trim threshold at 0, glibc hands back every freed top chunk, so a
         # step that allocates and frees >= 128 KiB faults its pages in again each
         # step. The second run of each case in one process counts what the step
-        # path itself costs. At dim 96 the recorder's 64-row reduction still
-        # allocates ~290 KiB per flush, about 1 fault per step.
+        # path itself costs.
         env = dict(os.environ, MALLOC_TRIM_THRESHOLD_="0", OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join([str(Path(engines.__file__).parents[1]),
                                                os.environ.get("PYTHONPATH", "")]))
@@ -646,7 +645,7 @@ print(json.dumps(faults))
                              text=True, timeout=300, check=True)
         faults = json.loads(out.stdout)
         for name, per_step in faults.items():
-            assert per_step <= (2.0 if name.endswith("96") else 1.0), (name, faults)
+            assert per_step <= 1.0, (name, faults)
 
 
 class TestRun:

@@ -22,7 +22,8 @@ from hlq.observables import (
     trace_distance,
     trajectory_point,
 )
-from reference import annihilation_matrix, reference_husimi, reference_records
+from reference import (annihilation_matrix, reference_amplitudes, reference_husimi,
+                       reference_records)
 
 
 def vacuum(d=32):
@@ -111,6 +112,41 @@ class TestScalars:
         assert (rec.var_x, rec.var_y) == quadrature_variances(rho)
 
 
+class TestMomentInputs:
+    """The one-state moments take any state a d x d check accepts."""
+
+    FUNCS = (mean_photon, trajectory_point, quadrature_variances)
+
+    # A real, integer or complex64 state gives the moments of the same state
+    # as complex128, bit for bit.
+    @pytest.mark.parametrize("rho", [
+        np.diag([0.5, 0.5]),
+        np.array([[0.6, 0.2, 0.1], [0.2, 0.3, 0.05], [0.1, 0.05, 0.1]]),
+        np.diag([1, 0, 0]),
+        np.array([[2, 1], [1, 3]]),
+        random_density(np.random.default_rng(15), 6).astype(np.complex64),
+    ], ids=["float-diagonal", "float-full", "int-diagonal", "int-full", "complex64"])
+    def test_dtype_gives_complex128_bits(self, rho):
+        wide = rho.astype(complex)
+        for func in self.FUNCS:
+            assert repr(func(rho)) == repr(func(wide)), func.__name__
+
+    # At d = 1 only diagonal 0 is kept: no photons, no centroid, vacuum noise.
+    @pytest.mark.parametrize("rho", [np.ones((1, 1), dtype=complex), np.ones((1, 1))])
+    def test_dim_one(self, rho):
+        assert mean_photon(rho) == 0.0
+        assert trajectory_point(rho) == 0.0
+        assert quadrature_variances(rho) == (0.25, 0.25)
+
+    # The caller's state is read, never written by the in-place reduction.
+    def test_state_not_written(self):
+        rho = random_density(np.random.default_rng(16), 8)
+        before = rho.tobytes()
+        for func in self.FUNCS:
+            func(rho)
+        assert rho.tobytes() == before
+
+
 class TestRecorderOracle:
     """The chunked recorder's table equals the per-row oracle byte for byte."""
 
@@ -132,7 +168,7 @@ class TestRecorderOracle:
             recorder.record(rho)
         return recorder
 
-    @pytest.mark.parametrize("d", [2, 3, 12, 32, 48, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 12, 32, 48, 64, 96])
     @pytest.mark.parametrize("extra", [-1, 0, 1, None])
     def test_table_equals_oracle(self, d, extra):
         rows = 3 * self.CHUNK + 5 if extra is None else self.CHUNK + extra
@@ -274,11 +310,13 @@ class TestHusimi:
         grid = husimi_grid(random_density(rng, d), extent, 4)
         assert np.isfinite(grid.values).all() and math.isfinite(grid.mass)
 
-    # The row-by-row grid keeps the full-grid arithmetic, so its bits are the
-    # oracle's. Only (32, 1e20) is too wide: its corner amplitudes overflow.
+    # Q goes through a BLAS product per block of rows, whose rounding depends on
+    # the kernel OpenBLAS picks and on the block's shape, so Q is held to the
+    # einsum oracle by a bound. Only (32, 1e20) is too wide: its corner
+    # amplitudes overflow.
     @pytest.mark.parametrize("extent", [1.5, 5.0, 40.0, 1e20])
     @pytest.mark.parametrize("d", [1, 2, 3, 12, 32])
-    def test_grid_bits_equal_full_grid_oracle(self, d, extent):
+    def test_grid_matches_einsum_oracle(self, d, extent):
         rng = np.random.default_rng(18)
         if (d, extent) == (32, 1e20):
             with pytest.raises(ConfigValidationError, match="too wide for dim 32"):
@@ -287,12 +325,58 @@ class TestHusimi:
         for rho in (random_density(rng, d), vacuum(d)):
             grid = husimi_grid(rho, extent, 41)
             values, mass = reference_husimi(rho, extent, 41)
-            assert grid.values.tobytes() == values.tobytes()
-            assert np.float64(grid.mass).tobytes() == np.float64(mass).tobytes()
+            assert np.max(np.abs(grid.values - values)) <= 1e-14
+            assert abs(grid.mass - mass) <= 1e-14
 
-    # The cap counts the full amplitude table; evaluated one row at a time,
-    # the grid holds little more than ``values`` itself.
-    @pytest.mark.parametrize("d", [2, 12, 32])
+    # What stays bit-exact in the grid is its amplitude table, which carries
+    # no product: its bits are the full-grid oracle's whichever rows are built
+    # together, one, a block, or all.
+    @pytest.mark.parametrize("extent", [1.5, 5.0, 40.0, 1e20])
+    @pytest.mark.parametrize("d", [1, 2, 3, 12, 32])
+    def test_grid_bits_equal_full_grid_oracle(self, d, extent):
+        if (d, extent) == (32, 1e20):
+            with pytest.raises(ConfigValidationError, match="too wide for dim 32"):
+                husimi_grid(vacuum(d), extent, 41)
+            return
+        xs = np.linspace(-extent, extent, 41)
+        expected = reference_amplitudes(extent, 41, d).T.tobytes()
+        for rows in (1, 6, 41):
+            blocks = [observables._coherent_rows(xs, xs[i:i + rows],
+                                                 np.empty((d, xs[i:i + rows].size * 41), complex))
+                      for i in range(0, 41, rows)]
+            assert np.concatenate(blocks, axis=1).tobytes() == expected
+
+    # Blocks of rows at their edges, each block's height seen by its amplitude
+    # table: a 2-point grid, a last block only partly filled (201 rows in
+    # blocks of 6 and one of 3 at dim 12) and one row per block (dim 48).
+    @pytest.mark.parametrize("d, points, heights", [
+        (12, 2, [2]), (12, 201, [6] * 33 + [3]), (48, 401, [1] * 401)])
+    def test_block_edges_match_einsum_oracle(self, monkeypatch, d, points, heights):
+        seen = []
+        build = observables._coherent_rows
+
+        def spy(xs, ys, out):
+            seen.append(ys.size)
+            return build(xs, ys, out)
+
+        monkeypatch.setattr(observables, "_coherent_rows", spy)
+        rho = random_density(np.random.default_rng(20), d)
+        grid = husimi_grid(rho, 5.0, points)
+        assert seen == heights
+        values, mass = reference_husimi(rho, 5.0, points)
+        assert np.max(np.abs(grid.values - values)) <= 1e-14
+        assert abs(grid.mass - mass) <= 1e-14
+
+    def test_repeated_calls_byte_equal(self):
+        rho = random_density(np.random.default_rng(21), 12)
+        first = husimi_grid(rho, 5.0, 201)
+        again = husimi_grid(rho, 5.0, 201)
+        assert again.values.tobytes() == first.values.tobytes()
+        assert np.float64(again.mass).tobytes() == np.float64(first.mass).tobytes()
+
+    # The cap counts the full amplitude table; evaluated one block of rows at a
+    # time, the grid holds little more than ``values`` itself.
+    @pytest.mark.parametrize("d", [2, 12, 32, 48])
     def test_peak_is_values_plus_one_row(self, d):
         rho = random_density(np.random.default_rng(19), d)
         tracemalloc.start()

@@ -1,6 +1,7 @@
 """Closed-form vacuum survival law and the quadrature cross-check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,3 +197,11 @@ class TestOverflowingArguments:
         # unchecked, Delta^2 overflows inside sqrt and the variances come out nan, nan
         with pytest.raises(ConfigValidationError, match=r"\(k omega / 2\)\^2 overflows"):
             two_boson_variances(1.0, 1e200, [0.0, 1.0])
+
+    def test_two_boson_variances_phase_past_float_range(self):
+        # Delta^2 is finite but Delta t and Omega t are not: unchecked, exp and sin
+        # warn and the variances come out nan, nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigValidationError, match=r"\(k omega / 2\) t overflows"):
+                two_boson_variances(0.1, 1e150, [1e200])
