@@ -75,7 +75,11 @@ lane holds it, the standard lane takes psi psi^dag), its guard checks that
 matrix, and its recorder appends the row: it takes the purity and gathers the
 diagonals 0, -1 and -2, and reduces them 64 rows at a time into the lane's
 ``np.recarray``, allocated once and returned as is with every row complete.
-With two lanes the driver also takes the trace distance between them.
+With two lanes the driver also takes the trace distance between them. A deep
+guard holds three d x d buffers (rho^dag, rho - rho^dag and its modulus) and
+a block of at most 128 KiB of states' Hermitian parts: it checks the
+Hermiticity defect every step and takes the lowest eigenvalues by one
+``eigvalsh`` per block, the last partial block when the lane's result is made.
 """
 
 from __future__ import annotations
@@ -100,7 +104,6 @@ from .fockcore import (
     LOWERED_QUANTA,
     MODELS,
     coherent_vector,
-    hermiticity_defect,
     model_band,
     unitarity_defect,
 )
@@ -120,9 +123,18 @@ TRUNCATION_LIMIT = 1e-6
 # recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes and each
 # kernel holds the factors and work buffers of one step, neither growing with
 # steps: the hidden kernel nine d x d complex buffers, the standard one five
-# (psi psi^dag in three, and W and W^dag), 576 and 320 KiB at dim 64.
+# (psi psi^dag in three, and W and W^dag), 576 and 320 KiB at dim 64. A deep
+# lane's guard holds three d x d buffers (rho^dag, rho - rho^dag and its real
+# modulus, 160 KiB at dim 64) and a block of states' Hermitian parts of at
+# most _EIG_BLOCK_BYTES, or one state where a single state is larger.
 RUN_MAX_BYTES = 1 << 30
 _STEP_BYTES = 2 * 72 + 136
+
+# The deep guard's block of states per eigvalsh call: 56 / 8 / 2 states at
+# dims 12 / 32 / 64 and 1 from dim 65. A block pays numpy's per-call cost once;
+# a fixed 16-state block (1 MiB at dim 64) leaves L2 and was slower there than
+# one state per call.
+_EIG_BLOCK_BYTES = 128 * 1024
 
 
 def phase_multiplicity(model: str, convention: str) -> int:
@@ -500,15 +512,27 @@ def make_schedule(config: SimConfig) -> list[_schedules.AtomPrep]:
 
 
 class _Guard:
-    """Per-step state checks and diagnostics accumulation."""
+    """Per-step state checks and diagnostics accumulation.
+
+    The deep checks run on buffers the guard sizes at its first deep inspect:
+    rho^dag, rho - rho^dag and its modulus, three d x d planes, and a stack of
+    h = max(1, _EIG_BLOCK_BYTES // (16 d^2)) sums rho + rho^dag. The Hermiticity
+    defect is checked every step. The lowest eigenvalues are taken when the
+    stack is full, or by ``finish`` for the last partial stack: the sums are
+    halved, as 0.5 (rho + rho^dag) was one state at a time, and one
+    ``eigvalsh`` call takes them all, with each state's bits. Deferring them
+    changes no outcome: eigvalsh raises no hlq error, and a run that raises
+    returns no diagnostics.
+    """
 
     def __init__(self, deep: bool):
         self.deep = deep
         self.diag = RunDiagnostics(min_eigenvalue=np.inf)
+        self._stack, self._held = None, 0
 
     def inspect(self, rho: np.ndarray, step: int) -> None:
         # NaN fails every comparison below, so non-finite values stop the run here.
-        trace = np.trace(rho)
+        trace = rho.trace()
         if not cmath.isfinite(trace):
             raise NonFiniteStateError(step, "trace", trace)
         top2 = float(rho[-1, -1].real + rho[-2, -2].real)
@@ -520,17 +544,39 @@ class _Guard:
         if drift > self.diag.max_trace_drift:
             self.diag.max_trace_drift = drift
         if self.deep:
-            herm = hermiticity_defect(rho)
+            if self._stack is None:
+                d = rho.shape[0]
+                self._adj, self._diff = np.empty_like(rho), np.empty_like(rho)
+                self._abs = np.empty(rho.shape, dtype=rho.real.dtype)
+                self._stack = np.empty((max(1, _EIG_BLOCK_BYTES // (16 * d * d)), d, d),
+                                       dtype=rho.dtype)
+            # A binary call with a transposed operand would buffer a d x d copy of it.
+            adj = self._adj
+            np.copyto(adj, rho.T)
+            np.conjugate(adj, out=adj)
+            herm = float(np.abs(np.subtract(rho, adj, out=self._diff), out=self._abs).max())
             if not math.isfinite(herm):
                 raise NonFiniteStateError(step, "Hermiticity defect", herm)
             if herm > self.diag.max_hermiticity_defect:
                 self.diag.max_hermiticity_defect = herm
-            low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+            np.add(rho, adj, out=self._stack[self._held])
+            self._held += 1
+            if self._held == len(self._stack):
+                self._lowest()
+
+    def _lowest(self) -> None:
+        """Fold the held states' lowest eigenvalues into min_eigenvalue, in step order."""
+        parts = self._stack[:self._held]
+        np.multiply(0.5, parts, out=parts)
+        for low in np.linalg.eigvalsh(parts)[:, 0].tolist():
             if low < self.diag.min_eigenvalue:
                 self.diag.min_eigenvalue = low
+        self._held = 0
 
     def finish(self, purities: np.ndarray) -> RunDiagnostics:
         """Close the diagnostics; the purity range is read from the recorded column."""
+        if self._held:
+            self._lowest()
         self.diag.min_purity = min(1.0, float(purities.min()))
         self.diag.max_purity = max(1.0, float(purities.max()))
         if not self.deep:

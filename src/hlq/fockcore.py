@@ -49,11 +49,6 @@ def model_band(model: str, d: int) -> np.ndarray:
     return root[1:] * root[1:]
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-abs deviation of m from its own conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-abs deviation of u^dag u from the identity, the largest over a stack of u."""
     return float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))

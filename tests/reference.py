@@ -16,6 +16,9 @@ Husimi grid's oracle: every grid point's coherent amplitudes at once, in one
 points^2 x d table (``reference_amplitudes``), and Q from one einsum.
 ``reference_records`` is the trajectory recorder's oracle: each row computed
 on its own from its state, by one 1-D sum per diagonal.
+``reference_diagnostics`` is the run guard's oracle: each state checked on
+its own, its Hermiticity defect by ``hermiticity_defect`` and its lowest
+eigenvalue by one ``eigvalsh`` call.
 
 Spin basis |up> = (1, 0), |down> = (0, 1). Composite spin (x) field index
 k = s*d + n (spin-major), so a composite matrix splits into four d x d
@@ -27,14 +30,19 @@ import cmath
 
 import numpy as np
 
-from hlq.engines import _sin_over
+from hlq.engines import RunDiagnostics, _sin_over
 from hlq.errors import InvalidDimensionError, InvalidPreparationError
-from hlq.fockcore import hermiticity_defect, model_band
+from hlq.fockcore import model_band
 from hlq.observables import _TRAJECTORY_DTYPE
 from hlq.schedules import AtomPrep
 
 HERMITICITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
+
+
+def hermiticity_defect(m: np.ndarray) -> float:
+    """Max-abs deviation of m from its own conjugate transpose."""
+    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 def annihilation_matrix(d: int) -> np.ndarray:
@@ -280,3 +288,30 @@ def reference_records(states: dict, dt: float) -> np.recarray:
         table[i] = (j, j * dt, float(rho[0, 0].real), mean_n, float(np.vdot(rho, rho).real),
                     mean_b, float(x2 - mean_b.real**2), float(y2 - mean_b.imag**2))
     return table
+
+
+def reference_diagnostics(states, deep: bool) -> RunDiagnostics:
+    """The diagnostics a run's guard reports over ``states``, the densities of steps 0, 1, ...
+
+    Each state is checked on its own, in step order, with the arithmetic of a
+    guard that took each state's lowest eigenvalue in its own ``eigvalsh``
+    call. The propagator's unitarity is the kernel's, not the guard's, and is
+    left at 0.0.
+    """
+    diag = RunDiagnostics(min_eigenvalue=np.inf if deep else 0.0)
+    purities = []
+    for rho in states:
+        trace = np.trace(rho)
+        top2 = float(rho[-1, -1].real + rho[-2, -2].real)
+        diag.max_top_two_population = max(diag.max_top_two_population, top2)
+        drift = abs(trace.real - 1.0) + abs(trace.imag)
+        diag.max_trace_drift = max(diag.max_trace_drift, drift)
+        if deep:
+            diag.max_hermiticity_defect = max(diag.max_hermiticity_defect,
+                                              hermiticity_defect(rho))
+            low = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+            if low < diag.min_eigenvalue:
+                diag.min_eigenvalue = low
+        purities.append(float(np.vdot(rho, rho).real))
+    diag.min_purity, diag.max_purity = min(1.0, *purities), max(1.0, *purities)
+    return diag

@@ -32,7 +32,7 @@ from hlq.errors import (
     NonFiniteStateError,
     TruncationOverflowError,
 )
-from hlq.fockcore import coherent_vector, hermiticity_defect, model_band, unitarity_defect
+from hlq.fockcore import coherent_vector, model_band, unitarity_defect
 from hlq.observables import (
     fidelity_coherent,
     quadrature_variances,
@@ -44,11 +44,13 @@ from hlq.schedules import AtomPrep, alternating_schedule, uniform_schedule
 from reference import (
     annihilation_matrix,
     hermitian_propagator,
+    hermiticity_defect,
     hidden_step,
     interaction_hamiltonian,
     jc_hamiltonian,
     joint_propagator,
     model_operator,
+    reference_diagnostics,
     standard_step,
     two_pass_hidden_step,
 )
@@ -604,6 +606,23 @@ class TestStepHeap:
             tracemalloc.stop()
         assert peak < 16 * 1024
 
+    @pytest.mark.parametrize("d, height", [(12, 56), (32, 8), (64, 2)])
+    def test_deep_inspect_allocates_little(self, d, height):
+        cfg = SimConfig(model="linear", omega=1.3, dt=1e-3, steps=8, dim=d,
+                        initial="coherent", gamma0=1.0 + 0.5j)
+        rho = initial_state(cfg)
+        guard = engines._Guard(deep=True)
+        for j in range(height):  # fills the first block, so the next inspect opens another
+            guard.inspect(rho, j)
+        tracemalloc.start()
+        try:
+            guard.inspect(rho, height)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert guard._held == 1
+        assert peak < 16 * 1024
+
     CHILD = """
 import json, math, resource
 from hlq.engines import SimConfig, run, run_compare
@@ -616,17 +635,18 @@ def config(model, dim, engine, initial):
 def compare(cfg, deep_checks):
     return run_compare(cfg, per_step_distance=False, deep_checks=deep_checks)
 
-cases = {"hidden 64": (config("linear", 64, "hidden", "coherent"), run),
-         "hidden 96": (config("linear", 96, "hidden", "coherent"), run),
-         "two-boson 48": (config("two-boson", 48, "hidden", "vacuum"), run),
-         "standard 64": (config("linear", 64, "standard", "coherent"), run),
-         "standard 96": (config("linear", 96, "standard", "coherent"), run),
-         "compare 64": (config("linear", 64, "hidden", "coherent"), compare)}
+cases = {"hidden 64": (config("linear", 64, "hidden", "coherent"), run, False),
+         "hidden 96": (config("linear", 96, "hidden", "coherent"), run, False),
+         "two-boson 48": (config("two-boson", 48, "hidden", "vacuum"), run, False),
+         "standard 64": (config("linear", 64, "standard", "coherent"), run, False),
+         "standard 96": (config("linear", 96, "standard", "coherent"), run, False),
+         "compare 64": (config("linear", 64, "hidden", "coherent"), compare, False),
+         "hidden 96 deep": (config("linear", 96, "hidden", "coherent"), run, True)}
 faults = {}
-for name, (cfg, call) in cases.items():
+for name, (cfg, call, deep) in cases.items():
     for _ in range(2):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        call(cfg, deep_checks=False)
+        call(cfg, deep_checks=deep)
         faults[name] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / cfg.steps
 print(json.dumps(faults))
 """
@@ -644,8 +664,12 @@ print(json.dumps(faults))
         out = subprocess.run([sys.executable, "-c", self.CHILD], env=env, capture_output=True,
                              text=True, timeout=300, check=True)
         faults = json.loads(out.stdout)
+        # A deep dim-96 step still faults in eigvalsh's own copy of its one-state
+        # block (37.7 faults per step read when the bound was set, 223 with a
+        # guard that formed its Hermitian part and defect in fresh arrays).
+        bounds = {"hidden 96 deep": 48.0}
         for name, per_step in faults.items():
-            assert per_step <= 1.0, (name, faults)
+            assert per_step <= bounds.get(name, 1.0), (name, faults)
 
 
 class TestRun:
@@ -758,6 +782,80 @@ class TestRun:
         res = run(cfg)
         assert res.records[0].mean_n == pytest.approx(abs(gamma) ** 2, rel=1e-9)
         assert abs(np.trace(res.final) - 1.0) <= 1e-12
+
+
+class TestGuardOracle:
+    """The deep guard takes lowest eigenvalues a block of states at a time, with one's bits."""
+
+    # States per eigvalsh block, written out so that a changed block size shows here.
+    HEIGHTS = {2: 2048, 12: 56, 32: 8, 64: 2}
+
+    @staticmethod
+    def bits(diag):
+        return np.array(dataclasses.astuple(diag), dtype=float).tobytes()
+
+    @pytest.mark.parametrize("d", sorted(HEIGHTS))
+    def test_block_height(self, d):
+        guard = engines._Guard(deep=True)
+        guard.inspect(1e-7 * random_density(np.random.default_rng(d), d), 0)
+        assert guard._stack.shape == (self.HEIGHTS[d], d, d)
+
+    @pytest.mark.parametrize("deep", [True, False])
+    @pytest.mark.parametrize("d, count", [(d, n) for d, h in HEIGHTS.items()
+                                          for n in (h - 2, h - 1, h, 2 * h + 3) if n >= 1])
+    def test_inspected_states_equal_oracle_bits(self, d, count, deep):
+        # Scaled so the top two levels stay under the truncation limit at every dim;
+        # indefinite states, and zero ones of either sign, where the first minimum counts.
+        rng = np.random.default_rng([d, count])
+        states = []
+        for j in range(count):
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            states.append(1e-8 * (m if j % 3 else m + m.conj().T))
+        states[count // 2] = np.zeros((d, d), dtype=complex)
+        states[-1] = np.full((d, d), complex(-0.0, -0.0))
+        guard = engines._Guard(deep)
+        for j, rho in enumerate(states):
+            guard.inspect(rho, j)
+        purities = np.array([np.vdot(rho, rho).real for rho in states])
+        assert self.bits(guard.finish(purities)) == self.bits(reference_diagnostics(states, deep))
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    @pytest.mark.parametrize("d", sorted(HEIGHTS))
+    def test_first_of_tied_minima_kept(self, d, first):
+        # Zero states of either sign, whose lowest eigenvalues tie: the earliest is kept.
+        signs = [first] + [-first] * (2 * self.HEIGHTS[d] + 3)
+        states = [np.full((d, d), complex(s, s)) for s in signs]
+        guard = engines._Guard(deep=True)
+        for j, rho in enumerate(states):
+            guard.inspect(rho, j)
+        diag = guard.finish(np.zeros(len(states)))
+        assert self.bits(diag) == self.bits(reference_diagnostics(states, True))
+
+    @staticmethod
+    def config(model, d, steps):
+        # Weak enough that two-boson at dim 12 stays under the truncation limit for 115 steps.
+        return SimConfig(model=model, omega=1.3, dt=2e-3, steps=steps, dim=d, zeta_abs=0.41,
+                         eta=0.4 + 0.25j, schedule="rotating", initial="coherent",
+                         gamma0=0.5 - 0.3j)
+
+    @pytest.mark.parametrize("deep", [True, False])
+    @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
+    @pytest.mark.parametrize("d, steps", [(d, n) for d, h in HEIGHTS.items() if d > 2
+                                          for n in (h - 2, h - 1, h, 2 * h + 3) if n >= 1])
+    def test_run_diagnostics_equal_oracle_bits(self, model, d, steps, deep):
+        # A run inspects steps + 1 states: the counts end a block one short, on it,
+        # one past it, and past two blocks. Dim 2 cannot run: its top two levels are all.
+        cfg = self.config(model, d, steps)
+        both = run_compare(cfg, per_step_distance=False, deep_checks=deep)
+        for engine in ("hidden", "standard"):
+            single = run(dataclasses.replace(cfg, engine=engine),
+                         snapshot_steps=range(steps + 1), deep_checks=deep)
+            states = [single.snapshots[j] for j in range(steps + 1)]
+            for got in (single.diagnostics, getattr(both, f"diagnostics_{engine}")):
+                expected = dataclasses.replace(
+                    reference_diagnostics(states, deep),
+                    propagator_unitarity_defect=got.propagator_unitarity_defect)
+                assert self.bits(got) == self.bits(expected), (engine, got, expected)
 
 
 class TestNonFiniteStop:
