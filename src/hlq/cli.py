@@ -64,6 +64,7 @@ from .errors import (
     NonFiniteStateError,
     TruncationOverflowError,
 )
+from .errors import check_integer, check_member
 from .observables import husimi_grid, husimi_window
 from .oracles import ground_state_probability
 
@@ -282,8 +283,7 @@ def cmd_compare(args) -> int:
 
 def cmd_converge(args) -> int:
     config = _load_config(args)
-    if args.halvings < 2:
-        raise ConfigValidationError(f"halvings: must be >= 2, got {args.halvings}")
+    check_integer("halvings", args.halvings, 2, ConfigValidationError)
     # The finest halving is the longest run: making its config checks it before any run.
     # Each halving doubles the steps: past RUN_MAX_BYTES.bit_length() halvings
     # every config is over the run-size cap, and 2**halvings is not formed.
@@ -343,10 +343,7 @@ _SWEEPABLE = ("omega", "dt", "steps", "dim", "zeta", "eta")
 
 def cmd_sweep(args) -> int:
     config = _load_config(args)
-    if args.param not in _SWEEPABLE:
-        raise ConfigValidationError(
-            f"param: {args.param!r} not sweepable; choose from {_SWEEPABLE}"
-        )
+    check_member("param", args.param, _SWEEPABLE, ConfigValidationError)
     tokens = _word_list(args.values)
     if not tokens:
         raise ConfigValidationError("values: empty value list")

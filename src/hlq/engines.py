@@ -67,14 +67,16 @@ Driver
 ------
 ``run`` and ``run_compare`` are thin wrappers over one lockstep driver. A
 ``SimConfig`` is checked when it is made, so the driver checks only what the
-caller passes beside it: the schedule, each of its preps, and the snapshot
-steps. It builds one lane (kernel, guard, trajectory recorder) per engine from
-the same initial state, and moves every lane through step j before any lane
-takes step j + 1. After each step a lane forms its density matrix (the hidden
-lane holds it, the standard lane takes psi psi^dag), its guard checks that
-matrix, and its recorder appends the row: it takes the purity and gathers the
-diagonals 0, -1 and -2, and reduces them 64 rows at a time into the lane's
-``np.recarray``, allocated once and returned as is with every row complete.
+caller passes beside it: an explicit schedule, each of its preps, and the
+snapshot steps. A schedule the driver makes from the config is not re-checked:
+the generators make only valid preps. The driver builds one lane (kernel,
+guard, trajectory recorder) per engine from the same initial state, and moves
+every lane through step j before any lane takes step j + 1. After each step a
+lane forms its density matrix (the hidden lane holds it, the standard lane
+takes psi psi^dag), its guard checks that matrix, and its recorder appends the
+row: it takes the purity and gathers the diagonals 0, -1 and -2, and reduces
+them 64 rows at a time into the lane's ``np.recarray``, allocated once and
+returned as is with every row complete.
 With two lanes the driver also takes the trace distance between them. A deep
 guard holds three d x d buffers (rho^dag, rho - rho^dag and its modulus) and
 a block of at most 128 KiB of states' Hermitian parts: it checks the
@@ -86,7 +88,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -100,6 +101,7 @@ from .errors import (
     NonFiniteStateError,
     TruncationOverflowError,
 )
+from .errors import check_integer, check_member, check_number
 from .fockcore import (
     LOWERED_QUANTA,
     MODELS,
@@ -139,12 +141,8 @@ _EIG_BLOCK_BYTES = 128 * 1024
 
 def phase_multiplicity(model: str, convention: str) -> int:
     """Integer k in the rotating factor exp(-i k omega tau) of R(tau)."""
-    if convention not in PHASE_CONVENTIONS:
-        raise ConfigValidationError(
-            f"phase: unknown convention {convention!r}, expected one of {PHASE_CONVENTIONS}"
-        )
-    if model not in MODELS:
-        raise InvalidModelError(f"unknown model {model!r}, expected one of {MODELS}")
+    check_member("phase", convention, PHASE_CONVENTIONS, ConfigValidationError)
+    check_member("model", model, MODELS, InvalidModelError)
     if convention == "operator":
         return LOWERED_QUANTA[model]
     return 1
@@ -155,7 +153,8 @@ class SimConfig:
     """Run description shared by the engines and the CLI.
 
     ``zeta_abs`` is the magnitude of the per-step spin coherence (the drive
-    strength knob); ``gamma0`` is only read when ``initial = "coherent"``.
+    strength knob); ``gamma0`` is checked for every config but only read when
+    ``initial = "coherent"``.
 
     A config is immutable and checked by ``validate`` when it is made, so a
     bad value raises ``ConfigValidationError`` from the constructor, and
@@ -191,33 +190,15 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
-        # The string fields are type-checked by the membership tests below.
-        for names, kind, what in ((("omega", "dt", "zeta_abs"), numbers.Real, "a number"),
-                                  (("steps", "dim"), numbers.Integral, "an integer"),
-                                  (("eta", "gamma0"), numbers.Complex, "a complex number"),
-                                  (("outputs",), tuple, "a tuple of names")):
-            for name in names:
-                value = getattr(self, name)
-                if not isinstance(value, kind):
-                    raise ConfigValidationError(f"{name}: must be {what}, got {value!r}")
-        for name, value, allowed in (
-            ("model", self.model, MODELS),
-            ("schedule", self.schedule, _schedules.SCHEDULES),
-            ("engine", self.engine, ENGINES),
-            ("initial", self.initial, INITIAL_STATES),
-            ("phase", self.phase, PHASE_CONVENTIONS),
-        ):
-            if value not in allowed:
-                raise ConfigValidationError(
-                    f"{name}: unknown value {value!r}, expected one of {allowed}"
-                )
-        if not math.isfinite(self.omega):
-            raise ConfigValidationError(f"omega: must be finite, got {self.omega!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ConfigValidationError(f"dt: must be positive, got {self.dt!r}")
-        for name, value, least in (("steps", self.steps, 1), ("dim", self.dim, 2)):
-            if value < least:
-                raise ConfigValidationError(f"{name}: must be >= {least}, got {value!r}")
+        check_member("model", self.model, MODELS, ConfigValidationError)
+        check_member("schedule", self.schedule, _schedules.SCHEDULES, ConfigValidationError)
+        check_member("engine", self.engine, ENGINES, ConfigValidationError)
+        check_member("initial", self.initial, INITIAL_STATES, ConfigValidationError)
+        check_member("phase", self.phase, PHASE_CONVENTIONS, ConfigValidationError)
+        check_number("omega", self.omega, ConfigValidationError, real=True)
+        check_number("dt", self.dt, ConfigValidationError, positive=True)
+        check_integer("steps", self.steps, 1, ConfigValidationError)
+        check_integer("dim", self.dim, 2, ConfigValidationError)
         k = phase_multiplicity(self.model, self.phase)
         try:  # bounds every mid-step time tau and rotating phase k omega tau
             span = float(self.steps) * float(self.dt) * max(1.0, abs(k * float(self.omega)))
@@ -234,25 +215,13 @@ class SimConfig:
                 f"steps: {self.steps!r} steps need {nbytes} bytes of records and schedule, "
                 f"over the {RUN_MAX_BYTES}-byte limit"
             )
-        if not (0.0 <= self.zeta_abs <= 0.5):
-            raise ConfigValidationError(
-                f"zeta: |zeta| = {self.zeta_abs!r} outside the reachable range [0, 0.5]"
-            )
-        if not math.isfinite(math.hypot(self.eta.real, self.eta.imag)):
-            raise ConfigValidationError(f"eta: must be finite, got {self.eta!r}")
-        if self.initial == "coherent" and not cmath.isfinite(self.gamma0):
-            raise ConfigValidationError(f"initial: amplitude must be finite, got {self.gamma0!r}")
-        # abs() and ** raise on overflow; the factor 2 leaves room for rounding in |g|^2
-        size = math.hypot(self.gamma0.real, self.gamma0.imag)
-        if self.initial == "coherent" and not math.isfinite(2.0 * size * size):
-            raise ConfigValidationError(
-                f"initial: amplitude {self.gamma0!r} too large, |amplitude|^2 overflows"
-            )
-        bad = [o for o in self.outputs if o not in OUTPUTS]
-        if bad:
-            raise ConfigValidationError(
-                f"outputs: unknown value(s) {bad}, expected among {OUTPUTS}"
-            )
+        _schedules.check_zeta_abs(self.zeta_abs, ConfigValidationError)
+        check_number("eta", self.eta, ConfigValidationError)
+        check_number("gamma0", self.gamma0, ConfigValidationError, squared=True)
+        if not isinstance(self.outputs, tuple):
+            raise ConfigValidationError(f"outputs: must be a tuple of names, got {self.outputs!r}")
+        for name in self.outputs:
+            check_member("outputs", name, OUTPUTS, ConfigValidationError)
 
 
 @dataclass
@@ -632,23 +601,24 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
         raise ConfigValidationError(
             "engine: run() drives a single engine; use run_compare for 'both'"
         )
-    if schedule is None:
+    if schedule is None:  # the generators make only valid preps, so these are not re-checked
         schedule = make_schedule(config)
-    if not isinstance(schedule, Sequence):  # steps index it, so a set or an iterator won't do
+    elif not isinstance(schedule, Sequence):  # steps index it, so a set or an iterator won't do
         raise ConfigValidationError(
             f"schedule: must be a sequence of AtomPrep, got {type(schedule).__name__}"
         )
-    if len(schedule) != config.steps:
+    elif len(schedule) != config.steps:
         raise ConfigValidationError(
             f"steps: schedule length {len(schedule)} != steps {config.steps}"
         )
-    for j, prep in enumerate(schedule, start=1):
-        try:
-            if not isinstance(prep, _schedules.AtomPrep):
-                raise InvalidPreparationError(f"expected an AtomPrep, got {prep!r}")
-            prep.validate()
-        except InvalidPreparationError as exc:
-            raise InvalidPreparationError(f"schedule step {j}: {exc}") from None
+    else:
+        for j, prep in enumerate(schedule, start=1):
+            try:
+                if not isinstance(prep, _schedules.AtomPrep):
+                    raise InvalidPreparationError(f"expected an AtomPrep, got {prep!r}")
+                prep.validate()
+            except InvalidPreparationError as exc:
+                raise InvalidPreparationError(f"schedule step {j}: {exc}") from None
 
     try:
         wanted = set(snapshot_steps)

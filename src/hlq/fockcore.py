@@ -9,22 +9,15 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
 from .errors import ConfigValidationError, InvalidDimensionError, InvalidModelError
+from .errors import check_integer, check_member, check_number
 
 MODELS = ("linear", "two-boson", "intensity")
 
 # Quanta removed by one application of the lowering operator of each model.
 LOWERED_QUANTA = {"linear": 1, "two-boson": 2, "intensity": 1}
-
-
-def _check_dim(d: int) -> None:
-    if not isinstance(d, numbers.Integral) or d < 1:
-        raise InvalidDimensionError(f"truncation dimension must be an integer >= 1, got {d!r}")
 
 
 def model_band(model: str, d: int) -> np.ndarray:
@@ -38,9 +31,8 @@ def model_band(model: str, d: int) -> np.ndarray:
     - ``two-boson``: b^2                r_n = sqrt(n - 1) sqrt(n)
     - ``intensity``: b sqrt(b^dag b)    r_n = sqrt(n) sqrt(n)
     """
-    if model not in MODELS:
-        raise InvalidModelError(f"unknown model {model!r}, expected one of {MODELS}")
-    _check_dim(d)
+    check_member("model", model, MODELS, InvalidModelError)
+    check_integer("dim", d, 1, InvalidDimensionError)
     root = np.sqrt(np.arange(d))
     if model == "linear":
         return root[1:]
@@ -59,18 +51,11 @@ def coherent_vector(gamma: complex, d: int) -> np.ndarray:
 
     The entries are built by the stable running product, not by factorials.
     The vector is left unnormalized: its norm falls short of 1 by the
-    truncated Poisson tail, which is how far |gamma| overflows dim. A
-    non-finite gamma, one whose |gamma|^2 overflows, or one that is not a number
-    is rejected.
+    truncated Poisson tail, which is how far |gamma| overflows dim. A gamma
+    that is not a number, or whose 2 |gamma|^2 is not finite, is rejected.
     """
-    _check_dim(d)
-    if not isinstance(gamma, numbers.Complex):
-        raise ConfigValidationError(f"coherent amplitude {gamma!r} is not a number")
-    size = math.hypot(gamma.real, gamma.imag)  # abs() and ** raise on overflow
-    if not math.isfinite(size * size):
-        raise ConfigValidationError(
-            f"coherent amplitude {gamma!r} is not finite or |amplitude|^2 overflows"
-        )
+    check_integer("dim", d, 1, InvalidDimensionError)
+    check_number("gamma", gamma, ConfigValidationError, squared=True)
     c = np.zeros(d, dtype=complex)
     amp = np.exp(-0.5 * abs(gamma) ** 2)
     c[0] = amp

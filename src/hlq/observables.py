@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigValidationError, InvalidDimensionError
+from .errors import ConfigValidationError, InvalidDimensionError, check_number
 from .fockcore import coherent_vector, model_band
 
 # Largest coherent-amplitude table (resolution^2 x dim complex entries) that
@@ -238,10 +238,10 @@ def fidelity_coherent(rho: np.ndarray, gamma: complex) -> float:
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) sum |eigenvalues(a - b)| for Hermitian a, b."""
-    _check_state(a)
-    if a.shape != b.shape:
-        raise InvalidDimensionError(f"shape mismatch {a.shape} vs {b.shape}")
-    diff = a - b
+    d = _check_state(a)
+    if np.shape(b) != (d, d):
+        raise InvalidDimensionError(f"shape mismatch {(d, d)} vs {np.shape(b)}")
+    diff = np.subtract(a, b)
     diff = 0.5 * (diff + diff.conj().T)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
@@ -258,9 +258,8 @@ def husimi_window(extent: float, resolution: int, d: int) -> tuple[float, int]:
     area, and the running product gamma^n / sqrt((n-1)!) (before its division
     by sqrt(n)) at the grid corner |gamma| = sqrt(2) * extent.
     """
+    check_number("husimi extent", extent, ConfigValidationError, positive=True)
     e = float(extent)
-    if not (math.isfinite(e) and e > 0.0):
-        raise ConfigValidationError(f"husimi extent must be finite and > 0, got {extent!r}")
     try:
         points = int(resolution)
     except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf

@@ -36,20 +36,20 @@ sinh r = (2 |eps| / Omega) |sin(Omega t)|.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
 from .errors import ConfigValidationError, InvalidModelError
+from .errors import check_integer, check_member, check_number
 from .fockcore import LOWERED_QUANTA, MODELS
 
-
-def _check_finite(**values) -> None:
-    """Raise ConfigValidationError for a NaN or infinite value, real or complex."""
-    for name, value in values.items():
-        if not cmath.isfinite(value):
-            raise ConfigValidationError(f"{name}: must be finite, got {value!r}")
+# Largest memory greens_quadrature_probability may ask for, in bytes. It is
+# counted at _QUADRATURE_BYTES per grid point (resolution + 1 of them): eight
+# complex entries, above the traced peak of its arrays (97 bytes per point at
+# resolutions 10^5 and 10^6).
+QUADRATURE_MAX_BYTES = 1 << 30
+_QUADRATURE_BYTES = 128
 
 
 def ground_state_probability(
@@ -59,9 +59,10 @@ def ground_state_probability(
     model: str = "linear",
 ) -> float:
     """Closed-form p(T) for a vacuum-started mode under a drive of strength eps_eff."""
-    if model not in MODELS:
-        raise InvalidModelError(f"unknown model {model!r}, expected one of {MODELS}")
-    _check_finite(eps_eff=eps_eff, omega=omega, t_final=t_final)
+    check_member("model", model, MODELS, InvalidModelError)
+    check_number("eps_eff", eps_eff, ConfigValidationError)
+    check_number("omega", omega, ConfigValidationError, real=True)
+    check_number("t_final", t_final, ConfigValidationError, real=True)
     m = LOWERED_QUANTA[model]
     e = abs(eps_eff)
     try:
@@ -81,16 +82,24 @@ def greens_quadrature_probability(
 ) -> float:
     """p(T) from the double quadrature of the retarded propagator.
 
-    ``resolution`` is the number of trapezoid subintervals per axis (>= 100).
-    The double sum is folded into a single prefix-summed pass, so the cost is
-    O(resolution), not O(resolution^2).
+    ``resolution`` is the number of trapezoid subintervals per axis, an integer
+    >= 100 whose arrays fit ``QUADRATURE_MAX_BYTES``. The double sum is folded
+    into a single prefix-summed pass, so the cost is O(resolution), not
+    O(resolution^2).
     """
-    if resolution < 100:
-        raise ConfigValidationError(f"resolution must be >= 100, got {resolution}")
-    _check_finite(eps_eff=eps_eff, omega=omega, t_final=t_final)
+    check_integer("resolution", resolution, 100, ConfigValidationError)
+    n = int(resolution)
+    nbytes = (n + 1) * _QUADRATURE_BYTES
+    if nbytes > QUADRATURE_MAX_BYTES:
+        raise ConfigValidationError(
+            f"resolution: {resolution!r} subintervals need {nbytes} bytes, "
+            f"over the {QUADRATURE_MAX_BYTES}-byte limit"
+        )
+    check_number("eps_eff", eps_eff, ConfigValidationError)
+    check_number("omega", omega, ConfigValidationError, real=True)
+    check_number("t_final", t_final, ConfigValidationError, real=True)
     if t_final == 0.0:
         return 1.0
-    n = int(resolution)
     h = t_final / n
     t = np.linspace(0.0, t_final, n + 1)
     w = np.ones(n + 1)
@@ -130,10 +139,16 @@ def two_boson_variances(
     when Delta^2 or Delta t leaves the float range, where the variances would
     come out NaN.
     """
-    _check_finite(eps=eps, omega=omega)
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ConfigValidationError(f"t: must be finite, got {t!r}")
+    check_number("eps", eps, ConfigValidationError)
+    check_number("omega", omega, ConfigValidationError, real=True)
+    check_number("k", k, ConfigValidationError, real=True)
+    try:
+        t = np.asarray(t, dtype=float)
+        finite = np.isfinite(t).all()
+    except (TypeError, ValueError):  # not numbers
+        finite = False
+    if not finite:
+        raise ConfigValidationError(f"t: must be finite real numbers, got {t!r}")
     delta = 0.5 * k * omega
     if delta <= 2.0 * abs(eps):
         raise ConfigValidationError(

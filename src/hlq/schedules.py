@@ -24,6 +24,7 @@ import numbers
 from dataclasses import dataclass
 
 from .errors import ConfigValidationError, InvalidCoherenceError, InvalidPreparationError
+from .errors import check_integer, check_number
 
 SCHEDULES = ("uniform", "alternating", "rotating")
 
@@ -42,43 +43,37 @@ class AtomPrep:
         return complex(self.alpha).conjugate() * complex(self.beta)
 
     def validate(self) -> None:
-        """Raise InvalidPreparationError unless alpha, beta, eta are finite and normalized."""
+        """Raise InvalidPreparationError unless alpha, beta, eta are numbers, eta is
+        finite and |alpha|^2 + |beta|^2 = 1.
+
+        The moduli are taken in this one frame, and ``check_number`` is called
+        only to name a failure: a call per number would double the cost of a
+        valid prep, and every step of an explicit schedule is checked.
+        """
         try:  # hypot, unlike abs() of a complex, returns inf instead of raising on overflow
             a = math.hypot(self.alpha.real, self.alpha.imag)
             b = math.hypot(self.beta.real, self.beta.imag)
             e = math.hypot(self.eta.real, self.eta.imag)
-        except (AttributeError, TypeError):
-            raise InvalidPreparationError(
-                f"alpha, beta, eta must be numbers, got {self!r}") from None
+        except (AttributeError, TypeError):  # not a number, which the checks below name
+            a = b = e = math.nan
         if not math.isfinite(e):
-            raise InvalidPreparationError(
-                f"eta: must be finite, with |eta| finite, got {self.eta!r}")
+            for name in ("eta", "alpha", "beta"):
+                check_number(name, getattr(self, name), InvalidPreparationError)
         norm = a * a + b * b
         if not abs(norm - 1.0) <= 1e-12:  # also catches a NaN or overflowing norm
-            raise InvalidPreparationError(
-                f"|alpha|^2 + |beta|^2 = {norm!r}, expected 1"
-            )
+            raise InvalidPreparationError(f"|alpha|^2 + |beta|^2 = {norm!r}, expected 1")
+
+
+def check_zeta_abs(zeta_abs, error) -> None:
+    """Raise error unless zeta_abs is a real number in [0, 1/2], the reachable |zeta|."""
+    if not (isinstance(zeta_abs, numbers.Real) and 0.0 <= zeta_abs <= 0.5):
+        raise error(f"zeta_abs: must be a real number in [0, 0.5], got {zeta_abs!r}")
 
 
 def _mixing_angle(zeta_abs: float) -> float:
     # |zeta| = cos(theta) sin(theta) = sin(2 theta)/2, capped at 1/2.
-    if not 0.0 <= zeta_abs <= 0.5:
-        raise InvalidCoherenceError(
-            f"|zeta| = {zeta_abs!r} outside the reachable range [0, 0.5]"
-        )
+    check_zeta_abs(zeta_abs, InvalidCoherenceError)
     return 0.5 * math.asin(2.0 * zeta_abs)
-
-
-def _check_request(n_steps: int, **values) -> None:
-    """Raise ConfigValidationError unless n_steps is an integer >= 0 and every value,
-    real or complex, is a finite number of finite modulus, so every prep made passes
-    ``AtomPrep.validate``."""
-    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
-        raise ConfigValidationError(f"n_steps: must be an integer >= 0, got {n_steps!r}")
-    for name, value in values.items():
-        if not (isinstance(value, numbers.Complex)
-                and math.isfinite(math.hypot(value.real, value.imag))):
-            raise ConfigValidationError(f"{name}: must be a finite number, got {value!r}")
 
 
 def uniform_schedule(
@@ -88,7 +83,9 @@ def uniform_schedule(
     eta: complex = 1.0,
 ) -> list[AtomPrep]:
     """N identical preps with zeta = zeta_abs * exp(i phase)."""
-    _check_request(n_steps, phase=phase, eta=eta)
+    check_integer("n_steps", n_steps, 0, ConfigValidationError)
+    check_number("phase", phase, ConfigValidationError, real=True)
+    check_number("eta", eta, ConfigValidationError)
     theta = _mixing_angle(zeta_abs)
     prep = AtomPrep(
         alpha=complex(math.cos(theta)),
@@ -103,7 +100,8 @@ def alternating_schedule(
     eta: complex = 1.0,
 ) -> list[AtomPrep]:
     """Preps whose coherence flips sign every step: zeta_j = (-1)^(j-1) zeta_abs."""
-    _check_request(n_steps, eta=eta)
+    check_integer("n_steps", n_steps, 0, ConfigValidationError)
+    check_number("eta", eta, ConfigValidationError)
     theta = _mixing_angle(zeta_abs)
     even = AtomPrep(complex(math.cos(theta)), complex(math.sin(theta)), complex(eta))
     odd = AtomPrep(complex(math.cos(theta)), complex(-math.sin(theta)), complex(eta))
@@ -123,7 +121,10 @@ def rotating_schedule(
     their couplings. At omega = 0 this degenerates to the uniform schedule.
     The last phase omega tau_N must be finite too.
     """
-    _check_request(n_steps, omega=omega, dt=dt, eta=eta)
+    check_integer("n_steps", n_steps, 0, ConfigValidationError)
+    check_number("omega", omega, ConfigValidationError, real=True)
+    check_number("dt", dt, ConfigValidationError, real=True)
+    check_number("eta", eta, ConfigValidationError)
     try:  # bounds every phase omega tau_j
         span = abs(omega * dt) * n_steps
     except OverflowError:  # n_steps past the float range

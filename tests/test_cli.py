@@ -130,7 +130,9 @@ class TestParseConfig:
     def test_non_finite_coherent_amplitude_rejected(self, tmp_path):
         for amplitude in ("nan", "inf", "1+nanj"):
             text = TINY + f"initial = coherent({amplitude})\n"
-            with pytest.raises(ConfigValidationError, match="initial"):
+            with pytest.raises(ConfigValidationError,
+                               match=r"^gamma0: must be finite, a number with \|gamma0\| <= "
+                                     r"9\.480751908109176e\+153, got "):
                 parse_config(text)
             cfg = write(tmp_path, text)
             assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1

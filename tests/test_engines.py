@@ -151,7 +151,9 @@ class TestCouplings:
 
     @pytest.mark.parametrize("convention", ["operator", "coherence"])
     def test_phase_multiplicity_unknown_model(self, convention):
-        with pytest.raises(InvalidModelError, match="unknown model 'foo'"):
+        with pytest.raises(InvalidModelError,
+                           match=r"^model: must be one of \('linear', 'two-boson', 'intensity'\), "
+                                 r"got 'foo'$"):
             phase_multiplicity("foo", convention)
 
 
@@ -730,6 +732,17 @@ class TestRun:
             dict(model="linear", omega=1.0, dt=0.01, steps=5, schedule="sawtooth"),
             dict(model="linear", omega=1.0, dt=0.01, steps=5, phase="detuned"),
             dict(model="linear", omega=1.0, dt=0.01, steps=5, initial="thermal"),
+            dict(model="linear", omega=1.0, dt=-0.01, steps=5),
+            dict(model="linear", omega=1.0, dt=math.nan, steps=5),
+            dict(model="linear", omega=1.0, dt=math.inf, steps=5),
+            dict(model="linear", omega=math.nan, dt=0.01, steps=5),
+            dict(model="linear", omega=10**400, dt=0.01, steps=5),
+            dict(model="linear", omega=1.0, dt=0.01, steps=-3),
+            dict(model="linear", omega=1.0, dt=0.01, steps=5, dim=0),
+            dict(model="linear", omega=1.0, dt=0.01, steps=5, zeta_abs=-0.1),
+            dict(model="linear", omega=1.0, dt=0.01, steps=5, zeta_abs=math.nan),
+            dict(model="linear", omega=1.0, dt=0.01, steps=5, engine="quantum"),
+            dict(model="linear", omega=1.0, dt=0.01, steps=5, outputs=("final", "movie")),
         ]
         for kwargs in bad:
             with pytest.raises(ConfigValidationError):
@@ -746,7 +759,9 @@ class TestRun:
     @pytest.mark.parametrize("gamma0", [complex("nan"), complex("inf"), complex(0.3, math.nan)])
     @pytest.mark.parametrize("deep", [False, True])
     def test_non_finite_coherent_amplitude_rejected(self, gamma0, deep):
-        with pytest.raises(ConfigValidationError, match="initial: amplitude must be finite"):
+        with pytest.raises(ConfigValidationError,
+                           match=r"^gamma0: must be finite, a number with \|gamma0\| <= "
+                                 r"9\.480751908109176e\+153, got "):
             run(SimConfig(model="linear", omega=1.0, dt=0.01, steps=5,
                           initial="coherent", gamma0=gamma0), deep_checks=deep)
 
@@ -892,6 +907,11 @@ class TestNonFiniteStop:
             engines._Guard(deep=True).inspect(rho, 4)
 
 
+# Both sides of the bound on a coherent amplitude: 2 |gamma|^2 must be finite.
+BELOW_EDGE = 9.480751908109176e153
+ABOVE_EDGE = 9.480751908109177e153
+
+
 class TestConfigBoundary:
     BASE = dict(model="linear", omega=1.0, dt=0.01, steps=5)
 
@@ -901,12 +921,23 @@ class TestConfigBoundary:
         (dict(dt=1e308, steps=3), r"dt: steps \* dt or"),
         (dict(steps=10**400), r"dt: steps \* dt or"),
         (dict(eta=complex(1.7e308, 1.7e308)), r"eta: must be finite"),
-        (dict(initial="coherent", gamma0=1e200), "initial: amplitude .* too large"),
-        (dict(initial="coherent", gamma0=complex(1e154, 1e154)), "initial: .* too large"),
+        (dict(initial="coherent", gamma0=1e200), r"^gamma0: .* <= 9\.48\d*e\+153, got 1e\+200$"),
+        (dict(initial="coherent", gamma0=complex(1e154, 1e154)),
+         r"^gamma0: .* <= 9\.48\d*e\+153, got \(1e\+154\+1e\+154j\)$"),
+        (dict(initial="coherent", gamma0=ABOVE_EDGE), r"^gamma0: .* got 9\.480751908109177e\+153$"),
+        (dict(gamma0=ABOVE_EDGE), r"^gamma0: .* got 9\.480751908109177e\+153$"),
+        (dict(gamma0=complex("inf")), r"^gamma0: .* <= 9\.48\d*e\+153, got \(inf\+0j\)$"),
     ])
     def test_overflow_rejected_where_it_enters(self, fields, message):
         with pytest.raises(ConfigValidationError, match=message):
             run(SimConfig(**{**self.BASE, **fields}))
+
+    # The largest modulus with 2 |gamma0|^2 finite passes; the next float up is above.
+    def test_coherent_amplitude_edge(self):
+        assert math.isfinite(2.0 * BELOW_EDGE**2) and not math.isfinite(2.0 * ABOVE_EDGE**2)
+        assert ABOVE_EDGE == math.nextafter(BELOW_EDGE, math.inf)
+        for gamma0 in (BELOW_EDGE, complex(0.0, -BELOW_EDGE)):
+            SimConfig(**self.BASE, initial="coherent", gamma0=gamma0)
 
     # validate() alone: no run is made, so nothing near the cap is allocated.
     def test_run_size_cap_edge(self):
@@ -918,6 +949,8 @@ class TestConfigBoundary:
     @pytest.mark.parametrize("field, value", [
         ("omega", "1.0"), ("dt", None), ("steps", "5"), ("zeta_abs", "0.3"),
         ("eta", "1+1j"), ("gamma0", "0.3"), ("model", 3), ("outputs", "final"),
+        ("dim", "32"), ("schedule", None), ("engine", 1), ("initial", None), ("phase", 0),
+        ("omega", 1j), ("dt", 1j), ("zeta_abs", 0.3j), ("eta", None), ("outputs", None),
     ])
     def test_field_of_the_wrong_type_named(self, field, value):
         with pytest.raises(ConfigValidationError, match=f"^{field}: (must be|unknown value)"):
@@ -930,7 +963,7 @@ class TestConfigBoundary:
         (AtomPrep(1.0, math.inf, 1.0), r"\|alpha\|\^2 \+ \|beta\|\^2 = inf"),
         (AtomPrep(1e200, 0.0, 1.0), r"\|alpha\|\^2 \+ \|beta\|\^2 = inf, expected 1"),
         (AtomPrep(1e155, 1e155, 1.0), r"\|alpha\|\^2 \+ \|beta\|\^2 = inf"),
-        (AtomPrep(1.0, 0.0, "1"), r"alpha, beta, eta must be numbers"),
+        (AtomPrep(1.0, 0.0, "1"), r"eta: must be finite, a number with \|eta\| finite, got '1'$"),
     ])
     @pytest.mark.parametrize("call", [run, run_compare])
     def test_bad_explicit_schedule_step_named(self, prep, message, call):
@@ -1004,7 +1037,9 @@ class TestConfigBoundary:
         assert cfg.outputs == ("final",)
         assert hash(cfg) == hash(SimConfig(**self.BASE, outputs=("final",)))
         assert dataclasses.replace(cfg, outputs=["timeseries"]).outputs == ("timeseries",)
-        with pytest.raises(ConfigValidationError, match=r"^outputs: unknown value\(s\) \['movie"):
+        with pytest.raises(ConfigValidationError,
+                           match=r"^outputs: must be one of \('timeseries', 'final'\), "
+                                 r"got 'movie'$"):
             dataclasses.replace(cfg, outputs=["final", "movie"])
 
 
@@ -1153,6 +1188,22 @@ class TestLockstepDriver:
             tracemalloc.stop()
         assert res.records.nbytes == 72 * 3001
         assert peak <= 1.5 * res.records.nbytes
+
+    @pytest.mark.parametrize("call", [run, run_compare])
+    def test_only_an_explicit_schedule_is_checked_per_prep(self, monkeypatch, call):
+        # A schedule the driver makes from the config is valid by construction.
+        calls, original = [], AtomPrep.validate
+
+        def counting(prep):
+            calls.append(prep)
+            return original(prep)
+
+        monkeypatch.setattr(AtomPrep, "validate", counting)
+        cfg, sched = self.rotating()
+        call(cfg)
+        assert calls == []
+        call(cfg, sched)
+        assert calls == sched
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_purity_taken_once_per_step(self, monkeypatch, deep):

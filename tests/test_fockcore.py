@@ -270,14 +270,25 @@ class TestCoherentVector:
         mean = np.vdot(c, annihilation_matrix(d) @ c) / np.vdot(c, c)
         assert abs(mean - gamma) <= 1e-8
 
+    # 9.480751908109177e153 is the least modulus whose 2 |gamma|^2 overflows.
     @pytest.mark.parametrize("gamma", [1e200, complex(1e154, 1e154), math.nan,
-                                       complex(0.3, math.nan), complex(math.inf, 0)])
+                                       complex(0.3, math.nan), complex(math.inf, 0),
+                                       9.480751908109177e153, complex(0, -9.480751908109177e153)])
     def test_bad_amplitude_rejected(self, gamma):
-        with pytest.raises(ConfigValidationError, match="coherent amplitude .* not finite or"):
+        with pytest.raises(ConfigValidationError,
+                           match=r"^gamma: must be finite, a number with \|gamma\| <= "
+                                 r"9\.480751908109176e\+153, got "):
             coherent_vector(gamma, 8)
 
+    def test_largest_amplitude_accepted(self):
+        # The next float below the least rejected modulus; its Poisson weights underflow.
+        for gamma in (9.480751908109176e153, complex(0, -9.480751908109176e153)):
+            assert np.array_equal(coherent_vector(gamma, 4), np.zeros(4))
+
     def test_non_number_amplitude_rejected(self):
-        with pytest.raises(ConfigValidationError, match="coherent amplitude 'x' is not a number"):
+        with pytest.raises(ConfigValidationError,
+                           match=r"^gamma: must be finite, a number with \|gamma\| <= "
+                                 r"9\.480751908109176e\+153, got 'x'$"):
             coherent_vector("x", 3)
 
     def test_non_integer_dim_rejected(self):

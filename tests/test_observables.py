@@ -210,7 +210,8 @@ class TestFidelity:
     @pytest.mark.parametrize("gamma",
                              [1e200, complex(1e154, 1e154), math.nan, complex(0, math.inf), "x"])
     def test_bad_amplitude_rejected(self, gamma):
-        with pytest.raises(ConfigValidationError, match="coherent amplitude"):
+        with pytest.raises(ConfigValidationError,
+                           match=r"^gamma: must be finite, a number with \|gamma\| <= "):
             fidelity_coherent(vacuum(8), gamma)
 
 
@@ -224,6 +225,12 @@ class TestTraceDistance:
         b = np.zeros((4, 4), dtype=complex)
         b[1, 1] = 1.0
         assert trace_distance(a, b) == pytest.approx(1.0)
+
+    def test_list_operand_typed(self):
+        a, b = vacuum(4), coherent_density(0.3, 4)
+        assert trace_distance(a, b.tolist()) == trace_distance(a, b)
+        with pytest.raises(InvalidDimensionError, match=r"^shape mismatch \(4, 4\) vs \(1, 1\)$"):
+            trace_distance(a, [[1]])
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(15)
@@ -267,9 +274,10 @@ class TestHusimi:
             grid = husimi_grid(state, 5.0, 201)
             assert abs(grid.mass - 1.0) <= 0.01
 
-    @pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, 0.0, -1.0, "x", None, 1j])
     def test_bad_extent_rejected(self, extent):
-        with pytest.raises(ConfigValidationError, match="husimi extent must be finite and > 0"):
+        with pytest.raises(ConfigValidationError,
+                           match="^husimi extent: must be finite, a real number > 0, got "):
             husimi_grid(vacuum(), extent, 5)
 
     def test_too_few_points_rejected(self):

@@ -1,6 +1,7 @@
 """Closed-form vacuum survival law and the quadrature cross-check."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hlq.engines import SimConfig, run
 from hlq.errors import ConfigValidationError, InvalidModelError
 from hlq.oracles import (
+    QUADRATURE_MAX_BYTES,
     greens_quadrature_probability,
     ground_state_probability,
     two_boson_variances,
@@ -109,8 +111,31 @@ class TestQuadrature:
         pq = greens_quadrature_probability(0.4, 0.0, 1.5, 2000)
         assert pq == pytest.approx(math.exp(-(0.4 * 1.5) ** 2), abs=1e-6)
 
+    @pytest.mark.parametrize("resolution", [None, math.nan, 150.5, 200.0, "200"])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ConfigValidationError,
+                           match=rf"^resolution: must be an integer >= 100, got {resolution!r}$"):
+            greens_quadrature_probability(0.5, 1.0, 1.0, resolution)
+
+    # The arrays take _QUADRATURE_BYTES (128) per point; only the request is sized.
+    @pytest.mark.parametrize("resolution", [QUADRATURE_MAX_BYTES // 128, 10**9, 10**30])
+    def test_resolution_over_the_memory_cap_rejected_before_allocating(self, resolution):
+        nbytes = (resolution + 1) * 128
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigValidationError,
+                               match=rf"^resolution: {resolution} subintervals need {nbytes} "
+                                     rf"bytes, over the 1073741824-byte limit$"):
+                greens_quadrature_probability(0.5, 1.0, 1.0, resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert 0.0 < greens_quadrature_probability(0.5, 1.0, 1.0, np.int64(1000)) < 1.0
+
     def test_resolution_floor(self):
-        with pytest.raises(ConfigValidationError, match="resolution must be >= 100"):
+        with pytest.raises(ConfigValidationError,
+                           match=r"^resolution: must be an integer >= 100, got 99$"):
             greens_quadrature_probability(0.5, 1.0, 1.0, 99)
 
 
@@ -146,12 +171,14 @@ class TestNonFiniteArguments:
     NAN, INF = float("nan"), float("inf")
 
     def test_infinite_omega_rejected(self):
-        with pytest.raises(ConfigValidationError, match="omega: must be finite, got inf"):
+        with pytest.raises(ConfigValidationError,
+                           match="^omega: must be finite, a real number, got inf$"):
             ground_state_probability(0.5, self.INF, 1.0)
 
     @pytest.mark.parametrize("args, name", [
         ((NAN, 1.0, 1.0), "eps_eff"), ((0.5, NAN, 1.0), "omega"), ((0.5, 1.0, NAN), "t_final"),
-        ((0.5, 0.0, INF), "t_final"),
+        ((0.5, 0.0, INF), "t_final"), (("x", 1.0, 1.0), "eps_eff"), ((0.1, None, 1.0), "omega"),
+        ((0.5, 1j, 1.0), "omega"), ((0.5, 1.0, 10**400), "t_final"),
     ])
     def test_closed_form_rejects_nan(self, args, name):
         with pytest.raises(ConfigValidationError, match=f"{name}: must be finite"):
@@ -159,6 +186,7 @@ class TestNonFiniteArguments:
 
     @pytest.mark.parametrize("args, name", [
         ((NAN, 1.0, 1.0), "eps_eff"), ((0.5, NAN, 1.0), "omega"), ((0.5, 1.0, NAN), "t_final"),
+        (("x", 1.0, 1.0), "eps_eff"), ((0.5, 1j, 1.0), "omega"), ((0.5, 1.0, 2j), "t_final"),
     ])
     def test_quadrature_rejects_nan(self, args, name):
         with pytest.raises(ConfigValidationError, match=f"{name}: must be finite"):
@@ -167,7 +195,8 @@ class TestNonFiniteArguments:
     # A NaN fails the gain comparison, so unchecked it would reach numpy and warn.
     @pytest.mark.parametrize("args, name", [
         ((complex(NAN, 0.0), 3.0, [0.1]), "eps"), ((0.1, NAN, [0.1]), "omega"),
-        ((0.1, 3.0, [0.1, NAN]), "t"),
+        ((0.1, 3.0, [0.1, NAN]), "t"), ((0.1, 3.0, [0.1], "x"), "k"), ((0.1, 3.0, ["x"]), "t"),
+        (("x", 3.0, [0.1]), "eps"), ((0.1, 3.0, [0.1j]), "t"), ((0.1, 3.0, [0.1], NAN), "k"),
     ])
     def test_two_boson_variances_reject_nan(self, args, name):
         with pytest.raises(ConfigValidationError, match=f"{name}: must be finite"):

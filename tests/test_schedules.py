@@ -90,7 +90,7 @@ def test_rotating_at_zero_frequency_is_uniform():
 
 
 def test_overrange_coherence_rejected():
-    for bad in (0.50001, 0.6, 1.0, -0.1):
+    for bad in (0.50001, 0.6, 1.0, -0.1, math.nan, "x", None, 0.3j):
         with pytest.raises(InvalidCoherenceError):
             uniform_schedule(3, bad)
         with pytest.raises(InvalidCoherenceError):
@@ -133,6 +133,11 @@ NAN, INF = float("nan"), float("inf")
     (lambda: rotating_schedule(2, 0.3, 1.0, -INF), "dt"),
     (lambda: rotating_schedule(2, 0.3, 1.0, 0.1, NAN), "eta"),
     (lambda: rotating_schedule(2, 0.3, 1e308, 10.0), "overflows"),
+    (lambda: uniform_schedule(2, 0.3, 0.0, "1"), r"^eta: must be finite, .* got '1'$"),
+    (lambda: uniform_schedule(2, 0.3, 1j), r"^phase: .*, a real number, got 1j$"),
+    (lambda: rotating_schedule(2, 0.3, 1j, 0.1), r"^omega: .*, a real number, got 1j$"),
+    (lambda: rotating_schedule(2, 0.3, 1.0, 0.1j), r"^dt: .*, a real number, got 0\.1j$"),
+    (lambda: rotating_schedule(2, 0.3, 1.0, None), r"^dt: .*, a real number, got None$"),
 ])
 def test_generator_inputs_typed(make, name):
     with pytest.raises(ConfigValidationError, match=name):
