@@ -9,9 +9,12 @@ husimi    phase-space snapshots        -> husimi_step<j>.csv (+ trajectory.csv)
 sweep     re-run over a parameter list -> per-value subdirectories
 
 With ``engine = both``, ``run`` and each ``sweep`` value step the two engines
-together in one lockstep run with deep checks on, as ``compare`` does, and
-write ``timeseries_<engine>.csv`` and ``final_state_<engine>.csv`` per engine;
-a failure names the earliest step at which either engine fails. ``husimi``
+together in one lockstep run and write ``timeseries_<engine>.csv`` and
+``final_state_<engine>.csv`` per engine; a failure names the earliest step at
+which either engine fails. That run steps and checks the engines as
+``compare``'s does, with one difference: its hidden lane's guard runs deep
+checks, and ``compare``'s runs shallow. The standard lane's guard is shallow
+in both, since psi psi^dag passes the deep checks by construction. ``husimi``
 snapshots the hidden engine when ``engine = both``.
 
 Every subcommand takes one config-file path and an optional ``--out-dir``

@@ -77,11 +77,15 @@ takes psi psi^dag), its guard checks that matrix, and its recorder appends the
 row: it takes the purity and gathers the diagonals 0, -1 and -2, and reduces
 them 64 rows at a time into the lane's ``np.recarray``, allocated once and
 returned as is with every row complete.
-With two lanes the driver also takes the trace distance between them. A deep
-guard holds three d x d buffers (rho^dag, rho - rho^dag and its modulus) and
-a block of at most 128 KiB of states' Hermitian parts: it checks the
-Hermiticity defect every step and takes the lowest eigenvalues by one
-``eigvalsh`` per block, the last partial block when the lane's result is made.
+With two lanes the driver also takes the trace distance between them. Deep
+checks deepen the hidden lane's guard only. It holds three d x d buffers
+(rho^dag, rho - rho^dag and its modulus) and a block of at most 128 KiB of
+states' Hermitian parts: it checks the Hermiticity defect every step and takes
+the lowest eigenvalues by one ``eigvalsh`` per block, the last partial block
+when the lane's result is made. The standard lane's guard is always shallow
+(finite trace, trace drift, top-two population, every step) and reports a
+Hermiticity defect and lowest eigenvalue of 0.0: its psi psi^dag passes the
+deep checks by construction (DECISIONS.md D3).
 """
 
 from __future__ import annotations
@@ -126,9 +130,10 @@ TRUNCATION_LIMIT = 1e-6
 # kernel holds the factors and work buffers of one step, neither growing with
 # steps: the hidden kernel nine d x d complex buffers, the standard one five
 # (psi psi^dag in three, and W and W^dag), 576 and 320 KiB at dim 64. A deep
-# lane's guard holds three d x d buffers (rho^dag, rho - rho^dag and its real
-# modulus, 160 KiB at dim 64) and a block of states' Hermitian parts of at
-# most _EIG_BLOCK_BYTES, or one state where a single state is larger.
+# hidden lane's guard holds three d x d buffers (rho^dag, rho - rho^dag and its
+# real modulus, 160 KiB at dim 64) and a block of states' Hermitian parts of at
+# most _EIG_BLOCK_BYTES, or one state where a single state is larger; the
+# standard lane's guard is shallow and holds none.
 RUN_MAX_BYTES = 1 << 30
 _STEP_BYTES = 2 * 72 + 136
 
@@ -496,7 +501,7 @@ class _Guard:
 
     def __init__(self, deep: bool):
         self.deep = deep
-        self.diag = RunDiagnostics(min_eigenvalue=np.inf)
+        self.diag = RunDiagnostics(min_eigenvalue=np.inf if deep else 0.0)
         self._stack, self._held = None, 0
 
     def inspect(self, rho: np.ndarray, step: int) -> None:
@@ -511,7 +516,7 @@ class _Guard:
             raise TruncationOverflowError(step, top2)
         drift = abs(trace.real - 1.0) + abs(trace.imag)
         if drift > self.diag.max_trace_drift:
-            self.diag.max_trace_drift = drift
+            self.diag.max_trace_drift = float(drift)
         if self.deep:
             if self._stack is None:
                 d = rho.shape[0]
@@ -548,8 +553,6 @@ class _Guard:
             self._lowest()
         self.diag.min_purity = min(1.0, float(purities.min()))
         self.diag.max_purity = max(1.0, float(purities.max()))
-        if not self.deep:
-            self.diag.min_eigenvalue = 0.0
         return self.diag
 
 
@@ -570,7 +573,8 @@ class _Lane:
     def __init__(self, config: SimConfig, engine: str, deep: bool, wanted: set[int]):
         self.kernel = _build_stepper(config, engine)
         self.state = self.kernel.start(initial_vector(config))
-        self.guard = _Guard(deep)
+        # psi psi^dag passes the deep checks by construction (D3): only a mixed lane's are run.
+        self.guard = _Guard(deep and engine == "hidden")
         self.recorder = TrajectoryRecorder(config.steps, config.dt)
         self.wanted = wanted
         self.snapshots: dict[int, np.ndarray] = {}
@@ -658,6 +662,9 @@ def run(
     the final density matrix, worst-case diagnostics, and copies of the
     state at the requested snapshot steps (each in [0, steps]). Raises
     truncation-overflow once the top two Fock levels together reach 1e-6.
+    ``deep_checks`` deepens the hidden engine's guard; the standard engine's
+    guard is shallow either way, and reports a Hermiticity defect and lowest
+    eigenvalue of 0.0.
     """
     (lane,), _ = _lockstep(config, schedule, (config.engine,), deep_checks, snapshot_steps)
     return lane.result()
@@ -670,7 +677,10 @@ def run_compare(
     per_step_distance: bool = True,
     deep_checks: bool = False,
 ) -> CompareResult:
-    """Run the hidden and standard engines in lockstep over one schedule."""
+    """Run the hidden and standard engines in lockstep over one schedule.
+
+    ``deep_checks`` deepens the hidden lane's guard only, as in ``run``.
+    """
     lanes, distances = _lockstep(config, schedule, ("hidden", "standard"), deep_checks,
                                  per_step_distance=per_step_distance)
     h, s = (lane.result() for lane in lanes)

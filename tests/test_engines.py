@@ -69,6 +69,16 @@ def random_vector(rng, d):
     return psi / np.linalg.norm(psi)
 
 
+def signed_zero_vector(rng, d):
+    """A random unit vector with signed zeros in either part, where a zero's sign would differ first."""
+    psi = random_vector(rng, d)
+    zeros = rng.integers(0, 4, d)
+    psi.real[zeros == 1] = rng.choice([0.0, -0.0], d)[zeros == 1]
+    psi.imag[zeros == 2] = rng.choice([0.0, -0.0], d)[zeros == 2]
+    psi[zeros == 3] = complex(-0.0, -0.0)
+    return psi
+
+
 def random_prep(rng, eta):
     theta = rng.uniform(0.0, math.pi / 2)
     return AtomPrep(complex(math.cos(theta)),
@@ -553,23 +563,19 @@ class TestStandardLane:
         assert np.array_equal(res.final, np.outer(psi, psi.conj()))
 
     def test_density_is_outer_bytes_in_a_held_buffer(self):
-        # Signed zeros in either part of psi, where a zero's sign would differ first.
         rng = np.random.default_rng(44)
         for d in (2, 3, 12, 32, 64, 96):
             cfg = SimConfig(model="linear", omega=1.3, dt=0.01, steps=1, dim=d, engine="standard")
             kernel = engines._build_stepper(cfg, "standard")
             held = kernel.density(random_vector(rng, d))
             for _ in range(20):
-                psi = random_vector(rng, d)
-                zeros = rng.integers(0, 4, d)
-                psi.real[zeros == 1] = rng.choice([0.0, -0.0], d)[zeros == 1]
-                psi.imag[zeros == 2] = rng.choice([0.0, -0.0], d)[zeros == 2]
-                psi[zeros == 3] = complex(-0.0, -0.0)
+                psi = signed_zero_vector(rng, d)
                 rho = kernel.density(psi)
                 assert rho is held
                 assert rho.tobytes() == np.outer(psi, psi.conj()).tobytes(), d
 
-    def test_deep_guard_inspects_every_density(self, monkeypatch):
+    def test_shallow_guard_inspects_every_density(self, monkeypatch):
+        # Deep checks on, yet the pure lane's guard is shallow: it still sees every density.
         seen = []
         inspect = engines._Guard.inspect
 
@@ -583,6 +589,23 @@ class TestStandardLane:
         assert seen == [(j, (cfg.dim, cfg.dim)) for j in range(cfg.steps + 1)]
         # psi psi^dag is Hermitian up to the rounding of one product
         assert res.diagnostics.max_hermiticity_defect <= np.finfo(float).eps
+
+    def test_density_meets_the_deep_bounds_by_construction(self):
+        # What the pure lane's shallow guard leaves out: psi psi^dag, signed zeros and
+        # all, is Hermitian to one product's rounding and has no negative eigenvalue
+        # beyond rounding. These 1,248 draws read a largest defect of 5.55e-17 (0.0
+        # without numpy's AVX2 loops) and a lowest eigenvalue of -3.8e-16.
+        rng = np.random.default_rng(21)
+        worst_defect, lowest = 0.0, np.inf
+        for d in range(2, 98):
+            cfg = SimConfig(model="linear", omega=1.3, dt=0.01, steps=1, dim=d, engine="standard")
+            kernel = engines._build_stepper(cfg, "standard")
+            for _ in range(13):
+                rho = kernel.density(signed_zero_vector(rng, d))
+                worst_defect = max(worst_defect, hermiticity_defect(rho))
+                lowest = min(lowest, float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]))
+        assert worst_defect <= np.finfo(float).eps
+        assert lowest >= -1e-14
 
 
 class TestStepHeap:
@@ -643,7 +666,8 @@ cases = {"hidden 64": (config("linear", 64, "hidden", "coherent"), run, False),
          "standard 64": (config("linear", 64, "standard", "coherent"), run, False),
          "standard 96": (config("linear", 96, "standard", "coherent"), run, False),
          "compare 64": (config("linear", 64, "hidden", "coherent"), compare, False),
-         "hidden 96 deep": (config("linear", 96, "hidden", "coherent"), run, True)}
+         "hidden 96 deep": (config("linear", 96, "hidden", "coherent"), run, True),
+         "standard 96 deep": (config("linear", 96, "standard", "coherent"), run, True)}
 faults = {}
 for name, (cfg, call, deep) in cases.items():
     for _ in range(2):
@@ -666,9 +690,10 @@ print(json.dumps(faults))
         out = subprocess.run([sys.executable, "-c", self.CHILD], env=env, capture_output=True,
                              text=True, timeout=300, check=True)
         faults = json.loads(out.stdout)
-        # A deep dim-96 step still faults in eigvalsh's own copy of its one-state
+        # A deep dim-96 hidden step still faults in eigvalsh's own copy of its one-state
         # block (37.7 faults per step read when the bound was set, 223 with a
-        # guard that formed its Hermitian part and defect in fresh arrays).
+        # guard that formed its Hermitian part and defect in fresh arrays). A deep
+        # standard run takes no eigvalsh (37.9 per step when it did, 0.70 without).
         bounds = {"hidden 96 deep": 48.0}
         for name, per_step in faults.items():
             assert per_step <= bounds.get(name, 1.0), (name, faults)
@@ -867,10 +892,12 @@ class TestGuardOracle:
                          snapshot_steps=range(steps + 1), deep_checks=deep)
             states = [single.snapshots[j] for j in range(steps + 1)]
             for got in (single.diagnostics, getattr(both, f"diagnostics_{engine}")):
+                # The pure standard lane's guard is shallow whatever deep_checks says.
                 expected = dataclasses.replace(
-                    reference_diagnostics(states, deep),
+                    reference_diagnostics(states, deep and engine == "hidden"),
                     propagator_unitarity_defect=got.propagator_unitarity_defect)
                 assert self.bits(got) == self.bits(expected), (engine, got, expected)
+                assert {type(v) for v in vars(got).values()} == {float}, (engine, got)
 
 
 class TestNonFiniteStop:
@@ -898,6 +925,41 @@ class TestNonFiniteStop:
         with pytest.raises(NonFiniteStateError, match=r"trace .*nan.* at step 3") as info:
             run(cfg, [inert, inert, bad, inert], deep_checks=deep)
         assert info.value.step == 3
+
+    @staticmethod
+    def nan_at_step_3(step):
+        def mutated(kernel, psi, prep, tau):
+            psi = step(kernel, psi, prep, tau)
+            if round(tau / kernel.dt + 0.5) == 3:
+                psi = psi.copy()
+                psi[1] = complex(math.nan, 0.0)
+            return psi
+        return mutated
+
+    @staticmethod
+    def doubling(step):
+        def mutated(kernel, psi, prep, tau):
+            return 2.0 * step(kernel, psi, prep, tau)
+        return mutated
+
+    @pytest.mark.parametrize("call", ["run", "run_compare"])
+    @pytest.mark.parametrize("mutation, error, message, step", [
+        ("nan_at_step_3", NonFiniteStateError, r"trace .*nan.* at step 3", 3),
+        ("doubling", TruncationOverflowError, r"population .* at step 11 exceeds", 11)])
+    def test_mutated_standard_kernel_stops_alike_deep_on_and_off(
+            self, monkeypatch, call, mutation, error, message, step):
+        # The pure lane's guard is shallow either way, and it alone stops a wrong kernel.
+        monkeypatch.setattr(engines._StandardKernel, "step",
+                            getattr(self, mutation)(engines._StandardKernel.step))
+        cfg = SimConfig(model="linear", omega=1.3, dt=0.01, steps=40, dim=12, engine="standard",
+                        initial="coherent", gamma0=0.5 + 0.2j)
+        stops = []
+        for deep in (False, True):
+            with pytest.raises(error, match=message) as info:
+                getattr(engines, call)(cfg, deep_checks=deep)
+            stops.append((type(info.value), info.value.step, str(info.value)))
+        assert stops[0] == stops[1]
+        assert stops[0][:2] == (error, step)
 
     def test_deep_guard_checks_hermiticity_before_eigvalsh(self):
         rho = initial_state(SimConfig(model="linear", omega=1.0, dt=0.01, steps=3, dim=8))
