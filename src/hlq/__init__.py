@@ -8,9 +8,8 @@ virtual two-state spin whose coherence carries the drive amplitude
 matrix. The standard step is unitary and every run starts pure (vacuum or
 coherent), so that engine steps the state vector psi and forms
 rho = psi psi^dag once per step; both return density matrices.
-Closed-form and quadrature reference answers for the vacuum survival
-probability live in :mod:`hlq.oracles`; observables and phase-space views in
-:mod:`hlq.observables`.
+The closed-form vacuum survival probability lives in :mod:`hlq.oracles`;
+observables and phase-space views in :mod:`hlq.observables`.
 """
 
 from .engines import (
@@ -46,7 +45,7 @@ from .observables import (
     trace_distance,
     trajectory_point,
 )
-from .oracles import greens_quadrature_probability, ground_state_probability
+from .oracles import ground_state_probability
 from .schedules import (
     AtomPrep,
     alternating_schedule,

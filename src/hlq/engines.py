@@ -279,15 +279,6 @@ def initial_vector(config: SimConfig) -> np.ndarray:
     return c / nrm
 
 
-def _pure_density(psi: np.ndarray) -> np.ndarray:
-    return np.outer(psi, psi.conj())
-
-
-def initial_state(config: SimConfig) -> np.ndarray:
-    """Vacuum or (renormalized) truncated coherent density matrix."""
-    return _pure_density(initial_vector(config))
-
-
 def _sin_over(g: np.ndarray, dt: float) -> np.ndarray:
     """sin(g dt) / g elementwise, dt where g = 0."""
     s = np.full(g.shape, dt)
@@ -385,13 +376,16 @@ class _HiddenKernel:
         stack[2, :n] = -1j * _sin_over(g_up, dt)[:n] * r
         stack[3, :n] = -1j * _sin_over(g_down, dt)[k_low:] * r.conj()
         pairs = np.zeros((d, 2, 2), dtype=complex)
-        pairs[:, 0, 0], pairs[:, 1, 1] = stack[0], np.roll(stack[1], -k_low)
+        pairs[:, 0, 0] = stack[0]
+        pairs[:n, 1, 1], pairs[n:, 1, 1] = stack[1, k_low:], stack[1, :k_low]
         pairs[:n, 0, 1], pairs[:n, 1, 0] = eta_abs * stack[2:, :n]
         self.unitarity_defect = max(self.unitarity_defect, unitarity_defect(pairs))
         return stack
 
-    # The hidden step mixes, so this kernel steps the density matrix itself.
-    start = staticmethod(_pure_density)
+    @staticmethod
+    def start(psi: np.ndarray) -> np.ndarray:
+        """The hidden step mixes, so this kernel steps the density matrix itself."""
+        return np.outer(psi, psi.conj())
 
     @staticmethod
     def density(rho: np.ndarray) -> np.ndarray:

@@ -85,10 +85,6 @@ def trajectory_point(rho: np.ndarray) -> complex:
     return _moments(rho)[1]
 
 
-def _mean_bb(rho: np.ndarray) -> complex:
-    return _moments(rho)[2]
-
-
 def _variances(mean_n: float, mean_b: complex, mean_bb: complex) -> tuple[float, float]:
     """(var X, var Y) from the scalars <b^dag b>, <b> and <b^2>.
 

@@ -10,15 +10,41 @@ against them. ``joint_propagator`` assembles the hidden kernel's closed-form
 blocks into that dense 2d x 2d propagator, the oracle for the kernel's
 pairwise unitarity check. ``two_pass_hidden_step`` is the hidden kernel's step as
 one ``sandwich`` call per Kraus operator, the byte-for-byte oracle of its
-stacked pass. ``reference_csv_text`` is the CSV writer's oracle: every cell
-formatted on its own by ``format_cell``. ``reference_husimi`` is the
+stacked pass; its blocks take sin(g dt) / g from its own ``sin_over``, so it
+imports nothing of the kernel it checks. ``reference_csv_text`` is the CSV
+writer's oracle: every cell formatted on its own by ``format_cell``. ``reference_husimi`` is the
 Husimi grid's oracle: every grid point's coherent amplitudes at once, in one
 points^2 x d table (``reference_amplitudes``), and Q from one einsum.
 ``reference_records`` is the trajectory recorder's oracle: each row computed
 on its own from its state, by one 1-D sum per diagonal.
 ``reference_diagnostics`` is the run guard's oracle: each state checked on
 its own, its Hermiticity defect by ``hermiticity_defect`` and its lowest
-eigenvalue by one ``eigvalsh`` call.
+eigenvalue by one ``eigvalsh`` call. ``initial_state`` is a run's start as a
+density matrix, psi psi^dag of ``hlq.engines.initial_vector``.
+
+``greens_quadrature_probability`` checks the closed-form vacuum survival law
+of ``hlq.oracles`` without solving any dynamics. For a mode driven from the
+vacuum through V(t) = conj(eps) R(t) + eps R^dag(t), R(t) = R0 exp(-i omega t),
+the probability that it is still empty at time T is a double time integral of
+the free retarded propagator of the mode,
+
+    ln p(T) = 2 Im B,
+    B = -i |eps|^2 * Int_0^T Int_0^T e^{-i omega (t - s)} theta(t - s) dt ds,
+
+with theta(0) = 1/2, evaluated by the trapezoid rule: the slower but
+assumption-free check on the closed form and on the engines.
+
+``two_boson_variances`` checks the two-boson runs. The drive
+V(t) = conj(eps) b^2 e^{-i k omega t} + h.c. is quadratic, so the mode evolves
+by a Bogoliubov map b -> u b + v b^dag (Weedbrook et al., Rev. Mod. Phys. 84,
+621 (2012)). With Delta = k omega / 2 and Omega = sqrt(Delta^2 - 4 |eps|^2),
+
+    u = e^{i Delta t} [cos(Omega t) - i (Delta / Omega) sin(Omega t)],
+    v = -2 i eps e^{i Delta t} sin(Omega t) / Omega,
+
+and a vacuum start has var X = (1 + 2|v|^2 + 2 Re uv) / 4 and
+var Y = (1 + 2|v|^2 - 2 Re uv) / 4. They swing between the principal values
+e^{+-2r} / 4 with sinh r = (2 |eps| / Omega) |sin(Omega t)|.
 
 Spin basis |up> = (1, 0), |down> = (0, 1). Composite spin (x) field index
 k = s*d + n (spin-major), so a composite matrix splits into four d x d
@@ -27,10 +53,11 @@ blocks.
 """
 
 import cmath
+import math
 
 import numpy as np
 
-from hlq.engines import RunDiagnostics, _sin_over
+from hlq.engines import RunDiagnostics, SimConfig, initial_vector
 from hlq.errors import InvalidDimensionError, InvalidPreparationError
 from hlq.fockcore import model_band
 from hlq.observables import _TRAJECTORY_DTYPE
@@ -189,6 +216,14 @@ def sandwich(rho: np.ndarray, a: np.ndarray, b: np.ndarray, k_low: int, upper: b
     return x
 
 
+def sin_over(g: np.ndarray, dt: float) -> np.ndarray:
+    """sin(g dt) / g elementwise, dt where g = 0."""
+    s = np.full(g.shape, dt)
+    nz = g > 0.0
+    s[nz] = np.sin(g[nz] * dt) / g[nz]
+    return s
+
+
 def two_pass_hidden_step(
     rho: np.ndarray, prep: AtomPrep, r: np.ndarray, k_low: int, k_omega: float,
     tau: float, dt: float,
@@ -202,8 +237,8 @@ def two_pass_hidden_step(
     g_up, g_down = np.zeros(d), np.zeros(d)
     g_up[:n] = g_down[k_low:] = abs(prep.eta) * np.abs(r)
     c_up, c_down = np.cos(g_up * dt), np.cos(g_down * dt)
-    band_up = -1j * _sin_over(g_up, dt)[:n] * r
-    band_down = -1j * _sin_over(g_down, dt)[k_low:] * r.conj()
+    band_up = -1j * sin_over(g_up, dt)[:n] * r
+    band_down = -1j * sin_over(g_down, dt)[k_low:] * r.conj()
     coupling = prep.eta.conjugate() * cmath.exp(-1j * k_omega * tau)
     up = sandwich(rho, prep.alpha * c_up, prep.beta * coupling * band_up, k_low, upper=True)
     down = sandwich(rho, prep.beta * c_down, prep.alpha * coupling.conjugate() * band_down,
@@ -315,3 +350,60 @@ def reference_diagnostics(states, deep: bool) -> RunDiagnostics:
         purities.append(float(np.vdot(rho, rho).real))
     diag.min_purity, diag.max_purity = min(1.0, *purities), max(1.0, *purities)
     return diag
+
+
+def initial_state(config: SimConfig) -> np.ndarray:
+    """Vacuum or (renormalized) truncated coherent density matrix."""
+    psi = initial_vector(config)
+    return np.outer(psi, psi.conj())
+
+
+def greens_quadrature_probability(
+    eps_eff: float, omega: float, t_final: float, resolution: int = 10_000,
+) -> float:
+    """p(T) from the double quadrature of the retarded propagator.
+
+    ``resolution`` is the number of trapezoid subintervals per axis. The double
+    sum is folded into a single prefix-summed pass, so the cost is
+    O(resolution), not O(resolution^2).
+    """
+    if t_final == 0.0:
+        return 1.0
+    n = resolution
+    h = t_final / n
+    t = np.linspace(0.0, t_final, n + 1)
+    w = np.ones(n + 1)
+    w[0] = w[-1] = 0.5
+
+    # Sum_j w_j G(t_i - t_j) = -i e^{-i w t_i} [prefix_i + w_i e^{i w t_i}/2],
+    # the bracket splitting the retarded step at j < i and the half at j = i.
+    e = np.exp(1j * omega * t)
+    we = w * e
+    prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(we)[:-1]))
+    inner = e.conj() * (prefix + 0.5 * we)
+    scale = abs(eps_eff) ** 2 * h * h
+    b_val = -1j * scale * np.sum(w * inner)
+    return float(np.exp(2.0 * b_val.imag))
+
+
+def two_boson_variances(
+    eps: complex, omega: float, t, k: int = 2,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(var X, var Y) of a vacuum-started mode under the two-boson drive eps.
+
+    ``k`` is the phase multiplicity of the rotating factor (2 under the
+    ``operator`` convention). Vectorised over ``t``. Only for
+    Delta = k omega / 2 > 2 |eps|: past it lies the parametric-gain regime,
+    where the variances grow without bound and Omega turns imaginary.
+    """
+    t = np.asarray(t, dtype=float)
+    delta = 0.5 * k * omega
+    assert delta > 2.0 * abs(eps), "parametric gain: k omega / 2 <= 2 |eps|"
+    big = math.sqrt(delta * delta - 4.0 * abs(eps) ** 2)
+    rot = np.exp(1j * delta * t)
+    s = np.sin(big * t)
+    u = rot * (np.cos(big * t) - 1j * (delta / big) * s)
+    v = -2j * eps * rot * s / big
+    common = 1.0 + 2.0 * np.abs(v) ** 2
+    cross = 2.0 * (u * v).real
+    return 0.25 * (common + cross), 0.25 * (common - cross)

@@ -22,11 +22,8 @@ import pytest
 
 from hlq.engines import SimConfig, run, run_compare
 from hlq.observables import fidelity_coherent, husimi_grid
-from hlq.oracles import (
-    greens_quadrature_probability,
-    ground_state_probability,
-    two_boson_variances,
-)
+from hlq.oracles import ground_state_probability
+from reference import greens_quadrature_probability, two_boson_variances
 
 OMEGA_SLOW = 2 * math.pi / 5
 N_CRITERIA = 10

@@ -19,7 +19,6 @@ import pytest
 from hlq import engines
 from hlq.engines import (
     SimConfig,
-    initial_state,
     make_schedule,
     phase_multiplicity,
     run,
@@ -46,6 +45,7 @@ from reference import (
     hermitian_propagator,
     hermiticity_defect,
     hidden_step,
+    initial_state,
     interaction_hamiltonian,
     jc_hamiltonian,
     joint_propagator,

@@ -1,20 +1,14 @@
 """Closed-form vacuum survival law and the quadrature cross-check."""
 
 import math
-import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
 from hlq.engines import SimConfig, run
 from hlq.errors import ConfigValidationError, InvalidModelError
-from hlq.oracles import (
-    QUADRATURE_MAX_BYTES,
-    greens_quadrature_probability,
-    ground_state_probability,
-    two_boson_variances,
-)
+from hlq.oracles import ground_state_probability
+from reference import greens_quadrature_probability, two_boson_variances
 
 # Value of the closed form at the first minimum of the slow linear run
 # (eps = 1/2, omega = 2 pi / 5, omega T = pi): exp(-25 / (4 pi^2)).
@@ -111,33 +105,6 @@ class TestQuadrature:
         pq = greens_quadrature_probability(0.4, 0.0, 1.5, 2000)
         assert pq == pytest.approx(math.exp(-(0.4 * 1.5) ** 2), abs=1e-6)
 
-    @pytest.mark.parametrize("resolution", [None, math.nan, 150.5, 200.0, "200"])
-    def test_resolution_must_be_an_integer(self, resolution):
-        with pytest.raises(ConfigValidationError,
-                           match=rf"^resolution: must be an integer >= 100, got {resolution!r}$"):
-            greens_quadrature_probability(0.5, 1.0, 1.0, resolution)
-
-    # The arrays take _QUADRATURE_BYTES (128) per point; only the request is sized.
-    @pytest.mark.parametrize("resolution", [QUADRATURE_MAX_BYTES // 128, 10**9, 10**30])
-    def test_resolution_over_the_memory_cap_rejected_before_allocating(self, resolution):
-        nbytes = (resolution + 1) * 128
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigValidationError,
-                               match=rf"^resolution: {resolution} subintervals need {nbytes} "
-                                     rf"bytes, over the 1073741824-byte limit$"):
-                greens_quadrature_probability(0.5, 1.0, 1.0, resolution)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
-        assert 0.0 < greens_quadrature_probability(0.5, 1.0, 1.0, np.int64(1000)) < 1.0
-
-    def test_resolution_floor(self):
-        with pytest.raises(ConfigValidationError,
-                           match=r"^resolution: must be an integer >= 100, got 99$"):
-            greens_quadrature_probability(0.5, 1.0, 1.0, 99)
-
 
 class TestTwoBosonVariances:
     def test_no_drive_stays_vacuum(self):
@@ -160,12 +127,6 @@ class TestTwoBosonVariances:
         assert np.max(np.abs(vx - [r.var_x for r in res.records])) <= 1e-7
         assert np.max(np.abs(vy - [r.var_y for r in res.records])) <= 1e-7
 
-    @pytest.mark.parametrize("eps, omega, k", [(0.5, 1.0, 2), (0.5, 0.0, 2),
-                                               (0.5, 1.5, 1), (0.1j, -2.0, 2)])
-    def test_parametric_gain_regime_rejected(self, eps, omega, k):
-        with pytest.raises(ConfigValidationError):
-            two_boson_variances(eps, omega, [0.0, 1.0], k=k)
-
 
 class TestNonFiniteArguments:
     NAN, INF = float("nan"), float("inf")
@@ -184,53 +145,12 @@ class TestNonFiniteArguments:
         with pytest.raises(ConfigValidationError, match=f"{name}: must be finite"):
             ground_state_probability(*args)
 
-    @pytest.mark.parametrize("args, name", [
-        ((NAN, 1.0, 1.0), "eps_eff"), ((0.5, NAN, 1.0), "omega"), ((0.5, 1.0, NAN), "t_final"),
-        (("x", 1.0, 1.0), "eps_eff"), ((0.5, 1j, 1.0), "omega"), ((0.5, 1.0, 2j), "t_final"),
-    ])
-    def test_quadrature_rejects_nan(self, args, name):
-        with pytest.raises(ConfigValidationError, match=f"{name}: must be finite"):
-            greens_quadrature_probability(*args, resolution=100)
-
-    # A NaN fails the gain comparison, so unchecked it would reach numpy and warn.
-    @pytest.mark.parametrize("args, name", [
-        ((complex(NAN, 0.0), 3.0, [0.1]), "eps"), ((0.1, NAN, [0.1]), "omega"),
-        ((0.1, 3.0, [0.1, NAN]), "t"), ((0.1, 3.0, [0.1], "x"), "k"), ((0.1, 3.0, ["x"]), "t"),
-        (("x", 3.0, [0.1]), "eps"), ((0.1, 3.0, [0.1j]), "t"), ((0.1, 3.0, [0.1], NAN), "k"),
-    ])
-    def test_two_boson_variances_reject_nan(self, args, name):
-        with pytest.raises(ConfigValidationError, match=f"{name}: must be finite"):
-            two_boson_variances(*args)
-
 
 class TestOverflowingArguments:
-    """Finite arguments whose squares leave the float range give the p -> 0 limit or a typed error."""
+    """Finite arguments whose squares leave the float range give the p -> 0 limit."""
 
     def test_closed_form_past_float_range_is_zero(self):
         assert ground_state_probability(1e200, 1.0, 1.0) == 0.0
 
     def test_static_closed_form_past_float_range_is_zero(self):
         assert ground_state_probability(1e200, 0.0, 1.0) == 0.0
-
-    # |eps|^2 overflows; |eps|^2 h^2 overflows without raising, where -1j * inf gave nan
-    @pytest.mark.parametrize("eps, t", [(1e200, 1.0), (1e150, 1e10)])
-    def test_quadrature_past_float_range_is_zero(self, eps, t):
-        assert greens_quadrature_probability(eps, 1.0, t, resolution=100) == 0.0
-
-    def test_quadrature_large_eps_over_short_time(self):
-        # |eps|^2 overflows but |eps T| = 1: the static law exp(-1) still holds
-        p = greens_quadrature_probability(1e200, 0.0, 1e-200, resolution=1000)
-        assert p == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-    def test_two_boson_variances_detuning_past_float_range(self):
-        # unchecked, Delta^2 overflows inside sqrt and the variances come out nan, nan
-        with pytest.raises(ConfigValidationError, match=r"\(k omega / 2\)\^2 overflows"):
-            two_boson_variances(1.0, 1e200, [0.0, 1.0])
-
-    def test_two_boson_variances_phase_past_float_range(self):
-        # Delta^2 is finite but Delta t and Omega t are not: unchecked, exp and sin
-        # warn and the variances come out nan, nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigValidationError, match=r"\(k omega / 2\) t overflows"):
-                two_boson_variances(0.1, 1e150, [1e200])

@@ -1,9 +1,16 @@
-"""tools/code_lines.py: the code-line count the ROADMAP tracks per module."""
+"""Repository tooling and docs: the code-line count the ROADMAP tracks per module,
+and the README's entry-point table against the package it documents."""
 
+import importlib
 import importlib.util
+import pkgutil
+import re
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+import hlq
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "code_lines.py"
 spec = importlib.util.spec_from_file_location("code_lines", TOOL)
 code_lines = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(code_lines)
@@ -39,3 +46,37 @@ def test_main_prints_modules_and_total(tmp_path, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[0] for row in rows] == ["2", "1", "3"]
     assert rows[-1].endswith("total")
+
+
+def readme_entry_points() -> list[str]:
+    """The backticked names in the first column of the README's entry-point table,
+    call parentheses stripped, ``dataclasses.replace`` left out."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| entry point | error class |") + 2  # past the header rule
+    names = []
+    for row in lines[start:]:
+        if not row.startswith("|"):
+            break
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            name = name.split("(")[0]
+            if name != "dataclasses.replace":
+                names.append(name)
+    return names
+
+
+def resolves(owner, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_readme_entry_point_table_names_real_entry_points():
+    names = readme_entry_points()
+    assert "SimConfig.validate" in names and "husimi_window" in names
+    submodules = [importlib.import_module(f"hlq.{info.name}")
+                  for info in pkgutil.iter_modules(hlq.__path__)]
+    missing = [name for name in names
+               if not any(resolves(owner, name) for owner in (hlq, *submodules))]
+    assert not missing, f"README entry points with no hlq name: {missing}"
