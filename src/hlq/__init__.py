@@ -39,6 +39,7 @@ from .observables import (
     fidelity_coherent,
     ground_population,
     husimi_grid,
+    husimi_grids,
     mean_photon,
     purity,
     quadrature_variances,

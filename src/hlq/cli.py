@@ -68,7 +68,7 @@ from .errors import (
     TruncationOverflowError,
 )
 from .errors import check_integer, check_member
-from .observables import husimi_grid, husimi_window
+from .observables import husimi_grids, husimi_window
 from .oracles import ground_state_probability
 
 
@@ -172,8 +172,9 @@ def _write_csv(path: Path, header: str, columns) -> None:
     are) and ``%.12g`` for everything else, the one number format of the CLI.
     Rows are formatted and written ``_CSV_CHUNK`` (1024) at a time
     from plain Python values: neither the table's text nor whole columns of
-    Python objects are held, and the traced peak stays near 200 KB (a 401 x
-    401 three-column table) however long the table is.
+    Python objects are held, and the traced peak stays near 200 KB (a
+    ten-column ``timeseries.csv``) however long the table is. The Husimi
+    tables go through ``_write_husimi_csv`` instead.
     """
     cols = [np.ravel(c) for c in columns]
     spec = ",".join(_CELL_SPEC.get(c.dtype.kind, "%.12g") for c in cols) + "\n"
@@ -306,15 +307,35 @@ def cmd_converge(args) -> int:
     return _finish(out_dir, "converge", config, [path], extra={"halvings": args.halvings})
 
 
+def _write_husimi_csv(path: Path, row_template: str, axis: list[str], values: np.ndarray) -> None:
+    """Write a Husimi table: header x,y,q, then one line per point, y outer and x inner.
+
+    ``row_template`` holds the lines of one y-row: each x's text, ``{y}`` and
+    a ``%.12g`` field for its q. Each y-row is written with one ``%`` over
+    that row's q, so the text held at once is one row's.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write("x,y,q\n")
+        for y, row in zip(axis, values):
+            fh.write(row_template.replace("{y}", y) % tuple(row.tolist()))
+
+
+# Grid values held at once by ``husimi``, in bytes: its snapshots' grids are
+# computed in groups that fit it (at least one grid a group).
+_HUSIMI_GROUP_BYTES = 1 << 21
+
+
 def cmd_husimi(args) -> int:
     config = _load_config(args)
-    if args.steps:
+    if args.steps is None:
+        snaps = sorted({0, config.steps // 2, config.steps})
+    else:
         try:
             snaps = sorted({int(s) for s in _word_list(args.steps)})
         except ValueError:
             raise ConfigValidationError(f"steps: cannot parse {args.steps!r}")
-    else:
-        snaps = sorted({0, config.steps // 2, config.steps})
+        if not snaps:
+            raise ConfigValidationError(f"steps: no snapshot step in {args.steps!r}")
     extent, points = husimi_window(args.extent, args.grid, config.dim)
 
     engine = "hidden" if config.engine == "both" else config.engine
@@ -323,16 +344,22 @@ def cmd_husimi(args) -> int:
 
     out_dir = _out_dir(args)
     files = []
-    for step in snaps:
-        grid = husimi_grid(result.snapshots[step], extent, points)
-        # The grid is square, so one formatted axis serves x and y; rows run
-        # over x within each y. As an object array, its tiled columns hold
-        # pointers to the axis strings, no more memory than float columns.
-        axis = np.array(["%.12g" % v for v in grid.x], dtype=object)
-        path = out_dir / f"husimi_step{step}.csv"
-        _write_csv(path, "x,y,q", (np.tile(axis, axis.size), np.repeat(axis, axis.size),
-                                   grid.values))
-        files.append(path)
+    group = max(1, _HUSIMI_GROUP_BYTES // (8 * points * points))
+    for start in range(0, len(snaps), group):
+        steps = snaps[start:start + group]
+        grids = husimi_grids([result.snapshots[step] for step in steps], extent, points)
+        if start == 0:
+            # The grid is square, so one formatted axis serves x and y. It is
+            # %.12g of finite floats, which never holds "%" or "{y}": the row
+            # template's only format fields are its q fields.
+            axis = ["%.12g" % v for v in grids[0].x.tolist()]
+            row_template = "".join(x + ",{y},%.12g\n" for x in axis)
+        # Each grid is dropped once written: the next group's grids are made
+        # with none of this group's held.
+        for step in steps:
+            path = out_dir / f"husimi_step{step}.csv"
+            _write_husimi_csv(path, row_template, axis, grids.pop(0).values)
+            files.append(path)
     traj = out_dir / "trajectory.csv"
     r = result.records
     _write_csv(traj, "t,re_b,im_b", (r.t, r.mean_b.real, r.mean_b.imag))

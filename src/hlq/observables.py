@@ -17,9 +17,10 @@ still pending, so every row recorded so far is complete whenever the table is
 read. The one-state functions below are the same reduction on one row, so a
 recorded row equals them bit for bit.
 
-``husimi_grid`` evaluates Q on blocks of grid rows: each block's
-coherent-amplitude table is built in one pass, and Q = <gamma|rho|gamma>/pi
-of every point in the block takes one matrix product with rho.
+``husimi_grids`` evaluates Q of a list of states on blocks of grid rows: each
+block's coherent-amplitude table is built once, in one pass, for all the
+states, and Q = <gamma|rho|gamma>/pi of every point in the block takes one
+matrix product with each rho. ``husimi_grid`` is that loop over one state.
 """
 
 from __future__ import annotations
@@ -302,27 +303,46 @@ def husimi_grid(rho: np.ndarray, extent: float = 5.0, resolution: int = 201) -> 
 
     ``resolution`` points per axis over [-extent, extent], a window checked by
     ``husimi_window``. Q is bounded by 1/pi and integrates to 1 over the plane.
-    It is evaluated on blocks of y-rows, as many as fit ``_HUSIMI_BLOCK_BYTES``
-    of amplitude table (at least one): each block's table A is built in one
-    pass and Q = Re sum_n conj(A) * (rho @ A) / pi takes one matrix product.
-    So the peak is about ``values`` plus one block; the cap still counts the
-    full resolution^2 x dim x 16-byte table.
+    It is ``husimi_grids`` of the one state: its peak is about ``values`` plus
+    one block of amplitude table.
     """
-    d = _check_state(rho)
+    return husimi_grids([rho], extent, resolution)[0]
+
+
+def husimi_grids(states, extent: float = 5.0, resolution: int = 201) -> list[HusimiGrid]:
+    """``husimi_grid`` of each of a list of d x d states, all over one window.
+
+    Q is evaluated on blocks of y-rows, as many as fit ``_HUSIMI_BLOCK_BYTES``
+    of amplitude table (at least one). Each block's table A is built once, in
+    one pass, for all the states, and each state's Q = Re sum_n conj(A) *
+    (rho @ A) / pi takes one matrix product, the same product whichever states
+    share the call. So the peak is about the states' ``values`` plus one block;
+    the cap still counts the full resolution^2 x dim x 16-byte table. States
+    of different dims raise ``InvalidDimensionError``.
+    """
+    states = list(states)
+    dims = {_check_state(rho) for rho in states}
+    if len(dims) > 1:
+        raise InvalidDimensionError(f"states of different dims {sorted(dims)}")
+    if not states:
+        return []
+    d = dims.pop()
     e, points = husimi_window(extent, resolution, d)
     xs = np.linspace(-e, e, points)
-    values = np.empty((points, points))
+    values = [np.empty((points, points)) for _ in states]
     rows = min(points, max(1, _HUSIMI_BLOCK_BYTES // (16 * d * points)))
     table, product = np.empty((2, d * rows * points), dtype=complex)
     for start in range(0, points, rows):
         ys = xs[start:start + rows]
         size = d * ys.size * points
         amp = _coherent_rows(xs, ys, table[:size].reshape(d, -1))
-        # Re(conj(a) * b) = a.re * b.re + a.im * b.im: multiply the interleaved
-        # float views, sum down each column, then add each point's two parts.
-        parts = np.matmul(rho, amp, out=product[:size].reshape(d, -1)).view(float)
-        parts *= amp.view(float)
-        sums = parts.sum(axis=0)
-        values[start:start + ys.size] = ((sums[0::2] + sums[1::2]) / np.pi).reshape(ys.size, -1)
+        for rho, grid in zip(states, values):
+            # Re(conj(a) * b) = a.re * b.re + a.im * b.im: multiply the interleaved
+            # float views, sum down each column, then add each point's two parts.
+            parts = np.matmul(rho, amp, out=product[:size].reshape(d, -1)).view(float)
+            parts *= amp.view(float)
+            sums = parts.sum(axis=0)
+            grid[start:start + ys.size] = ((sums[0::2] + sums[1::2]) / np.pi).reshape(ys.size, -1)
     cell = (xs[1] - xs[0]) * (xs[1] - xs[0])
-    return HusimiGrid(x=xs, y=xs.copy(), values=values, mass=float(values.sum() * cell))
+    return [HusimiGrid(x=xs.copy(), y=xs.copy(), values=grid, mass=float(grid.sum() * cell))
+            for grid in values]

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hlq import cli
+from hlq import cli, observables
 from hlq.cli import main, parse_config
 from hlq.engines import run, run_compare
 from hlq.errors import ConfigParseError, ConfigValidationError, TruncationOverflowError
@@ -354,8 +354,10 @@ class TestNoOutputOnFailure:
         ("husimi", TINY + "dim = 12\n", ("--grid", "100000"), 1),
         ("husimi", TINY + "dim = 12\n", ("--extent", "1e200", "--grid", "3"), 1),
         ("husimi", TINY, ("--steps", "0,99"), 1),
+        ("husimi", TINY, ("--steps", " , "), 1),
+        ("husimi", TINY, ("--steps", ""), 1),
     ], ids=["run", "run-both", "compare", "converge", "husimi-overflow", "husimi-grid",
-            "husimi-extent", "husimi-steps"])
+            "husimi-extent", "husimi-steps", "husimi-steps-blank", "husimi-steps-empty"])
     def test_out_dir_not_made(self, tmp_path, command, text, flags, code):
         cfg = write(tmp_path, text)
         out = tmp_path / "absent" / "o"
@@ -573,6 +575,38 @@ class TestHusimiCommand:
         assert main(["husimi", cfg, "--out-dir", str(tmp_path / "o"), *flags]) == 1
         assert calls == []
 
+    @pytest.mark.parametrize("steps", [" , ", ""])
+    def test_empty_steps_rejected_before_the_run(self, tmp_path, capsys, monkeypatch, steps):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda *a, **k: calls.append(a))
+        cfg = write(tmp_path, TINY)
+        assert main(["husimi", cfg, "--out-dir", str(tmp_path / "o"), "--steps", steps]) == 1
+        assert capsys.readouterr().err == f"error: steps: no snapshot step in {steps!r}\n"
+        assert calls == []
+
+    # At 101 points a group holds 25 grids, so 26 and 40 snapshots are each two
+    # groups: the grids held at once stay within one group's budget, however
+    # many snapshots there are.
+    def test_memory_bounded_by_group(self, tmp_path):
+        cfg = write(tmp_path, "model = linear\nomega = 1.2566370614\ndt = 0.005\n"
+                              "steps = 40\ndim = 8\n")
+        assert cli._HUSIMI_GROUP_BYTES // (8 * 101 * 101) == 25
+        peaks = []
+        for count in (26, 40):
+            steps = ",".join(map(str, range(count)))
+            tracemalloc.start()
+            try:
+                assert main(["husimi", cfg, "--out-dir", str(tmp_path / str(count)),
+                             "--steps", steps, "--grid", "101"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # One block is its amplitude table and product (2 x _HUSIMI_BLOCK_BYTES)
+        # and their temporaries; the run's result and one row's text are small.
+        assert peaks[1] < cli._HUSIMI_GROUP_BYTES + 4 * observables._HUSIMI_BLOCK_BYTES
+        # 14 more snapshot states (1 KB each) and manifest entries.
+        assert peaks[1] < peaks[0] + 50_000
+
     def test_wide_extent_that_fits_dim_still_written(self, tmp_path):
         cfg = write(tmp_path, TINY + "dim = 12\n")
         out = tmp_path / "o"
@@ -628,6 +662,29 @@ class TestCsvText:
         r = res.records
         self.assert_text(out / "trajectory.csv", "t,re_b,im_b",
                          zip(r.t.tolist(), r.mean_b.real.tolist(), r.mean_b.imag.tolist()))
+
+    # More snapshots than one group holds: 201 points (6 grids a group, the
+    # last block of each grid partial at dim 8) and 41 points with the budget
+    # cut to 3 grids a group. Every file is the per-cell text of its own grid.
+    @pytest.mark.parametrize("points, group, sizes", [(201, 6, [6, 1]), (41, 3, [3, 3, 2])])
+    def test_husimi_files_byte_equal_across_groups(self, tmp_path, monkeypatch, points, group,
+                                                   sizes):
+        if group != cli._HUSIMI_GROUP_BYTES // (8 * points * points):
+            monkeypatch.setattr(cli, "_HUSIMI_GROUP_BYTES", group * 8 * points * points)
+        seen = []
+        grids = cli.husimi_grids
+        monkeypatch.setattr(cli, "husimi_grids",
+                            lambda states, *a: seen.append(len(states)) or grids(states, *a))
+        steps = list(range(sum(sizes)))
+        out, config = self.setup(tmp_path, "husimi", "--steps", ",".join(map(str, steps)),
+                                 "--grid", str(points), "--extent", "2.5")
+        assert seen == sizes
+        res = run(config, snapshot_steps=set(steps))
+        for step in steps:
+            grid = husimi_grid(res.snapshots[step], 2.5, points)
+            self.assert_text(out / f"husimi_step{step}.csv", "x,y,q",
+                             [(x, y, q) for y, row in zip(grid.y.tolist(), grid.values.tolist())
+                              for x, q in zip(grid.x.tolist(), row)])
 
     def test_compare_file(self, tmp_path):
         out, config = self.setup(tmp_path, "compare")

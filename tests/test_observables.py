@@ -15,6 +15,7 @@ from hlq.observables import (
     fidelity_coherent,
     ground_population,
     husimi_grid,
+    husimi_grids,
     husimi_window,
     mean_photon,
     purity,
@@ -382,6 +383,42 @@ class TestHusimi:
         assert again.values.tobytes() == first.values.tobytes()
         assert np.float64(again.mass).tobytes() == np.float64(first.mass).tobytes()
 
+    # One amplitude table per block serves every state, and each state's Q is
+    # the one-state grid's bytes whichever states share the call. At dim 12
+    # and 201 points the last block is partial (33 blocks of 6 rows, one of 3).
+    @pytest.mark.parametrize("points", [3, 41, 201])
+    @pytest.mark.parametrize("d", [2, 12, 33])
+    def test_husimi_grids_byte_equal_one_state_grids(self, d, points):
+        rng = np.random.default_rng(22)
+        states = [random_density(rng, d), vacuum(d), coherent_density(0.7 - 1.1j, d)]
+        grids = husimi_grids(states, 5.0, points)
+        assert len(grids) == len(states)
+        for rho, grid in zip(states, grids):
+            alone = husimi_grid(rho, 5.0, points)
+            assert grid.values.tobytes() == alone.values.tobytes()
+            assert np.float64(grid.mass).tobytes() == np.float64(alone.mass).tobytes()
+            assert grid.x.tobytes() == alone.x.tobytes() == grid.y.tobytes()
+
+    def test_husimi_grids_build_each_block_once(self, monkeypatch):
+        seen = []
+        build = observables._coherent_rows
+
+        def spy(xs, ys, out):
+            seen.append(ys.size)
+            return build(xs, ys, out)
+
+        monkeypatch.setattr(observables, "_coherent_rows", spy)
+        rng = np.random.default_rng(23)
+        husimi_grids([random_density(rng, 12) for _ in range(5)], 5.0, 201)
+        assert seen == [6] * 33 + [3]
+
+    def test_husimi_grids_of_no_state_is_empty(self):
+        assert husimi_grids([], 5.0, 201) == []
+
+    def test_husimi_grids_of_different_dims_rejected(self):
+        with pytest.raises(InvalidDimensionError, match=r"different dims \[4, 6\]"):
+            husimi_grids([vacuum(4), vacuum(6)], 5.0, 5)
+
     # The cap counts the full amplitude table; evaluated one block of rows at a
     # time, the grid holds little more than ``values`` itself.
     @pytest.mark.parametrize("d", [2, 12, 32, 48])
@@ -410,11 +447,12 @@ class TestMalformedState:
         lambda rho: trace_distance(rho, rho),
         lambda rho: fidelity_coherent(rho, 0.3),
         lambda rho: husimi_grid(rho, 2.0, 5),
+        lambda rho: husimi_grids([vacuum(2), rho], 2.0, 5),
         mean_photon,
         quadrature_variances,
         trajectory_point,
         ground_population,
-    ], ids=["trace_distance", "fidelity_coherent", "husimi_grid", "mean_photon",
+    ], ids=["trace_distance", "fidelity_coherent", "husimi_grid", "husimi_grids", "mean_photon",
             "quadrature_variances", "trajectory_point", "ground_population"])
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
     def test_rejected(self, func, shape):
