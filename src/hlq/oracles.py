@@ -23,6 +23,27 @@ from .errors import check_member, check_number
 from .fockcore import LOWERED_QUANTA, MODELS
 
 
+def ground_state_law(eps_eff: float, omega: float, model: str = "linear"):
+    """The closed form p(T) as a function of a real T, with eps_eff, omega and
+    model checked once: ``hlq compare`` evaluates it at every recorded step."""
+    check_member("model", model, MODELS, InvalidModelError)
+    check_number("eps_eff", eps_eff, ConfigValidationError)
+    check_number("omega", omega, ConfigValidationError, real=True)
+    m = LOWERED_QUANTA[model]
+    e = abs(eps_eff)
+
+    def probability(t_final: float) -> float:
+        try:
+            if omega == 0.0:
+                return math.exp(-m * (e * t_final) ** 2)
+            s = math.sin(0.5 * omega * t_final)
+            return math.exp(-4.0 * m * (e * s / omega) ** 2)
+        except OverflowError:  # the exponent is past the float range, where exp gives 0
+            return 0.0
+
+    return probability
+
+
 def ground_state_probability(
     eps_eff: float,
     omega: float,
@@ -30,17 +51,6 @@ def ground_state_probability(
     model: str = "linear",
 ) -> float:
     """Closed-form p(T) for a vacuum-started mode under a drive of strength eps_eff."""
-    check_member("model", model, MODELS, InvalidModelError)
-    check_number("eps_eff", eps_eff, ConfigValidationError)
-    check_number("omega", omega, ConfigValidationError, real=True)
+    law = ground_state_law(eps_eff, omega, model)
     check_number("t_final", t_final, ConfigValidationError, real=True)
-    m = LOWERED_QUANTA[model]
-    e = abs(eps_eff)
-    try:
-        if omega == 0.0:
-            return math.exp(-m * (e * t_final) ** 2)
-        s = math.sin(0.5 * omega * t_final)
-        return math.exp(-4.0 * m * (e * s / omega) ** 2)
-    except OverflowError:  # the exponent is past the float range, where exp gives 0
-        return 0.0
-
+    return law(t_final)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hlq import cli, observables
+from hlq import cli, engines, errors, fockcore, observables, oracles, schedules
 from hlq.cli import main, parse_config
 from hlq.engines import run, run_compare
 from hlq.errors import ConfigParseError, ConfigValidationError, TruncationOverflowError
@@ -175,18 +175,28 @@ class TestRunCommand:
         for name in ("timeseries.csv", "final_state.csv", "manifest.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_manifest_checksums(self, tmp_path):
-        import hashlib
-
+    # The writers hash each file as they write it; every digest must still be
+    # the SHA-256 of the file on disk. The husimi call spans two groups of two
+    # grids, and each 101-point grid is written in three chunks.
+    def test_manifest_checksums(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_HUSIMI_GROUP_BYTES", 2 * 8 * 101 * 101)
         cfg = write(tmp_path, TINY)
-        out = tmp_path / "out"
-        main(["run", cfg, "--out-dir", str(out)])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "run"
-        assert manifest["schedule"] == "uniform"
-        for name, digest in manifest["outputs"].items():
-            blob = (out / name).read_bytes()
-            assert hashlib.sha256(blob).hexdigest() == digest
+        for command, flags, names in [
+            ("run", (), {"timeseries.csv", "final_state.csv"}),
+            ("husimi", ("--steps", "0,20,40", "--grid", "101"),
+             {"husimi_step0.csv", "husimi_step20.csv", "husimi_step40.csv", "trajectory.csv"}),
+            ("compare", (), {"compare.csv"}),
+            ("converge", ("--halvings", "2"), {"converge.csv"}),
+        ]:
+            out = tmp_path / command
+            assert main([command, cfg, "--out-dir", str(out), *flags]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["command"] == command
+            assert manifest["schedule"] == "uniform"
+            assert set(manifest["outputs"]) == names
+            for name, digest in manifest["outputs"].items():
+                blob = (out / name).read_bytes()
+                assert hashlib.sha256(blob).hexdigest() == digest, f"{command} {name}"
 
     def test_manifest_echoes_every_key(self, tmp_path):
         cfg = write(tmp_path, EVERY_KEY)
@@ -470,6 +480,26 @@ class TestCompareCommand:
             assert float(row[4]) == pytest.approx(
                 ground_state_probability(0.5, omega, t), rel=1e-10
             )
+
+    # The oracle column checks eps_eff, omega and model once per command, not
+    # once per row: the checks a compare makes do not grow with its steps.
+    def test_oracle_checks_once_per_command(self, tmp_path, monkeypatch):
+        names = []
+
+        def counted(name, *args, **kwargs):
+            names.append(name)
+            return errors.check_number(name, *args, **kwargs)
+
+        for module in (engines, fockcore, observables, oracles, schedules):
+            monkeypatch.setattr(module, "check_number", counted)
+        counts = []
+        for steps in (40, 80):
+            names.clear()
+            cfg = write(tmp_path, TINY.replace("steps = 40", f"steps = {steps}"))
+            assert main(["compare", cfg, "--out-dir", str(tmp_path / str(steps))]) == 0
+            counts.append(len(names))
+            assert names.count("eps_eff") == 1 and names.count("t_final") == 0
+        assert counts[0] == counts[1]
 
     def test_engines_agree_on_short_run(self, tmp_path):
         cfg = write(tmp_path, TINY)
@@ -768,6 +798,76 @@ class TestCsvWriter:
             tracemalloc.stop()
         assert (tmp_path / "big.csv").stat().st_size > 4_000_000
         assert peak < 1_000_000
+
+
+class TestFormatCells:
+    """_format_cells writes every number as "%.12g" % (or "%d" % for an integer) does.
+
+    About 10^6 cells: random bit patterns, decimal ties (k + 1/2) 10^j and
+    values just under a power of ten, where the fast path must hand the cell
+    to ``%``, and the integer, special and float32 cells of the edge cases.
+    """
+
+    @staticmethod
+    def assert_exact(column: np.ndarray, spec: str, kind: str = "") -> None:
+        got = []
+        for start in range(0, column.size, cli._CSV_CHUNK):
+            cells = cli._format_cells([column[start:start + cli._CSV_CHUNK]])
+            cells[..., -1] = 10
+            got.append(cells.tobytes().translate(None, b"\0"))
+        values = column.tolist()
+        got, want = b"".join(got).decode(), "".join(map((spec + "\n").__mod__, values))
+        if got != want:  # name the cells that differ
+            got, want = got.split("\n")[:-1], want.split("\n")[:-1]
+            bad = [(v, g, w) for v, g, w in zip(values, got, want) if g != w]
+            pytest.fail(f"{kind}: {len(bad)} of {len(values)} cells differ "
+                        f"({len(got)} written), first (value, got, want): {bad[:1]}")
+
+    @staticmethod
+    def floats(rng) -> dict[str, np.ndarray]:
+        k = rng.integers(10**11, 10**12, 100_000).astype(float)
+        powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
+        under = np.concatenate([(1e12 - f) * powers[:-12] for f in (0.3, 0.5, 0.5001, 0.7, 1.5)])
+        special = np.array([0.0, np.inf, np.nan, 5e-324, np.finfo(float).tiny,
+                            np.finfo(float).max, 1e-290, 1e290, 0.1 + 0.2, 1e-5, 1e-4, 1e16])
+        return {
+            "bit patterns": rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(float),
+            # exact ties up to 1e15, near ties (a rounded product) across the range
+            "ties": np.concatenate([(k[:10_000] + 0.5) * 10.0 ** rng.integers(0, 4, 10_000),
+                                    (k + 0.5) * 10.0 ** rng.integers(-300, 278, k.size)]),
+            "powers of ten": np.concatenate([powers, np.nextafter(powers, 0),
+                                             np.nextafter(powers, np.inf), under]),
+            "magnitudes": rng.standard_normal(75_000) * 10.0 ** rng.integers(-300, 300, 75_000),
+            "subnormals": rng.integers(1, 2**52, 10_000, dtype=np.uint64).view(float),
+            "special": special,
+        }
+
+    def test_floats_match_percent_g(self):
+        rng = np.random.default_rng(24)
+        for kind, values in self.floats(rng).items():
+            self.assert_exact(np.concatenate([values, -values]), "%.12g", kind)
+
+    def test_float32_matches_percent_g(self):
+        rng = np.random.default_rng(25)
+        bits = rng.integers(0, 2**32, 60_000, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        scaled = rng.standard_normal(40_000) * 10.0 ** rng.integers(-45, 39, 40_000)
+        self.assert_exact(np.concatenate([bits, scaled.astype(np.float32)]), "%.12g")
+
+    def test_integers_match_percent_d(self):
+        rng = np.random.default_rng(26)
+        i64, near = np.iinfo(np.int64), np.arange(-3000, 3000)
+        signed = np.concatenate([
+            10**12 + near, -(10**12) + near, 2**53 + near, -(2**53) + near, near,
+            [i64.min, i64.min + 1, i64.max, i64.max - 1],
+            rng.integers(-(10**12), 10**12, 50_000), rng.integers(i64.min, i64.max, 20_000),
+        ])
+        self.assert_exact(signed, "%d")
+        edges = [0, 1, 10**12 - 1, 10**12, 2**53 + 1, 2**63, 2**64 - 1]
+        unsigned = np.concatenate([np.array(edges, np.uint64),
+                                   rng.integers(0, 2**64 - 1, 20_000, np.uint64, endpoint=True),
+                                   rng.integers(0, 10**12, 20_000).astype(np.uint64)])
+        self.assert_exact(unsigned, "%d")
+        self.assert_exact(rng.random(1000) < 0.5, "%d")
 
 
 class TestSweepCommand:
