@@ -17,6 +17,7 @@ from .engines import (
     RunDiagnostics,
     RunResult,
     SimConfig,
+    converge,
     make_schedule,
     phase_multiplicity,
     run,

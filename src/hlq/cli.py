@@ -15,7 +15,10 @@ which either engine fails. That run steps and checks the engines as
 ``compare``'s does, with one difference: its hidden lane's guard runs deep
 checks, and ``compare``'s runs shallow. The standard lane's guard is shallow
 in both, since psi psi^dag passes the deep checks by construction. ``husimi``
-snapshots the hidden engine when ``engine = both``.
+snapshots the hidden engine when ``engine = both``. ``converge`` writes the
+distances of ``engines.converge`` and each ratio of successive ones as the
+IEEE quotient: ``nan`` for 0/0, where the engines agree exactly, ``inf``
+for x/0.
 
 Every subcommand takes one config-file path and an optional ``--out-dir``
 (falling back to the HLQ_OUT_DIR environment variable, then the working
@@ -63,7 +66,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engines import RUN_MAX_BYTES, SimConfig, run, run_compare
+from .engines import SimConfig, converge, run, run_compare
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
@@ -71,7 +74,7 @@ from .errors import (
     NonFiniteStateError,
     TruncationOverflowError,
 )
-from .errors import check_integer, check_member
+from .errors import check_member
 from .observables import husimi_grids, husimi_window
 from .oracles import ground_state_law
 
@@ -456,23 +459,14 @@ def cmd_compare(args) -> int:
 
 def cmd_converge(args) -> int:
     config = _load_config(args)
-    check_integer("halvings", args.halvings, 2, ConfigValidationError)
-    # The finest halving is the longest run: making its config checks it before any run.
-    # Each halving doubles the steps: past RUN_MAX_BYTES.bit_length() halvings
-    # every config is over the run-size cap, and 2**halvings is not formed.
-    if args.halvings > RUN_MAX_BYTES.bit_length():
-        raise ConfigValidationError(
-            f"halvings: steps * 2**{args.halvings} steps are over the run-size limit")
-    finest = 2**args.halvings
-    replace(config, dt=config.dt / finest, steps=config.steps * finest)
-    dts = [config.dt / 2**i for i in range(args.halvings + 1)]
-    dists = [run_compare(replace(config, dt=dt, steps=config.steps * 2**i),
-                         per_step_distance=False).trace_distances[-1]
-             for i, dt in enumerate(dts)]
-    ratios = ["", *("%.12g" % (a / b) for a, b in zip(dists, dists[1:]))]
+    dists = converge(config, args.halvings)
+    # The IEEE quotient: engines that agree exactly give 0 / 0 = nan, or x / 0 = inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.divide(dists[:-1], dists[1:])
     out_dir = _out_dir(args)
     digest = _write_csv(out_dir / "converge.csv", "dt,final_trace_distance,ratio",
-                        (dts, dists, ratios))
+                        ([math.ldexp(config.dt, -i) for i in range(len(dists))], dists,
+                         ["", *map("%.12g".__mod__, ratios.tolist())]))
     return _finish(out_dir, "converge", config, {"converge.csv": digest},
                    extra={"halvings": args.halvings})
 

@@ -93,7 +93,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,18 +124,22 @@ OUTPUTS = ("timeseries", "final")
 TRUNCATION_LIMIT = 1e-6
 
 # Largest memory a run may ask for before its first step, in bytes. It is
-# counted at _STEP_BYTES per step: two lanes' 72-byte trajectory rows plus one
-# rotating-schedule prep (136 bytes traced, the largest schedule item). Each
-# recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes and each
-# kernel holds the factors and work buffers of one step, neither growing with
-# steps: the hidden kernel nine d x d complex buffers, the standard one five
-# (psi psi^dag in three, and W and W^dag), 576 and 320 KiB at dim 64. A deep
-# hidden lane's guard holds three d x d buffers (rho^dag, rho - rho^dag and its
-# real modulus, 160 KiB at dim 64) and a block of states' Hermitian parts of at
-# most _EIG_BLOCK_BYTES, or one state where a single state is larger; the
-# standard lane's guard is shallow and holds none.
+# counted at _STEP_BYTES per step: two lanes' 72-byte trajectory rows, one
+# rotating-schedule prep (the largest schedule item; 97.2 bytes traced with
+# its list slot on CPython 3.10 to 3.13, counted as 100) and one trace
+# distance, which every two-lane run keeps (a float and its list slot, 32.6
+# bytes, counted as 36). A rotating run_compare at dim 8 traces 274-275 bytes
+# a step: the peak difference of 2,000- and 6,000-step runs on CPython 3.11.
+# Each recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes and
+# each kernel holds the factors and work buffers of one step, neither growing
+# with steps: the hidden kernel nine d x d complex buffers, the standard one
+# five (psi psi^dag in three, and W and W^dag), 576 and 320 KiB at dim 64. A
+# deep hidden lane's guard holds three d x d buffers (rho^dag, rho - rho^dag
+# and its real modulus, 160 KiB at dim 64) and a block of states' Hermitian
+# parts of at most _EIG_BLOCK_BYTES, or one state where a single state is
+# larger; the standard lane's guard is shallow and holds none.
 RUN_MAX_BYTES = 1 << 30
-_STEP_BYTES = 2 * 72 + 136
+_STEP_BYTES = 2 * 72 + 100 + 36
 
 # The deep guard's block of states per eigvalsh call: 56 / 8 / 2 states at
 # dims 12 / 32 / 64 and 1 from dim 65. A block pays numpy's per-call cost once;
@@ -680,3 +684,23 @@ def run_compare(
     h, s = (lane.result() for lane in lanes)
     return CompareResult(h.records, s.records, distances, h.final, s.final,
                          h.diagnostics, s.diagnostics)
+
+
+def converge(config: SimConfig, halvings: int) -> list[float]:
+    """The dt-halving ladder: the final hidden-standard trace distance of config
+    run at dt / 2**i and steps * 2**i, for i = 0..halvings, over the same interval.
+
+    ``halvings`` is an integer >= 2. The finest config is made first, so the
+    run-size cap rejects an over-long ladder before any run. Each run is
+    ``run_compare``'s with shallow guards and only the last distance taken.
+    """
+    check_integer("halvings", halvings, 2, ConfigValidationError)
+    # Each halving doubles the steps: past RUN_MAX_BYTES.bit_length() halvings
+    # every config is over the run-size cap, and 2**halvings is not formed.
+    if halvings > RUN_MAX_BYTES.bit_length():
+        raise ConfigValidationError(
+            f"halvings: steps * 2**{halvings} steps are over the run-size limit")
+    ladder = [replace(config, dt=config.dt / 2**i, steps=config.steps * 2**i)
+              for i in range(halvings, -1, -1)]
+    return [run_compare(c, per_step_distance=False).trace_distances[-1]
+            for c in reversed(ladder)]

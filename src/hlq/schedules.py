@@ -29,9 +29,13 @@ from .errors import check_integer, check_number
 SCHEDULES = ("uniform", "alternating", "rotating")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomPrep:
-    """One spin preparation: |phi> = alpha|up> + beta|down>, coupling eta."""
+    """One spin preparation: |phi> = alpha|up> + beta|down>, coupling eta.
+
+    Slotted: a rotating schedule holds one prep per step, 56 bytes each on
+    every supported CPython (a __dict__ made it 96 to 152 bytes by version).
+    """
 
     alpha: complex
     beta: complex
@@ -135,8 +139,9 @@ def rotating_schedule(
     theta = _mixing_angle(zeta_abs)
     a = complex(math.cos(theta))
     s = math.sin(theta)
+    eta = complex(eta)  # one object shared by every prep
     preps = []
     for j in range(1, n_steps + 1):
         tau = (j - 0.5) * dt
-        preps.append(AtomPrep(a, s * cmath.exp(-1j * omega * tau), complex(eta)))
+        preps.append(AtomPrep(a, s * cmath.exp(-1j * omega * tau), eta))
     return preps

@@ -54,6 +54,7 @@ blocks.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -65,6 +66,15 @@ from hlq.schedules import AtomPrep
 
 HERMITICITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
+
+
+def traced_peak(call, *args, **kwargs):
+    """(call(*args, **kwargs), the peak of the memory traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return call(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hlq.engines import SimConfig, run, run_compare
+from hlq.engines import SimConfig, converge, run
 from hlq.observables import fidelity_coherent, husimi_grid
 from hlq.oracles import ground_state_probability
 from reference import greens_quadrature_probability, two_boson_variances
@@ -153,14 +153,7 @@ def test_criterion_04_intensity_matches_linear_form(intensity_run):
 
 
 def test_criterion_05_engine_agreement_first_order():
-    t_total = 1.0
-    dists = []
-    for i in range(4):
-        dt = 1e-3 / 2**i
-        cfg = SimConfig(model="linear", omega=OMEGA_SLOW, dt=dt,
-                        steps=int(round(t_total / dt)))
-        res = run_compare(cfg, per_step_distance=False)
-        dists.append(res.trace_distances[-1])
+    dists = converge(SimConfig(model="linear", omega=OMEGA_SLOW, dt=1e-3, steps=1000), 3)
     ratios = [a / b for a, b in zip(dists, dists[1:])]
     ok = all(1.7 <= r <= 2.3 for r in ratios)
     verdict(5, "hidden-vs-standard distance halves with dt", ok,

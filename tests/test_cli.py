@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +15,7 @@ from hlq.engines import run, run_compare
 from hlq.errors import ConfigParseError, ConfigValidationError, TruncationOverflowError
 from hlq.observables import husimi_grid
 from hlq.oracles import ground_state_probability
-from reference import format_cell, reference_csv_text
+from reference import format_cell, reference_csv_text, traced_peak
 
 SLOW_CONFIG = """\
 # slow linear run
@@ -302,12 +301,8 @@ class TestExitCodes:
     ])
     def test_run_over_size_cap_is_1_before_allocating(self, tmp_path, capsys, steps, nbytes):
         cfg = write(tmp_path, TINY.replace("steps = 40", f"steps = {steps}"))
-        tracemalloc.start()
-        try:
-            assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["run", cfg, "--out-dir", str(tmp_path / "o")])
+        assert code == 1
         assert capsys.readouterr().err == (
             f"error: steps: {steps} steps need {nbytes} bytes of records and schedule, "
             f"over the 1073741824-byte limit\n")
@@ -538,13 +533,32 @@ class TestConvergeCommand:
     def test_finest_halving_checked_before_the_first_run(self, tmp_path, capsys, monkeypatch,
                                                          halvings, message):
         calls = []
-        monkeypatch.setattr(cli, "run_compare", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(engines, "run_compare", lambda *a, **k: calls.append(a))
         cfg = write(tmp_path, TINY)
         assert main(["converge", cfg, "--out-dir", str(tmp_path / "o"),
                      "--halvings", halvings]) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
         assert calls == []
+
+    # eta = 0: neither engine drives, both stay in the vacuum, every distance is 0.
+    @pytest.mark.parametrize("engine", ["hidden", "both"])
+    def test_exact_agreement_writes_nan_ratios(self, tmp_path, capsys, engine):
+        cfg = write(tmp_path, "model = linear\nomega = 1.0\ndt = 0.01\nsteps = 20\ndim = 8\n"
+                              f"eta = 0\nengine = {engine}\n")
+        out = tmp_path / "out"
+        assert main(["converge", cfg, "--out-dir", str(out), "--halvings", "2"]) == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out / "converge.csv")
+        assert [r[1:] for r in rows] == [["0", ""], ["0", "nan"], ["0", "nan"]]
+
+    def test_zero_distance_ratios_are_ieee_quotients(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "converge", lambda config, halvings: [1.0, 0.0, 0.0])
+        cfg = write(tmp_path, TINY)
+        out = tmp_path / "out"
+        assert main(["converge", cfg, "--out-dir", str(out), "--halvings", "2"]) == 0
+        _, rows = read_csv(out / "converge.csv")
+        assert [r[1:] for r in rows] == [["1", ""], ["0", "inf"], ["0", "nan"]]
 
 
 class TestHusimiCommand:
@@ -624,13 +638,10 @@ class TestHusimiCommand:
         peaks = []
         for count in (26, 40):
             steps = ",".join(map(str, range(count)))
-            tracemalloc.start()
-            try:
-                assert main(["husimi", cfg, "--out-dir", str(tmp_path / str(count)),
-                             "--steps", steps, "--grid", "101"]) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(main, ["husimi", cfg, "--out-dir", str(tmp_path / str(count)),
+                                            "--steps", steps, "--grid", "101"])
+            assert code == 0
+            peaks.append(peak)
         # One block is its amplitude table and product (2 x _HUSIMI_BLOCK_BYTES)
         # and their temporaries; the run's result and one row's text are small.
         assert peaks[1] < cli._HUSIMI_GROUP_BYTES + 4 * observables._HUSIMI_BLOCK_BYTES
@@ -790,12 +801,7 @@ class TestCsvWriter:
         axis = np.linspace(-5.0, 5.0, 401)
         columns = (np.tile(axis, 401), np.repeat(axis, 401),
                    rng.random((401, 401)) * 10.0 ** rng.integers(-12, 0, (401, 401)))
-        tracemalloc.start()
-        try:
-            cli._write_csv(tmp_path / "big.csv", "x,y,q", columns)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(cli._write_csv, tmp_path / "big.csv", "x,y,q", columns)
         assert (tmp_path / "big.csv").stat().st_size > 4_000_000
         assert peak < 1_000_000
 

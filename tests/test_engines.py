@@ -9,7 +9,6 @@ import os
 import platform
 import subprocess
 import sys
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -19,6 +18,7 @@ import pytest
 from hlq import engines
 from hlq.engines import (
     SimConfig,
+    converge,
     make_schedule,
     phase_multiplicity,
     run,
@@ -52,6 +52,7 @@ from reference import (
     model_operator,
     reference_diagnostics,
     standard_step,
+    traced_peak,
     two_pass_hidden_step,
 )
 
@@ -369,13 +370,7 @@ class TestCachedStepping:
             for steps in (500, 5000):
                 cfg = SimConfig(model="linear", omega=1.3, dt=0.002, steps=steps, dim=16,
                                 engine=engine)
-                sched = eta_schedule(steps)
-                tracemalloc.start()
-                try:
-                    run(cfg, sched, deep_checks=False)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
+                peaks.append(traced_peak(run, cfg, eta_schedule(steps), deep_checks=False)[1])
             assert peaks[1] - peaks[0] <= 1.2 * 72 * 4500, engine
 
     def test_unitarity_defect_reported_for_varying_schedule(self, monkeypatch):
@@ -622,13 +617,8 @@ class TestStepHeap:
         for j in range(1, cfg.steps):  # warm-up; a rotating schedule's prep is new every step
             state = kernel.step(state, sched[j - 1], (j - 0.5) * cfg.dt)
             kernel.density(state)
-        tracemalloc.start()
-        try:
-            state = kernel.step(state, sched[-1], (cfg.steps - 0.5) * cfg.dt)
-            kernel.density(state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: kernel.density(
+            kernel.step(state, sched[-1], (cfg.steps - 0.5) * cfg.dt)))
         assert peak < 16 * 1024
 
     @pytest.mark.parametrize("d, height", [(12, 56), (32, 8), (64, 2)])
@@ -639,12 +629,7 @@ class TestStepHeap:
         guard = engines._Guard(deep=True)
         for j in range(height):  # fills the first block, so the next inspect opens another
             guard.inspect(rho, j)
-        tracemalloc.start()
-        try:
-            guard.inspect(rho, height)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(guard.inspect, rho, height)
         assert guard._held == 1
         assert peak < 16 * 1024
 
@@ -1008,6 +993,17 @@ class TestConfigBoundary:
         with pytest.raises(ConfigValidationError, match=f"steps: {most + 1} steps need"):
             SimConfig(**{**self.BASE, "steps": most + 1}).validate()
 
+    # A rotating run_compare keeps the most per step: two rows, a prep made for
+    # the step and a distance. A float eta is made complex once for the schedule.
+    def test_step_bytes_cover_a_rotating_compare(self):
+        def peak(steps: int) -> int:
+            return traced_peak(run_compare, SimConfig(model="linear", omega=1.3, dt=1e-4,
+                                                      steps=steps, dim=8, schedule="rotating",
+                                                      eta=1.0))[1]
+
+        peak(10)  # first-call caches stay out of the difference
+        assert (peak(6000) - peak(2000)) / 4000 <= engines._STEP_BYTES
+
     @pytest.mark.parametrize("field, value", [
         ("omega", "1.0"), ("dt", None), ("steps", "5"), ("zeta_abs", "0.3"),
         ("eta", "1+1j"), ("gamma0", "0.3"), ("model", 3), ("outputs", "final"),
@@ -1107,16 +1103,25 @@ class TestConfigBoundary:
 
 class TestEngineAgreement:
     def test_first_order_convergence_small(self):
-        dists = []
-        for i in range(3):
-            dt = 5e-3 / 2**i
-            cfg = SimConfig(model="linear", omega=OMEGA_SLOW, dt=dt,
-                            steps=int(round(0.5 / dt)))
-            res = run_compare(cfg, per_step_distance=False)
-            dists.append(res.trace_distances[-1])
+        dists = converge(SimConfig(model="linear", omega=OMEGA_SLOW, dt=5e-3, steps=100), 2)
         assert dists[0] > dists[1] > dists[2]
         for a, b in zip(dists, dists[1:]):
             assert 1.7 <= a / b <= 2.3
+
+    def test_converge_is_the_run_compare_ladder(self):
+        cfg = SimConfig(model="two-boson", omega=1.3, dt=1e-2, steps=20, dim=12,
+                        eta=0.8 - 0.3j, schedule="rotating", initial="coherent",
+                        gamma0=0.3 + 0.2j)
+        ladder = [run_compare(dataclasses.replace(cfg, dt=cfg.dt / 2**i, steps=cfg.steps * 2**i)
+                              ).trace_distances[-1] for i in range(3)]
+        assert converge(cfg, 2) == ladder
+
+    @pytest.mark.parametrize("halvings", [1, 1.5, True])
+    def test_converge_takes_two_or_more_halvings(self, monkeypatch, halvings):
+        monkeypatch.setattr(engines, "run_compare", lambda *a, **k: pytest.fail("a run was made"))
+        with pytest.raises(ConfigValidationError,
+                           match=rf"^halvings: must be an integer >= 2, got {halvings!r}$"):
+            converge(SimConfig(model="linear", omega=1.0, dt=1e-2, steps=10), halvings)
 
     def test_static_limit_coherent_displacement(self):
         # omega = 0, coherent start gamma0: final ~ |gamma0 - i eta zeta* T>
@@ -1242,12 +1247,7 @@ class TestLockstepDriver:
     def test_records_table_is_not_copied(self):
         # The recorder fills the returned table in place: no second per-step buffer.
         cfg = SimConfig(model="linear", omega=1.0, dt=0.01, steps=3000, dim=4, eta=0.0)
-        tracemalloc.start()
-        try:
-            res = run(cfg, deep_checks=False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        res, peak = traced_peak(run, cfg, deep_checks=False)
         assert res.records.nbytes == 72 * 3001
         assert peak <= 1.5 * res.records.nbytes
 

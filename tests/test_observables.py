@@ -24,7 +24,7 @@ from hlq.observables import (
     trajectory_point,
 )
 from reference import (annihilation_matrix, reference_amplitudes, reference_husimi,
-                       reference_records)
+                       reference_records, traced_peak)
 
 
 def vacuum(d=32):
@@ -424,12 +424,7 @@ class TestHusimi:
     @pytest.mark.parametrize("d", [2, 12, 32, 48])
     def test_peak_is_values_plus_one_row(self, d):
         rho = random_density(np.random.default_rng(19), d)
-        tracemalloc.start()
-        try:
-            grid = husimi_grid(rho, 5.0, 401)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        grid, peak = traced_peak(husimi_grid, rho, 5.0, 401)
         assert peak < 2 * grid.values.nbytes
 
     def test_window_checked_without_a_state(self):
