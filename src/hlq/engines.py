@@ -70,22 +70,31 @@ Driver
 caller passes beside it: an explicit schedule, each of its preps, and the
 snapshot steps. A schedule the driver makes from the config is not re-checked:
 the generators make only valid preps. The driver builds one lane (kernel,
-guard, trajectory recorder) per engine from the same initial state, and moves
-every lane through step j before any lane takes step j + 1. After each step a
-lane forms its density matrix (the hidden lane holds it, the standard lane
-takes psi psi^dag), its guard checks that matrix, and its recorder appends the
-row: it takes the purity and gathers the diagonals 0, -1 and -2, and reduces
-them 64 rows at a time into the lane's ``np.recarray``, allocated once and
-returned as is with every row complete.
-With two lanes the driver also takes the trace distance between them. Deep
-checks deepen the hidden lane's guard only. It holds three d x d buffers
-(rho^dag, rho - rho^dag and its modulus) and a block of at most 128 KiB of
-states' Hermitian parts: it checks the Hermiticity defect every step and takes
-the lowest eigenvalues by one ``eigvalsh`` per block, the last partial block
-when the lane's result is made. The standard lane's guard is always shallow
-(finite trace, trace drift, top-two population, every step) and reports a
-Hermiticity defect and lowest eigenvalue of 0.0: its psi psi^dag passes the
-deep checks by construction (DECISIONS.md D3).
+guard, trajectory recorder) per engine from the same initial state, checks its
+step 0, and moves every lane through step j before any lane takes step j + 1.
+The steps go in blocks. Per step a lane forms its density matrix (the hidden
+lane holds it, the standard lane takes psi psi^dag) and its recorder takes the
+purity and gathers the diagonals 0, -1 and -2 into its pending rows; a deep
+lane copies the matrix into its guard's stack, and two lanes keep their
+difference for the trace distance. After the block each guard checks the
+block's states with whole-block numpy calls, the traces and top-two
+populations read from the gathered diagonals, and the distances are taken by
+one stacked ``eigvalsh``. A failure is reported as a check after every step
+would: the earliest failing step over all lanes, the hidden lane's on a tie,
+with the same error. A block ends early right after a state that may fail a
+check (its purity is not finite, as it is when an entry is not, or its
+top-two population is at the limit), so no step is taken past a failing
+state.
+A block is the deep guard's height, at most 128 KiB of states (56 / 8 / 2 at
+dims 12 / 32 / 64, one from dim 65), when the hidden lane runs deep checks or
+the distance of every step is wanted, and 64 steps, the recorder's chunk,
+otherwise. The recorder reduces its pending rows 64 at a time into the lane's
+``np.recarray``, allocated once and returned as is with every row complete.
+Deep checks deepen the hidden lane's guard only: the Hermiticity defect and
+the lowest eigenvalue of every state. The standard lane's guard is always
+shallow (finite trace, trace drift, top-two population, every step) and
+reports a Hermiticity defect and lowest eigenvalue of 0.0: its psi psi^dag
+passes the deep checks by construction (DECISIONS.md D3).
 """
 
 from __future__ import annotations
@@ -100,6 +109,7 @@ import numpy as np
 from . import schedules as _schedules
 from .errors import (
     ConfigValidationError,
+    HlqError,
     InvalidModelError,
     InvalidPreparationError,
     NonFiniteStateError,
@@ -114,7 +124,7 @@ from .fockcore import (
     unitarity_defect,
 )
 from . import observables as _observables
-from .observables import TrajectoryRecorder
+from .observables import _CHUNK, TrajectoryRecorder
 
 ENGINES = ("hidden", "standard", "both")
 PHASE_CONVENTIONS = ("operator", "coherence")
@@ -130,21 +140,26 @@ TRUNCATION_LIMIT = 1e-6
 # distance, which every two-lane run keeps (a float and its list slot, 32.6
 # bytes, counted as 36). A rotating run_compare at dim 8 traces 274-275 bytes
 # a step: the peak difference of 2,000- and 6,000-step runs on CPython 3.11.
-# Each recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes and
-# each kernel holds the factors and work buffers of one step, neither growing
-# with steps: the hidden kernel nine d x d complex buffers, the standard one
-# five (psi psi^dag in three, and W and W^dag), 576 and 320 KiB at dim 64. A
-# deep hidden lane's guard holds three d x d buffers (rho^dag, rho - rho^dag
-# and its real modulus, 160 KiB at dim 64) and a block of states' Hermitian
-# parts of at most _EIG_BLOCK_BYTES, or one state where a single state is
-# larger; the standard lane's guard is shallow and holds none.
+# None of the buffers below grows with steps. Each recorder's pending buffer
+# is a fixed 64 x (3 dim - 3) x 16 bytes. Each kernel holds the factors and
+# work buffers of one step: the hidden kernel nine d x d complex buffers, the
+# standard one five (psi psi^dag in three, and W and W^dag), 576 and 320 KiB
+# at dim 64. Each guard holds a block's diagonals, a block x d complex. A
+# deep hidden lane's guard also holds the block's states, their conjugate
+# transposes and their differences (three complex blocks of at most
+# _EIG_BLOCK_BYTES, or of one state where a single state is larger) and the
+# differences' moduli (one real block, half that); the standard lane's guard
+# is shallow and holds no states. A two-lane run holds the differences of
+# its lanes' states and their conjugate transposes, two more such complex
+# blocks, or one state each when only the last distance is taken.
 RUN_MAX_BYTES = 1 << 30
 _STEP_BYTES = 2 * 72 + 100 + 36
 
-# The deep guard's block of states per eigvalsh call: 56 / 8 / 2 states at
-# dims 12 / 32 / 64 and 1 from dim 65. A block pays numpy's per-call cost once;
-# a fixed 16-state block (1 MiB at dim 64) leaves L2 and was slower there than
-# one state per call.
+# The deep guard's block of states per eigvalsh call, and the driver's block
+# of steps whenever a lane holds whole states: 56 / 8 / 2 states at dims
+# 12 / 32 / 64, 1 from dim 65, and at most 64, the recorder's chunk. A block
+# pays numpy's per-call cost once; a fixed 16-state block (1 MiB at dim 64)
+# leaves L2 and was slower there than one state per call.
 _EIG_BLOCK_BYTES = 128 * 1024
 
 
@@ -484,71 +499,80 @@ def make_schedule(config: SimConfig) -> list[_schedules.AtomPrep]:
 
 
 class _Guard:
-    """Per-step state checks and diagnostics accumulation.
+    """Block state checks and diagnostics accumulation.
 
-    The deep checks run on buffers the guard sizes at its first deep inspect:
-    rho^dag, rho - rho^dag and its modulus, three d x d planes, and a stack of
-    h = max(1, _EIG_BLOCK_BYTES // (16 d^2)) sums rho + rho^dag. The Hermiticity
-    defect is checked every step. The lowest eigenvalues are taken when the
-    stack is full, or by ``finish`` for the last partial stack: the sums are
-    halved, as 0.5 (rho + rho^dag) was one state at a time, and one
-    ``eigvalsh`` call takes them all, with each state's bits. Deferring them
-    changes no outcome: eigvalsh raises no hlq error, and a run that raises
-    returns no diagnostics.
+    A block is the states of up to ``height`` consecutive steps. ``inspect``
+    takes their gathered rows, whose first d entries are each state's
+    diagonal, and for a deep guard the states themselves, which the lane
+    copies into ``stack``. It checks them with whole-block numpy calls, each
+    state's checks in one order (finite trace, top-two population, then a
+    finite Hermiticity defect), and returns the error of the earliest failing
+    state, or None after folding the block into the diagnostics. The lowest
+    eigenvalues of the Hermitian parts 0.5 (rho + rho^dag) are taken by one
+    ``eigvalsh`` call per block, with each state's bits, and only from states
+    that passed every check, so no non-finite state reaches it.
+
+    Every guard holds a (height, d) copy of the diagonals, contiguous so that
+    each trace is rho.trace()'s sum. A deep guard also holds the stack, its
+    conjugate transpose, their difference (three height x d x d complex
+    buffers) and the difference's modulus (one real one).
     """
 
-    def __init__(self, deep: bool):
+    def __init__(self, deep: bool, d: int, height: int):
         self.deep = deep
         self.diag = RunDiagnostics(min_eigenvalue=np.inf if deep else 0.0)
-        self._stack, self._held = None, 0
+        self._diagonals = np.empty((height, d), dtype=complex)
+        self.stack = None
+        if deep:
+            self.stack, self._adj, self._diff = (np.empty((height, d, d), dtype=complex)
+                                                 for _ in range(3))
+            self._abs = np.empty((height, d, d))
 
-    def inspect(self, rho: np.ndarray, step: int) -> None:
-        # NaN fails every comparison below, so non-finite values stop the run here.
-        trace = rho.trace()
-        if not cmath.isfinite(trace):
-            raise NonFiniteStateError(step, "trace", trace)
-        top2 = float(rho[-1, -1].real + rho[-2, -2].real)
-        if top2 > self.diag.max_top_two_population:
-            self.diag.max_top_two_population = top2
-        if top2 >= TRUNCATION_LIMIT:
-            raise TruncationOverflowError(step, top2)
-        drift = abs(trace.real - 1.0) + abs(trace.imag)
-        if drift > self.diag.max_trace_drift:
-            self.diag.max_trace_drift = float(drift)
+    def inspect(self, rows: np.ndarray, first: int) -> HlqError | None:
+        """Check and fold the states of steps first, first + 1, ..., one per row of ``rows``."""
+        n, d = rows.shape[0], self._diagonals.shape[1]
+        diagonals = self._diagonals[:n]
+        np.copyto(diagonals, rows[:, :d])
+        traces = np.add.reduce(diagonals, axis=1)
+        top2 = diagonals[:, -1].real + diagonals[:, -2].real
+        bad = ~np.isfinite(traces) | (top2 >= TRUNCATION_LIMIT)
+        passed = int(bad.argmax()) if bad.any() else n  # states before it pass the shallow checks
+        if self.deep and passed:
+            herm = self._hermiticity(passed)
+            finite = np.isfinite(herm)
+            if not finite.all():
+                k = int(finite.argmin())
+                return NonFiniteStateError(first + k, "Hermiticity defect", float(herm[k]))
+        if passed < n:
+            if not cmath.isfinite(traces[passed]):
+                return NonFiniteStateError(first + passed, "trace", traces[passed])
+            return TruncationOverflowError(first + passed, float(top2[passed]))
+        diag = self.diag
+        diag.max_top_two_population = max(diag.max_top_two_population, float(top2.max()))
+        drift = float((np.abs(traces.real - 1.0) + np.abs(traces.imag)).max())
+        diag.max_trace_drift = max(diag.max_trace_drift, drift)
         if self.deep:
-            if self._stack is None:
-                d = rho.shape[0]
-                self._adj, self._diff = np.empty_like(rho), np.empty_like(rho)
-                self._abs = np.empty(rho.shape, dtype=rho.real.dtype)
-                self._stack = np.empty((max(1, _EIG_BLOCK_BYTES // (16 * d * d)), d, d),
-                                       dtype=rho.dtype)
-            # A binary call with a transposed operand would buffer a d x d copy of it.
-            adj = self._adj
-            np.copyto(adj, rho.T)
-            np.conjugate(adj, out=adj)
-            herm = float(np.abs(np.subtract(rho, adj, out=self._diff), out=self._abs).max())
-            if not math.isfinite(herm):
-                raise NonFiniteStateError(step, "Hermiticity defect", herm)
-            if herm > self.diag.max_hermiticity_defect:
-                self.diag.max_hermiticity_defect = herm
-            np.add(rho, adj, out=self._stack[self._held])
-            self._held += 1
-            if self._held == len(self._stack):
-                self._lowest()
+            diag.max_hermiticity_defect = max(diag.max_hermiticity_defect, float(herm.max()))
+            parts = self.stack[:n]
+            np.add(parts, self._adj[:n], out=parts)
+            np.multiply(0.5, parts, out=parts)
+            lows = np.linalg.eigvalsh(parts)[:, 0]
+            k = int(lows.argmin())  # the first of tied minima, as a fold in step order keeps
+            if lows[k] < diag.min_eigenvalue:
+                diag.min_eigenvalue = float(lows[k])
+        return None
 
-    def _lowest(self) -> None:
-        """Fold the held states' lowest eigenvalues into min_eigenvalue, in step order."""
-        parts = self._stack[:self._held]
-        np.multiply(0.5, parts, out=parts)
-        for low in np.linalg.eigvalsh(parts)[:, 0].tolist():
-            if low < self.diag.min_eigenvalue:
-                self.diag.min_eigenvalue = low
-        self._held = 0
+    def _hermiticity(self, n: int) -> np.ndarray:
+        """max |rho - rho^dag| of each of the first n held states; leaves rho^dag held."""
+        states, adj = self.stack[:n], self._adj[:n]
+        # A binary call with a transposed operand would buffer a copy of it.
+        np.copyto(adj, states.transpose(0, 2, 1))
+        np.conjugate(adj, out=adj)
+        np.subtract(states, adj, out=self._diff[:n])
+        return np.abs(self._diff[:n], out=self._abs[:n]).max(axis=(1, 2))
 
     def finish(self, purities: np.ndarray) -> RunDiagnostics:
         """Close the diagnostics; the purity range is read from the recorded column."""
-        if self._held:
-            self._lowest()
         self.diag.min_purity = min(1.0, float(purities.min()))
         self.diag.max_purity = max(1.0, float(purities.max()))
         return self.diag
@@ -565,30 +589,82 @@ class _Lane:
     """One engine in the lockstep driver: its state, kernel, guard, recorder and snapshots.
 
     ``state`` is what the kernel steps; ``rho``, its density matrix, is what
-    the guard, recorder, snapshots, trace distance and result see.
+    the guard, recorder, snapshots, trace distance and result see. The lane
+    holds the steps it took since its last ``inspect``: their rows stay
+    pending in the recorder and, for a deep guard, the states in its stack.
+    A new lane has checked its step 0.
     """
 
-    def __init__(self, config: SimConfig, engine: str, deep: bool, wanted: set[int]):
+    def __init__(self, config: SimConfig, engine: str, deep: bool, wanted: set[int],
+                 height: int):
         self.kernel = _build_stepper(config, engine)
         self.state = self.kernel.start(initial_vector(config))
         # psi psi^dag passes the deep checks by construction (D3): only a mixed lane's are run.
-        self.guard = _Guard(deep and engine == "hidden")
+        self.guard = _Guard(deep and engine == "hidden", config.dim, height)
+        self.stack = self.guard.stack
         self.recorder = TrajectoryRecorder(config.steps, config.dt)
         self.wanted = wanted
         self.snapshots: dict[int, np.ndarray] = {}
-        self.observe(0)
+        self.step, self.held = -1, 0
+        # Flat positions of the top two levels' populations, read as Python numbers.
+        self._top = (-1, -config.dim - 2)
+        self.take(0)
+        failure = self.inspect()
+        if failure is not None:
+            raise failure
 
-    def observe(self, j: int) -> None:
-        self.rho = self.kernel.density(self.state)
-        self.guard.inspect(self.rho, j)
-        self.recorder.record(self.rho)
+    def take(self, j: int) -> bool:
+        """Record the state of step j; False when it may fail a check: a non-finite
+        entry (the purity is then not finite) or the top-two population at the limit."""
+        rho = self.rho = self.kernel.density(self.state)
+        p = self.recorder.record(rho)
+        if self.stack is not None:
+            np.copyto(self.stack[self.held], rho)
+        self.step = j
+        self.held += 1
         if j in self.wanted:
-            self.snapshots[j] = self.rho.copy()
+            self.snapshots[j] = rho.copy()
+        last, second = self._top
+        return math.isfinite(p) and rho.item(last).real + rho.item(second).real < TRUNCATION_LIMIT
+
+    def inspect(self) -> HlqError | None:
+        """Check the held steps: their earliest failure, or None once they are folded."""
+        n, self.held = self.held, 0
+        return self.guard.inspect(self.recorder.pending(n), self.step - n + 1) if n else None
 
     def result(self) -> RunResult:
         records = self.recorder.records
         self.guard.diag.propagator_unitarity_defect = self.kernel.unitarity_defect
         return RunResult(records, self.rho, self.guard.finish(records.purity), self.snapshots)
+
+
+class _Distances:
+    """Trace distances between two lanes' states, taken a block at a time.
+
+    ``take`` holds a due step's difference a - b in one of ``height`` held
+    layers and appends nan for a step that is not due; ``flush`` appends the
+    held steps' distances in step order, by one stacked ``eigvalsh``.
+    """
+
+    def __init__(self, d: int, height: int, every: bool, last: int):
+        self.values = [0.0]
+        self.every, self.last = every, last
+        self._diffs, self._scratch = (np.empty((height if every else 1, d, d), dtype=complex)
+                                      for _ in range(2))
+        self._held = 0
+
+    def take(self, j: int, lanes) -> None:
+        if self.every or j == self.last:
+            np.subtract(lanes[0].rho, lanes[1].rho, out=self._diffs[self._held])
+            self._held += 1
+        else:
+            self.values.append(math.nan)
+
+    def flush(self) -> None:
+        n, self._held = self._held, 0
+        if n:
+            self.values += _observables._trace_distances(self._diffs[:n],
+                                                          self._scratch[:n]).tolist()
 
 
 def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks: bool,
@@ -631,20 +707,51 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
     bad = sorted(s for s in wanted if s not in range(config.steps + 1))
     if bad:
         raise ConfigValidationError(f"steps: snapshot(s) {bad} outside [0, {config.steps}]")
-    lanes = [_Lane(config, engine, deep_checks, wanted) for engine in engines]
-    distances = [0.0] if len(lanes) == 2 else []
-    dt = config.dt
-    for j in range(1, config.steps + 1):
-        tau = (j - 0.5) * dt
-        prep = schedule[j - 1]
+    pair = len(engines) == 2
+    height = _CHUNK
+    if deep_checks and "hidden" in engines or pair and per_step_distance:
+        height = min(_CHUNK, max(1, _EIG_BLOCK_BYTES // (16 * config.dim ** 2)))
+    lanes = [_Lane(config, engine, deep_checks, wanted, height) for engine in engines]
+    distances = _Distances(config.dim, height, per_step_distance, config.steps) if pair else None
+    j, skip = 1, 0  # the next step, and how many lanes have taken it
+    while j <= config.steps:
         for lane in lanes:
+            lane.recorder.reserve(height)
+        j, skip = _advance(lanes, distances, schedule, config.dt, j,
+                           min(config.steps, j + height - 1), skip)
+        failures = [failure for failure in (lane.inspect() for lane in lanes)
+                    if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure.step)  # the first lane on a tie
+        if skip == len(lanes):  # the block stopped after the last lane's step j, which passed
+            if distances is not None:
+                distances.take(j, lanes)
+            j, skip = j + 1, 0
+        if distances is not None:
+            distances.flush()
+    return lanes, distances.values if distances is not None else []
+
+
+def _advance(lanes, distances, schedule, dt: float, j: int, last: int, skip: int):
+    """Step lanes[skip:] through step j, then every lane through j + 1, ..., last.
+
+    Returns the next step and how many lanes have taken it. A block stops
+    right after a lane whose state may fail a check, so no state is stepped
+    past a failure; that step's distance is left to the caller, which takes
+    it once the states passed. Every other step all lanes took is handed to
+    ``distances``.
+    """
+    for j in range(j, last + 1):
+        prep, tau = schedule[j - 1], (j - 0.5) * dt
+        for i in range(skip, len(lanes)):
+            lane = lanes[i]
             lane.state = lane.kernel.step(lane.state, prep, tau)
-            lane.observe(j)
-        if distances:
-            due = per_step_distance or j == config.steps
-            distances.append(_observables.trace_distance(lanes[0].rho, lanes[1].rho)
-                             if due else float("nan"))
-    return lanes, distances
+            if not lane.take(j):
+                return j, i + 1
+        skip = 0
+        if distances is not None:
+            distances.take(j, lanes)
+    return last + 1, 0
 
 
 def run(

@@ -11,10 +11,11 @@ the diagonals 0, -1 and -2 of rho, weighted by arange(d) and by the
 
 ``TrajectoryRecorder`` keeps per-step recording cheap: each step appends the
 next row, copying the three diagonals into a fixed buffer of ``_CHUNK`` rows
-with one gather and taking the purity; each full chunk is reduced column-wise
-to the moments of all its states at once. Reading ``records`` reduces the rows
-still pending, so every row recorded so far is complete whenever the table is
-read. The one-state functions below are the same reduction on one row, so a
+with one gather and taking the purity; a full chunk is reduced column-wise
+to the moments of all its states at once. The rows stay pending until then,
+so the run's guards read each block's diagonals from them. Reading
+``records`` reduces the rows still pending, so every row recorded so far is
+complete whenever the table is read. The one-state functions below are the same reduction on one row, so a
 recorded row equals them bit for bit.
 
 ``husimi_grids`` evaluates Q of a list of states on blocks of grid rows: each
@@ -174,15 +175,18 @@ class TrajectoryRecorder:
     run ends. Both ``records.p00`` (a column) and ``records[j].p00`` (one row)
     work.
 
-    ``record(rho)`` appends the next row, 0 first: it takes the purity of rho
-    into that row and copies the diagonals 0, -1 and -2 of rho into a pending
-    buffer of ``_CHUNK`` rows with one gather; the buffer is sized from the
-    first state. The pending rows are always one contiguous range, so a full
-    buffer is reduced column-wise (``_Diagonals.moments``, in place, after
-    p00 is copied out) and its rows' step, t, p00, mean_n and mean_b are
-    written as whole column slices; var_x and var_y are taken per state from
-    those moments. Reading ``records`` first reduces the rows still pending,
-    so every row recorded so far is complete whenever the table is read.
+    ``record(rho)`` appends the next row, 0 first, and returns its purity: it
+    takes the purity of rho into that row and copies the diagonals 0, -1 and
+    -2 of rho into a pending buffer of ``_CHUNK`` rows with one gather; the
+    buffer is sized from the first state. The pending rows are always one
+    contiguous range, so a full buffer is reduced column-wise
+    (``_Diagonals.moments``, in place, after p00 is copied out) when the next
+    row comes, and its rows' step, t, p00, mean_n and mean_b are written as
+    whole column slices; var_x and var_y are taken per state from those
+    moments. ``reserve(n)`` reduces early unless n more rows fit, so that the
+    next n rows, read back by ``pending(n)``, stay pending together. Reading
+    ``records`` first reduces the rows still pending, so every row recorded
+    so far is complete whenever the table is read.
     """
 
     def __init__(self, steps: int, dt: float):
@@ -200,15 +204,28 @@ class TrajectoryRecorder:
         self._flush()
         return self._table
 
-    def record(self, rho: np.ndarray) -> None:
-        self._purity[self._next] = purity(rho)
+    def record(self, rho: np.ndarray) -> float:
+        """Append the next row and return its purity; a full pending buffer is reduced first."""
         if self._diagonals is None:
             self._diagonals = _Diagonals(rho.shape[0], _CHUNK)
             self._pending = np.empty((_CHUNK, self._diagonals.index.size), dtype=complex)
+        elif self._next - self._done == _CHUNK:
+            self._flush()
+        p = self._purity[self._next] = purity(rho)
         self._pending[self._next - self._done] = rho.ravel()[self._diagonals.index]
         self._next += 1
-        if self._next - self._done == _CHUNK:
+        return p
+
+    def reserve(self, rows: int) -> None:
+        """Reduce the pending rows unless ``rows`` more fit beside them, so the next
+        ``rows`` records stay pending together."""
+        if self._next - self._done + rows > _CHUNK:
             self._flush()
+
+    def pending(self, rows: int) -> np.ndarray:
+        """The last ``rows`` gathered rows, still unreduced; valid until the next record."""
+        end = self._next - self._done
+        return self._pending[end - rows:end]
 
     def _flush(self) -> None:
         if self._next == self._done:
@@ -234,13 +251,34 @@ def fidelity_coherent(rho: np.ndarray, gamma: complex) -> float:
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) sum |eigenvalues(a - b)| for Hermitian a, b."""
+    """(1/2) sum |eigenvalues(a - b)| for Hermitian a, b.
+
+    A state with a non-finite entry raises ``ConfigValidationError``.
+    """
     d = _check_state(a)
     if np.shape(b) != (d, d):
         raise InvalidDimensionError(f"shape mismatch {(d, d)} vs {np.shape(b)}")
-    diff = np.subtract(a, b)
-    diff = 0.5 * (diff + diff.conj().T)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    for name, rho in (("a", a), ("b", b)):
+        if not np.isfinite(rho).all():
+            raise ConfigValidationError(f"{name}: must be finite, got a state with a non-finite entry")
+    diff = np.subtract(a, b)[None]
+    if diff.dtype.kind not in "fc":  # integer states: their Hermitian parts are not
+        diff = diff.astype(float)
+    return float(_trace_distances(diff, np.empty_like(diff))[0])
+
+
+def _trace_distances(diffs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``trace_distance`` of each pair a, b whose a - b is a layer of the (n, d, d) ``diffs``.
+
+    Both arrays are overwritten: the layers become their Hermitian parts
+    0.5 (x + x^dag), which one ``eigvalsh`` call takes, each with one layer's
+    bits. The layers must be finite; nothing here checks them.
+    """
+    np.copyto(scratch, diffs.transpose(0, 2, 1))
+    np.conjugate(scratch, out=scratch)
+    np.add(diffs, scratch, out=diffs)
+    np.multiply(0.5, diffs, out=diffs)
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=1)
 
 
 def husimi_window(extent: float, resolution: int, d: int) -> tuple[float, int]:

@@ -51,6 +51,7 @@ from reference import (
     joint_propagator,
     model_operator,
     reference_diagnostics,
+    reference_records,
     standard_step,
     traced_peak,
     two_pass_hidden_step,
@@ -574,14 +575,15 @@ class TestStandardLane:
         seen = []
         inspect = engines._Guard.inspect
 
-        def recording(guard, rho, step):
-            seen.append((step, rho.shape))
-            return inspect(guard, rho, step)
+        def recording(guard, rows, first):
+            assert guard.stack is None
+            seen.extend((first + k, np.shape(row)) for k, row in enumerate(rows))
+            return inspect(guard, rows, first)
 
         monkeypatch.setattr(engines._Guard, "inspect", recording)
         cfg = self.config("intensity", "uniform")
         res = run(cfg)
-        assert seen == [(j, (cfg.dim, cfg.dim)) for j in range(cfg.steps + 1)]
+        assert seen == [(j, (3 * cfg.dim - 3,)) for j in range(cfg.steps + 1)]
         # psi psi^dag is Hermitian up to the rounding of one product
         assert res.diagnostics.max_hermiticity_defect <= np.finfo(float).eps
 
@@ -626,11 +628,12 @@ class TestStepHeap:
         cfg = SimConfig(model="linear", omega=1.3, dt=1e-3, steps=8, dim=d,
                         initial="coherent", gamma0=1.0 + 0.5j)
         rho = initial_state(cfg)
-        guard = engines._Guard(deep=True)
-        for j in range(height):  # fills the first block, so the next inspect opens another
-            guard.inspect(rho, j)
-        _, peak = traced_peak(guard.inspect, rho, height)
-        assert guard._held == 1
+        rows = np.tile(np.diagonal(rho), (height, 3))  # the guard reads the first d columns
+        guard = engines._Guard(True, d, height)
+        for _ in range(2):  # the first block warms numpy's caches; the second is traced
+            guard.stack[:] = rho
+            _, peak = traced_peak(guard.inspect, rows, 0)
+        assert guard.diag.min_eigenvalue < 1e-9
         assert peak < 16 * 1024
 
     CHILD = """
@@ -809,24 +812,39 @@ class TestRun:
         assert abs(np.trace(res.final) - 1.0) <= 1e-12
 
 
+def inspect_blocks(states, deep: bool, height: int):
+    """A guard of ``height`` that has inspected states as a run does: step 0 alone, then blocks."""
+    guard = engines._Guard(deep, states[0].shape[0], height)
+    starts = [0, *range(1, len(states), height)]
+    for first, end in zip(starts, [*starts[1:], len(states)]):
+        block = states[first:end]
+        if deep:
+            guard.stack[:len(block)] = block
+        assert guard.inspect(np.array([np.diagonal(rho) for rho in block]), first) is None
+    return guard
+
+
 class TestGuardOracle:
     """The deep guard takes lowest eigenvalues a block of states at a time, with one's bits."""
 
     # States per eigvalsh block, written out so that a changed block size shows here.
-    HEIGHTS = {2: 2048, 12: 56, 32: 8, 64: 2}
+    HEIGHTS = {2: 64, 12: 56, 32: 8, 64: 2}
 
     @staticmethod
     def bits(diag):
         return np.array(dataclasses.astuple(diag), dtype=float).tobytes()
 
     @pytest.mark.parametrize("d", sorted(HEIGHTS))
-    def test_block_height(self, d):
-        guard = engines._Guard(deep=True)
-        guard.inspect(1e-7 * random_density(np.random.default_rng(d), d), 0)
-        assert guard._stack.shape == (self.HEIGHTS[d], d, d)
+    def test_block_height(self, d, monkeypatch):
+        monkeypatch.setattr(engines, "TRUNCATION_LIMIT", 2.0)  # dim 2's top two levels are all
+        cfg = SimConfig(model="linear", omega=1.3, dt=1e-3, steps=1, dim=d, eta=0.0)
+        (lane,), _ = engines._lockstep(cfg, None, ("hidden",), True)
+        assert lane.guard.stack.shape == (self.HEIGHTS[d], d, d)
 
+    # Each block's edges, and at dim 2 also the edges of its former 2,048-state block:
+    # runs of many blocks.
     @pytest.mark.parametrize("deep", [True, False])
-    @pytest.mark.parametrize("d, count", [(d, n) for d, h in HEIGHTS.items()
+    @pytest.mark.parametrize("d, count", [(d, n) for d, h in [*HEIGHTS.items(), (2, 2048)]
                                           for n in (h - 2, h - 1, h, 2 * h + 3) if n >= 1])
     def test_inspected_states_equal_oracle_bits(self, d, count, deep):
         # Scaled so the top two levels stay under the truncation limit at every dim;
@@ -838,9 +856,7 @@ class TestGuardOracle:
             states.append(1e-8 * (m if j % 3 else m + m.conj().T))
         states[count // 2] = np.zeros((d, d), dtype=complex)
         states[-1] = np.full((d, d), complex(-0.0, -0.0))
-        guard = engines._Guard(deep)
-        for j, rho in enumerate(states):
-            guard.inspect(rho, j)
+        guard = inspect_blocks(states, deep, self.HEIGHTS[d])
         purities = np.array([np.vdot(rho, rho).real for rho in states])
         assert self.bits(guard.finish(purities)) == self.bits(reference_diagnostics(states, deep))
 
@@ -850,10 +866,7 @@ class TestGuardOracle:
         # Zero states of either sign, whose lowest eigenvalues tie: the earliest is kept.
         signs = [first] + [-first] * (2 * self.HEIGHTS[d] + 3)
         states = [np.full((d, d), complex(s, s)) for s in signs]
-        guard = engines._Guard(deep=True)
-        for j, rho in enumerate(states):
-            guard.inspect(rho, j)
-        diag = guard.finish(np.zeros(len(states)))
+        diag = inspect_blocks(states, True, self.HEIGHTS[d]).finish(np.zeros(len(states)))
         assert self.bits(diag) == self.bits(reference_diagnostics(states, True))
 
     @staticmethod
@@ -946,12 +959,231 @@ class TestNonFiniteStop:
         assert stops[0] == stops[1]
         assert stops[0][:2] == (error, step)
 
-    def test_deep_guard_checks_hermiticity_before_eigvalsh(self):
+    def test_deep_guard_checks_hermiticity_before_eigvalsh(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh was called"))
         rho = initial_state(SimConfig(model="linear", omega=1.0, dt=0.01, steps=3, dim=8))
-        rho[0, 5] = np.inf
-        engines._Guard(deep=False).inspect(rho, 4)
-        with pytest.raises(NonFiniteStateError, match="Hermiticity defect inf at step 4"):
-            engines._Guard(deep=True).inspect(rho, 4)
+        bad = rho.copy()
+        bad[0, 5] = np.inf
+        block = [rho, bad, rho]
+        rows = np.array([np.diagonal(state) for state in block])
+        shallow = engines._Guard(False, 8, 3)
+        assert shallow.inspect(rows, 3) is None
+        deep = engines._Guard(True, 8, 3)
+        deep.stack[:] = block
+        failure = deep.inspect(rows, 3)
+        assert isinstance(failure, NonFiniteStateError) and failure.step == 4
+        assert str(failure) == "Hermiticity defect inf at step 4 is not finite; reduce dt or eta"
+
+
+def stepped_states(cfg, engine, schedule=None):
+    """The densities of steps 0..steps of one kernel stepped one step at a time."""
+    kernel = engines._build_stepper(cfg, engine)
+    state = kernel.start(engines.initial_vector(cfg))
+    states = [kernel.density(state).copy()]
+    for j, prep in enumerate(schedule or make_schedule(cfg), start=1):
+        state = kernel.step(state, prep, (j - 0.5) * cfg.dt)
+        states.append(kernel.density(state).copy())
+    return states
+
+
+def diagnostics_bits(diag):
+    return np.array(dataclasses.astuple(diag), dtype=float).tobytes()
+
+
+class TestBlockChecks:
+    """The lockstep checks and records a block of steps at a time, with each step's bits."""
+
+    # Steps per block when a lane holds whole states (a deep hidden lane, or per-step
+    # distances): the deep guard's height. Otherwise 64, the recorder's chunk.
+    DEEP_HEIGHTS = {4: 64, 12: 56, 32: 8, 64: 2, 65: 1}
+    CALLS = ["run hidden", "run standard", "compare every step", "compare last step"]
+
+    @staticmethod
+    def config(d, steps):
+        # Weakly driven from the vacuum at dim 4, whose top two levels fill fast.
+        start = dict(initial="coherent", gamma0=0.5 - 0.3j) if d > 4 else dict(zeta_abs=0.05)
+        return SimConfig(**{**dict(model="linear", omega=1.3, dt=2e-3, steps=steps, dim=d,
+                                   zeta_abs=0.41, eta=0.4 + 0.25j, schedule="rotating"), **start})
+
+    @staticmethod
+    def assert_lane(records, final, diagnostics, states, deep, dt):
+        assert records.tobytes() == reference_records(dict(enumerate(states)), dt).tobytes()
+        assert final.tobytes() == states[-1].tobytes()
+        expected = dataclasses.replace(
+            reference_diagnostics(states, deep),
+            propagator_unitarity_defect=diagnostics.propagator_unitarity_defect)
+        assert diagnostics_bits(diagnostics) == diagnostics_bits(expected)
+
+    @pytest.mark.parametrize("deep", [True, False])
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize("d", sorted(DEEP_HEIGHTS))
+    def test_runs_equal_reference_bits(self, d, call, deep):
+        whole = deep and call != "run standard" or call == "compare every step"
+        h = self.DEEP_HEIGHTS[d] if whole else 64
+        for steps in sorted({max(1, h - 1), h, h + 1, 2 * h + 1}):
+            cfg = self.config(d, steps)
+            states = {engine: stepped_states(cfg, engine) for engine in ("hidden", "standard")}
+            if call.startswith("run"):
+                engine = call.split()[1]
+                res = run(dataclasses.replace(cfg, engine=engine),
+                          snapshot_steps=range(steps + 1), deep_checks=deep)
+                self.assert_lane(res.records, res.final, res.diagnostics, states[engine],
+                                 deep and engine == "hidden", cfg.dt)
+                assert sorted(res.snapshots) == list(range(steps + 1))
+                for j, rho in res.snapshots.items():
+                    assert rho.tobytes() == states[engine][j].tobytes(), (steps, j)
+                continue
+            every = call == "compare every step"
+            res = run_compare(cfg, per_step_distance=every, deep_checks=deep)
+            for engine in ("hidden", "standard"):
+                self.assert_lane(getattr(res, f"records_{engine}"), getattr(res, f"final_{engine}"),
+                                 getattr(res, f"diagnostics_{engine}"), states[engine],
+                                 deep and engine == "hidden", cfg.dt)
+            pairs = zip(states["hidden"], states["standard"])
+            expected = [trace_distance(a, b) for a, b in pairs]
+            expected[0] = 0.0
+            if not every:
+                expected[1:-1] = [math.nan] * (steps - 1)
+            assert np.array(res.trace_distances).tobytes() == np.array(expected).tobytes(), steps
+
+
+def failing_at(step, at, mutate):
+    """A kernel step whose state of step ``at`` is passed through mutate (on a copy)."""
+    def mutated(kernel, state, prep, tau):
+        state = step(kernel, state, prep, tau)
+        if round(tau / kernel.dt + 0.5) == at:
+            state = mutate(state.copy())
+        return state
+    return mutated
+
+
+def not_finite(state):
+    state.flat[0] = math.nan
+    return state
+
+
+def overflowing(psi):
+    psi[-1] = 0.1  # a top-level population of 1e-2
+    return psi
+
+
+def finite_eigvalsh(monkeypatch):
+    """Make np.linalg.eigvalsh fail the test on any non-finite input."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def checked(a):
+        assert np.isfinite(a).all(), "a non-finite state reached eigvalsh"
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", checked)
+
+
+class TestLaneOrder:
+    """A block's error is its earliest failing step over all lanes, the hidden lane's on a tie."""
+
+    CFG = SimConfig(model="linear", omega=1.3, dt=0.01, steps=140, dim=12,
+                    initial="coherent", gamma0=0.5 + 0.2j)
+
+    @staticmethod
+    def fail(monkeypatch, hidden_at, standard_at):
+        monkeypatch.setattr(engines._HiddenKernel, "step",
+                            failing_at(engines._HiddenKernel.step, hidden_at, not_finite))
+        monkeypatch.setattr(engines._StandardKernel, "step",
+                            failing_at(engines._StandardKernel.step, standard_at, overflowing))
+        finite_eigvalsh(monkeypatch)
+
+    @pytest.mark.parametrize("every, deep, h", [(True, False, 56), (True, True, 56),
+                                                (False, True, 56), (False, False, 64)])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    @pytest.mark.parametrize("later", [0, 3])
+    def test_earliest_step_named(self, monkeypatch, every, deep, h, offset, later):
+        # The standard lane fails at steps 1, h - 1, h and h + 1; the hidden lane then or later.
+        at = 1 if offset is None else h + offset
+        self.fail(monkeypatch, at + later, at)
+        error = TruncationOverflowError if later else NonFiniteStateError
+        with pytest.raises(error) as info:
+            run_compare(self.CFG, per_step_distance=every, deep_checks=deep)
+        assert info.value.step == at
+
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_hidden_lane_first(self, monkeypatch, deep):
+        self.fail(monkeypatch, 57, 58)
+        with pytest.raises(NonFiniteStateError, match=r"^trace \(nan\+.*\) at step 57 is not "):
+            run_compare(self.CFG, deep_checks=deep)
+
+    @pytest.mark.parametrize("call", [run, run_compare])
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_overflowing_runs_reach_no_eigvalsh(self, monkeypatch, call, deep):
+        # The standard lane overflows at step 8, the hidden one at step 9.
+        finite_eigvalsh(monkeypatch)
+        cfg = SimConfig(model="linear", omega=0.0, dt=0.05, steps=400, dim=8, eta=3)
+        step = 9 if call is run else 8
+        with pytest.raises(TruncationOverflowError, match=f" at step {step} exceeds"):
+            call(cfg, deep_checks=deep)
+
+    def test_no_step_taken_past_a_failure(self, monkeypatch):
+        # Step 5's prep would make both kernels warn of an overflow, which this suite
+        # turns into an error; the standard lane fails at step 4, so no lane takes step 5.
+        monkeypatch.setattr(engines._StandardKernel, "step",
+                            failing_at(engines._StandardKernel.step, 4, overflowing))
+        cfg = dataclasses.replace(self.CFG, steps=10, dt=100.0)
+        inert = AtomPrep(1.0, 0.0, 1.0)
+        sched = [inert] * 10
+        sched[4] = uniform_schedule(1, 0.5, 0.0, 1e308)[0]
+        for deep in (True, False):
+            with pytest.raises(TruncationOverflowError) as info:
+                run_compare(cfg, sched, deep_checks=deep)
+            assert info.value.step == 4
+
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_flagged_state_that_passes_continues_the_run(self, monkeypatch, deep):
+        # A state whose purity overflows stops its block early, yet passes every
+        # check: a hidden coherence far off the recorded diagonals at step 20 and a
+        # standard amplitude on level 0 at step 30, each undone by the next step.
+        def huge(fix):
+            def mutated(kernel, state, prep, tau):
+                state = held.pop(kernel, state)
+                out = step[type(kernel)](kernel, state, prep, tau)
+                j = round(tau / kernel.dt + 0.5)
+                if j == at[type(kernel)]:
+                    held[kernel] = out.copy()
+                    out = fix(out.copy())
+                    changed[type(kernel)] = out.copy()
+                return out
+            return mutated
+
+        def coherence(rho):
+            rho[0, -1] = rho[-1, 0] = 1e200
+            return rho
+
+        def amplitude(psi):
+            psi[0] *= 1e80  # a purity of inf, not nan
+            return psi
+
+        held, changed = {}, {}
+        step = {kind: kind.step for kind in (engines._HiddenKernel, engines._StandardKernel)}
+        at = {engines._HiddenKernel: 20, engines._StandardKernel: 30}
+        monkeypatch.setattr(engines._HiddenKernel, "step", huge(coherence))
+        monkeypatch.setattr(engines._StandardKernel, "step", huge(amplitude))
+        finite_eigvalsh(monkeypatch)
+        cfg = dataclasses.replace(self.CFG, steps=70)
+        res = run_compare(cfg, deep_checks=deep)
+        monkeypatch.undo()
+        states = {"hidden": stepped_states(cfg, "hidden"),
+                  "standard": stepped_states(cfg, "standard")}
+        states["hidden"][20] = changed[engines._HiddenKernel]
+        psi = changed[engines._StandardKernel]
+        states["standard"][30] = np.outer(psi, psi.conj())
+        for engine in ("hidden", "standard"):
+            TestBlockChecks.assert_lane(
+                getattr(res, f"records_{engine}"), getattr(res, f"final_{engine}"),
+                getattr(res, f"diagnostics_{engine}"), states[engine],
+                deep and engine == "hidden", cfg.dt)
+        assert getattr(res, "records_hidden").purity[20] == math.inf
+        assert getattr(res, "records_standard").purity[30] == math.inf
+        expected = [0.0] + [trace_distance(a, b)
+                            for a, b in zip(states["hidden"][1:], states["standard"][1:])]
+        assert res.trace_distances == expected
 
 
 # Both sides of the bound on a coherent amplitude: 2 |gamma|^2 must be finite.

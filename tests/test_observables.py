@@ -233,6 +233,21 @@ class TestTraceDistance:
         with pytest.raises(InvalidDimensionError, match=r"^shape mismatch \(4, 4\) vs \(1, 1\)$"):
             trace_distance(a, [[1]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_state_typed(self, bad):
+        # eigvalsh would raise numpy's LinAlgError, not a package error.
+        one = np.eye(3, dtype=complex)
+        one[0, 2] = bad
+        for a in (np.full((3, 3), bad), one):
+            with pytest.raises(ConfigValidationError,
+                               match=r"^a: must be finite, got a state with a non-finite entry$"):
+                trace_distance(a, np.eye(3))
+            with pytest.raises(ConfigValidationError, match=r"^b: must be finite, "):
+                trace_distance(np.eye(3), a)
+
+    def test_integer_states(self):
+        assert trace_distance(np.diag([1, 0, 0]), np.diag([0, 1, 0])) == 1.0
+
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
