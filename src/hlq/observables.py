@@ -15,8 +15,8 @@ with one gather and taking the purity; a full chunk is reduced column-wise
 to the moments of all its states at once. The rows stay pending until then,
 so the run's guards read each block's diagonals from them. Reading
 ``records`` reduces the rows still pending, so every row recorded so far is
-complete whenever the table is read. The one-state functions below are the same reduction on one row, so a
-recorded row equals them bit for bit.
+complete whenever the table is read. The one-state functions below are the
+same reduction on one row, so a recorded row equals them bit for bit.
 
 ``husimi_grids`` evaluates Q of a list of states on blocks of grid rows: each
 block's coherent-amplitude table is built once, in one pass, for all the

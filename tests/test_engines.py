@@ -986,10 +986,6 @@ def stepped_states(cfg, engine, schedule=None):
     return states
 
 
-def diagnostics_bits(diag):
-    return np.array(dataclasses.astuple(diag), dtype=float).tobytes()
-
-
 class TestBlockChecks:
     """The lockstep checks and records a block of steps at a time, with each step's bits."""
 
@@ -1012,7 +1008,7 @@ class TestBlockChecks:
         expected = dataclasses.replace(
             reference_diagnostics(states, deep),
             propagator_unitarity_defect=diagnostics.propagator_unitarity_defect)
-        assert diagnostics_bits(diagnostics) == diagnostics_bits(expected)
+        assert TestGuardOracle.bits(diagnostics) == TestGuardOracle.bits(expected)
 
     @pytest.mark.parametrize("deep", [True, False])
     @pytest.mark.parametrize("call", CALLS)
@@ -1179,8 +1175,8 @@ class TestLaneOrder:
                 getattr(res, f"records_{engine}"), getattr(res, f"final_{engine}"),
                 getattr(res, f"diagnostics_{engine}"), states[engine],
                 deep and engine == "hidden", cfg.dt)
-        assert getattr(res, "records_hidden").purity[20] == math.inf
-        assert getattr(res, "records_standard").purity[30] == math.inf
+        assert res.records_hidden.purity[20] == math.inf
+        assert res.records_standard.purity[30] == math.inf
         expected = [0.0] + [trace_distance(a, b)
                             for a, b in zip(states["hidden"][1:], states["standard"][1:])]
         assert res.trace_distances == expected
