@@ -72,29 +72,33 @@ snapshot steps. A schedule the driver makes from the config is not re-checked:
 the generators make only valid preps. The driver builds one lane (kernel,
 guard, trajectory recorder) per engine from the same initial state, checks its
 step 0, and moves every lane through step j before any lane takes step j + 1.
-The steps go in blocks. Per step a lane forms its density matrix (the hidden
-lane holds it, the standard lane takes psi psi^dag) and its recorder takes the
-purity and gathers the diagonals 0, -1 and -2 into its pending rows; a deep
-lane copies the matrix into its guard's stack, and two lanes keep their
-difference for the trace distance. After the block each guard checks the
-block's states with whole-block numpy calls, the traces and top-two
-populations read from the gathered diagonals, and the distances are taken by
-one stacked ``eigvalsh``. A failure is reported as a check after every step
-would: the earliest failing step over all lanes, the hidden lane's on a tie,
-with the same error. A block ends early right after a state that may fail a
-check (its purity is not finite, as it is when an entry is not, or its
-top-two population is at the limit), so no step is taken past a failing
-state.
+Every step is checked as it is taken. A lane forms its density matrix (the
+hidden lane holds it, the standard lane takes psi psi^dag), and its recorder
+takes the purity and gathers the diagonals 0, -1 and -2 into its pending
+rows. The state passes when its purity is finite and its top-two population
+is under the limit. A finite purity bounds every entry below sqrt(max float),
+about 1.34e154, so the trace and the Hermiticity defect of a state that
+passed are finite too. A state that fails raises at once, so the first
+failing step over all lanes is named, the hidden lane's on a tie, and no lane
+steps past it. The guard names the error in the order trace, top-two
+population, Hermiticity defect (deep checks only), purity. A deep lane copies
+a state that passed into its guard's stack, and two lanes keep their
+difference for the trace distance.
+The steps go in blocks, and the block only folds diagnostics: after it each
+guard folds the block's states with whole-block numpy calls, reading the
+traces and top-two populations from the gathered diagonals, and the distances
+are taken by one stacked ``eigvalsh``.
 A block is the deep guard's height, at most 128 KiB of states (56 / 8 / 2 at
 dims 12 / 32 / 64, one from dim 65), when the hidden lane runs deep checks or
 the distance of every step is wanted, and 64 steps, the recorder's chunk,
 otherwise. The recorder reduces its pending rows 64 at a time into the lane's
 ``np.recarray``, allocated once and returned as is with every row complete.
-Deep checks deepen the hidden lane's guard only: the Hermiticity defect and
-the lowest eigenvalue of every state. The standard lane's guard is always
-shallow (finite trace, trace drift, top-two population, every step) and
-reports a Hermiticity defect and lowest eigenvalue of 0.0: its psi psi^dag
-passes the deep checks by construction (DECISIONS.md D3).
+Deep checks deepen the hidden lane's guard only: it also folds the
+Hermiticity defect and the lowest eigenvalue of every state. The standard
+lane's guard is always shallow (it folds the trace drift and top-two
+population of every step) and reports a Hermiticity defect and lowest
+eigenvalue of 0.0: its psi psi^dag passes the deep checks by construction
+(DECISIONS.md D3).
 """
 
 from __future__ import annotations
@@ -146,9 +150,9 @@ TRUNCATION_LIMIT = 1e-6
 # standard one five (psi psi^dag in three, and W and W^dag), 576 and 320 KiB
 # at dim 64. Each guard holds a block's diagonals, a block x d complex. A
 # deep hidden lane's guard also holds the block's states, their conjugate
-# transposes and their differences (three complex blocks of at most
+# transposes and their Hermitian parts (three complex blocks of at most
 # _EIG_BLOCK_BYTES, or of one state where a single state is larger) and the
-# differences' moduli (one real block, half that); the standard lane's guard
+# moduli of rho - rho^dag (one real block, half that); the standard lane's guard
 # is shallow and holds no states. A two-lane run holds the differences of
 # its lanes' states and their conjugate transposes, two more such complex
 # blocks, or one state each when only the last distance is taken.
@@ -499,23 +503,27 @@ def make_schedule(config: SimConfig) -> list[_schedules.AtomPrep]:
 
 
 class _Guard:
-    """Block state checks and diagnostics accumulation.
+    """A lane's state checks: one per step, and diagnostics folded a block at a time.
 
-    A block is the states of up to ``height`` consecutive steps. ``inspect``
-    takes their gathered rows, whose first d entries are each state's
-    diagonal, and for a deep guard the states themselves, which the lane
-    copies into ``stack``. It checks them with whole-block numpy calls, each
-    state's checks in one order (finite trace, top-two population, then a
-    finite Hermiticity defect), and returns the error of the earliest failing
-    state, or None after folding the block into the diagnostics. The lowest
-    eigenvalues of the Hermitian parts 0.5 (rho + rho^dag) are taken by one
-    ``eigvalsh`` call per block, with each state's bits, and only from states
-    that passed every check, so no non-finite state reaches it.
+    ``failure`` names the error of a state that failed the lane's per-step
+    check (a finite purity and a top-two population under the limit), in the
+    order trace, top-two population, then, for a deep guard, Hermiticity
+    defect; a state that fails none of these fails on its purity. A finite
+    purity bounds every entry below sqrt(max float), so a state that passed
+    has a finite trace and Hermiticity defect, and ``inspect`` only folds.
+
+    A block is the states of up to ``height`` consecutive steps that passed.
+    ``inspect`` takes their gathered rows, whose first d entries are each
+    state's diagonal, and for a deep guard the states themselves, which the
+    lane copies into ``stack``, and folds them into the diagnostics with
+    whole-block numpy calls. The lowest eigenvalues of the Hermitian parts
+    0.5 (rho + rho^dag) are taken by one ``eigvalsh`` call per block, with
+    each state's bits.
 
     Every guard holds a (height, d) copy of the diagonals, contiguous so that
     each trace is rho.trace()'s sum. A deep guard also holds the stack, its
-    conjugate transpose, their difference (three height x d x d complex
-    buffers) and the difference's modulus (one real one).
+    conjugate transpose, the Hermitian parts (three height x d x d complex
+    buffers) and the moduli of rho - rho^dag (one real one).
     """
 
     def __init__(self, deep: bool, d: int, height: int):
@@ -524,52 +532,44 @@ class _Guard:
         self._diagonals = np.empty((height, d), dtype=complex)
         self.stack = None
         if deep:
-            self.stack, self._adj, self._diff = (np.empty((height, d, d), dtype=complex)
-                                                 for _ in range(3))
+            self.stack, self._adj, self._parts = (np.empty((height, d, d), dtype=complex)
+                                                  for _ in range(3))
             self._abs = np.empty((height, d, d))
 
-    def inspect(self, rows: np.ndarray, first: int) -> HlqError | None:
-        """Check and fold the states of steps first, first + 1, ..., one per row of ``rows``."""
+    def failure(self, step: int, rho: np.ndarray, row: np.ndarray, top2: float,
+                purity: float) -> HlqError:
+        """The error of the state rho of ``step``, gathered as ``row``, that failed its check."""
+        trace = np.add.reduce(row[:rho.shape[0]])
+        if not cmath.isfinite(trace):
+            return NonFiniteStateError(step, "trace", trace)
+        if top2 >= TRUNCATION_LIMIT:
+            return TruncationOverflowError(step, top2)
+        if self.deep:
+            herm = float(np.abs(rho - rho.conj().T).max())
+            if not math.isfinite(herm):
+                return NonFiniteStateError(step, "Hermiticity defect", herm)
+        return NonFiniteStateError(step, "purity", purity)
+
+    def inspect(self, rows: np.ndarray) -> None:
+        """Fold the block's states, one per row of ``rows``, into the diagnostics."""
         n, d = rows.shape[0], self._diagonals.shape[1]
         diagonals = self._diagonals[:n]
         np.copyto(diagonals, rows[:, :d])
         traces = np.add.reduce(diagonals, axis=1)
         top2 = diagonals[:, -1].real + diagonals[:, -2].real
-        bad = ~np.isfinite(traces) | (top2 >= TRUNCATION_LIMIT)
-        passed = int(bad.argmax()) if bad.any() else n  # states before it pass the shallow checks
-        if self.deep and passed:
-            herm = self._hermiticity(passed)
-            finite = np.isfinite(herm)
-            if not finite.all():
-                k = int(finite.argmin())
-                return NonFiniteStateError(first + k, "Hermiticity defect", float(herm[k]))
-        if passed < n:
-            if not cmath.isfinite(traces[passed]):
-                return NonFiniteStateError(first + passed, "trace", traces[passed])
-            return TruncationOverflowError(first + passed, float(top2[passed]))
         diag = self.diag
         diag.max_top_two_population = max(diag.max_top_two_population, float(top2.max()))
         drift = float((np.abs(traces.real - 1.0) + np.abs(traces.imag)).max())
         diag.max_trace_drift = max(diag.max_trace_drift, drift)
         if self.deep:
+            states, adj = self.stack[:n], self._adj[:n]
+            parts = _observables._hermitian_parts(states, adj, self._parts[:n])
+            herm = np.abs(np.subtract(states, adj, out=states), out=self._abs[:n])
             diag.max_hermiticity_defect = max(diag.max_hermiticity_defect, float(herm.max()))
-            parts = self.stack[:n]
-            np.add(parts, self._adj[:n], out=parts)
-            np.multiply(0.5, parts, out=parts)
             lows = np.linalg.eigvalsh(parts)[:, 0]
             k = int(lows.argmin())  # the first of tied minima, as a fold in step order keeps
             if lows[k] < diag.min_eigenvalue:
                 diag.min_eigenvalue = float(lows[k])
-        return None
-
-    def _hermiticity(self, n: int) -> np.ndarray:
-        """max |rho - rho^dag| of each of the first n held states; leaves rho^dag held."""
-        states, adj = self.stack[:n], self._adj[:n]
-        # A binary call with a transposed operand would buffer a copy of it.
-        np.copyto(adj, states.transpose(0, 2, 1))
-        np.conjugate(adj, out=adj)
-        np.subtract(states, adj, out=self._diff[:n])
-        return np.abs(self._diff[:n], out=self._abs[:n]).max(axis=(1, 2))
 
     def finish(self, purities: np.ndarray) -> RunDiagnostics:
         """Close the diagnostics; the purity range is read from the recorded column."""
@@ -589,10 +589,11 @@ class _Lane:
     """One engine in the lockstep driver: its state, kernel, guard, recorder and snapshots.
 
     ``state`` is what the kernel steps; ``rho``, its density matrix, is what
-    the guard, recorder, snapshots, trace distance and result see. The lane
-    holds the steps it took since its last ``inspect``: their rows stay
-    pending in the recorder and, for a deep guard, the states in its stack.
-    A new lane has checked its step 0.
+    the guard, recorder, snapshots, trace distance and result see. ``take``
+    checks each step's state as it records it and raises at the first that
+    fails. The lane holds the steps it took since its last ``fold``: their
+    rows stay pending in the recorder and, for a deep guard, the states in
+    its stack. A new lane has checked and folded its step 0.
     """
 
     def __init__(self, config: SimConfig, engine: str, deep: bool, wanted: set[int],
@@ -605,32 +606,31 @@ class _Lane:
         self.recorder = TrajectoryRecorder(config.steps, config.dt)
         self.wanted = wanted
         self.snapshots: dict[int, np.ndarray] = {}
-        self.step, self.held = -1, 0
+        self.held = 0
         # Flat positions of the top two levels' populations, read as Python numbers.
         self._top = (-1, -config.dim - 2)
         self.take(0)
-        failure = self.inspect()
-        if failure is not None:
-            raise failure
+        self.fold()
 
-    def take(self, j: int) -> bool:
-        """Record the state of step j; False when it may fail a check: a non-finite
-        entry (the purity is then not finite) or the top-two population at the limit."""
+    def take(self, j: int) -> None:
+        """Record and check the state of step j: its purity must be finite and its
+        top-two population under the limit, or the guard names the error raised."""
         rho = self.rho = self.kernel.density(self.state)
         p = self.recorder.record(rho)
+        last, second = self._top
+        top2 = rho.item(last).real + rho.item(second).real
+        if not (math.isfinite(p) and top2 < TRUNCATION_LIMIT):
+            raise self.guard.failure(j, rho, self.recorder.pending(1)[0], top2, p)
         if self.stack is not None:
             np.copyto(self.stack[self.held], rho)
-        self.step = j
         self.held += 1
         if j in self.wanted:
             self.snapshots[j] = rho.copy()
-        last, second = self._top
-        return math.isfinite(p) and rho.item(last).real + rho.item(second).real < TRUNCATION_LIMIT
 
-    def inspect(self) -> HlqError | None:
-        """Check the held steps: their earliest failure, or None once they are folded."""
+    def fold(self) -> None:
+        """Fold the held steps into the guard's diagnostics."""
         n, self.held = self.held, 0
-        return self.guard.inspect(self.recorder.pending(n), self.step - n + 1) if n else None
+        self.guard.inspect(self.recorder.pending(n))
 
     def result(self) -> RunResult:
         records = self.recorder.records
@@ -713,45 +713,21 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
         height = min(_CHUNK, max(1, _EIG_BLOCK_BYTES // (16 * config.dim ** 2)))
     lanes = [_Lane(config, engine, deep_checks, wanted, height) for engine in engines]
     distances = _Distances(config.dim, height, per_step_distance, config.steps) if pair else None
-    j, skip = 1, 0  # the next step, and how many lanes have taken it
-    while j <= config.steps:
+    for first in range(1, config.steps + 1, height):
         for lane in lanes:
             lane.recorder.reserve(height)
-        j, skip = _advance(lanes, distances, schedule, config.dt, j,
-                           min(config.steps, j + height - 1), skip)
-        failures = [failure for failure in (lane.inspect() for lane in lanes)
-                    if failure is not None]
-        if failures:
-            raise min(failures, key=lambda failure: failure.step)  # the first lane on a tie
-        if skip == len(lanes):  # the block stopped after the last lane's step j, which passed
+        for j in range(first, min(config.steps, first + height - 1) + 1):
+            prep, tau = schedule[j - 1], (j - 0.5) * config.dt
+            for lane in lanes:
+                lane.state = lane.kernel.step(lane.state, prep, tau)
+                lane.take(j)
             if distances is not None:
                 distances.take(j, lanes)
-            j, skip = j + 1, 0
+        for lane in lanes:
+            lane.fold()
         if distances is not None:
             distances.flush()
     return lanes, distances.values if distances is not None else []
-
-
-def _advance(lanes, distances, schedule, dt: float, j: int, last: int, skip: int):
-    """Step lanes[skip:] through step j, then every lane through j + 1, ..., last.
-
-    Returns the next step and how many lanes have taken it. A block stops
-    right after a lane whose state may fail a check, so no state is stepped
-    past a failure; that step's distance is left to the caller, which takes
-    it once the states passed. Every other step all lanes took is handed to
-    ``distances``.
-    """
-    for j in range(j, last + 1):
-        prep, tau = schedule[j - 1], (j - 0.5) * dt
-        for i in range(skip, len(lanes)):
-            lane = lanes[i]
-            lane.state = lane.kernel.step(lane.state, prep, tau)
-            if not lane.take(j):
-                return j, i + 1
-        skip = 0
-        if distances is not None:
-            distances.take(j, lanes)
-    return last + 1, 0
 
 
 def run(

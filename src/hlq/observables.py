@@ -274,11 +274,20 @@ def _trace_distances(diffs: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     0.5 (x + x^dag), which one ``eigvalsh`` call takes, each with one layer's
     bits. The layers must be finite; nothing here checks them.
     """
-    np.copyto(scratch, diffs.transpose(0, 2, 1))
-    np.conjugate(scratch, out=scratch)
-    np.add(diffs, scratch, out=diffs)
-    np.multiply(0.5, diffs, out=diffs)
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diffs)), axis=1)
+    parts = _hermitian_parts(diffs, scratch, diffs)
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(parts)), axis=1)
+
+
+def _hermitian_parts(x: np.ndarray, adj: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """0.5 (x + x^dag) of each layer of the (n, d, d) ``x``, written into ``out``.
+
+    ``adj`` is left holding x^dag; ``out`` may be ``x``.
+    """
+    # A binary call with a transposed operand would buffer a copy of it.
+    np.copyto(adj, x.transpose(0, 2, 1))
+    np.conjugate(adj, out=adj)
+    np.add(x, adj, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 def husimi_window(extent: float, resolution: int, d: int) -> tuple[float, int]:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import weakref
@@ -575,15 +576,19 @@ class TestStandardLane:
         seen = []
         inspect = engines._Guard.inspect
 
-        def recording(guard, rows, first):
+        def recording(guard, rows):
             assert guard.stack is None
-            seen.extend((first + k, np.shape(row)) for k, row in enumerate(rows))
-            return inspect(guard, rows, first)
+            seen.extend(row.copy() for row in rows)
+            return inspect(guard, rows)
 
         monkeypatch.setattr(engines._Guard, "inspect", recording)
         cfg = self.config("intensity", "uniform")
-        res = run(cfg)
-        assert seen == [(j, (3 * cfg.dim - 3,)) for j in range(cfg.steps + 1)]
+        res = run(cfg, snapshot_steps=range(cfg.steps + 1))
+        # Steps 0..steps, each folded once and in order: row j holds step j's diagonal.
+        assert len(seen) == cfg.steps + 1
+        for j, row in enumerate(seen):
+            assert row.shape == (3 * cfg.dim - 3,)
+            assert row[:cfg.dim].tobytes() == np.diagonal(res.snapshots[j]).tobytes(), j
         # psi psi^dag is Hermitian up to the rounding of one product
         assert res.diagnostics.max_hermiticity_defect <= np.finfo(float).eps
 
@@ -632,7 +637,7 @@ class TestStepHeap:
         guard = engines._Guard(True, d, height)
         for _ in range(2):  # the first block warms numpy's caches; the second is traced
             guard.stack[:] = rho
-            _, peak = traced_peak(guard.inspect, rows, 0)
+            _, peak = traced_peak(guard.inspect, rows)
         assert guard.diag.min_eigenvalue < 1e-9
         assert peak < 16 * 1024
 
@@ -820,7 +825,7 @@ def inspect_blocks(states, deep: bool, height: int):
         block = states[first:end]
         if deep:
             guard.stack[:len(block)] = block
-        assert guard.inspect(np.array([np.diagonal(rho) for rho in block]), first) is None
+        guard.inspect(np.array([np.diagonal(rho) for rho in block]))
     return guard
 
 
@@ -960,19 +965,26 @@ class TestNonFiniteStop:
         assert stops[0][:2] == (error, step)
 
     def test_deep_guard_checks_hermiticity_before_eigvalsh(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh was called"))
-        rho = initial_state(SimConfig(model="linear", omega=1.0, dt=0.01, steps=3, dim=8))
+        cfg = SimConfig(model="linear", omega=1.0, dt=0.01, steps=5, dim=8)
+        rho = initial_state(cfg)
         bad = rho.copy()
         bad[0, 5] = np.inf
-        block = [rho, bad, rho]
-        rows = np.array([np.diagonal(state) for state in block])
-        shallow = engines._Guard(False, 8, 3)
-        assert shallow.inspect(rows, 3) is None
-        deep = engines._Guard(True, 8, 3)
-        deep.stack[:] = block
-        failure = deep.inspect(rows, 3)
-        assert isinstance(failure, NonFiniteStateError) and failure.step == 4
-        assert str(failure) == "Hermiticity defect inf at step 4 is not finite; reduce dt or eta"
+        # Each lane has folded its step 0; steps 3 and 4 are checked as they are taken.
+        lanes = {deep: engines._Lane(cfg, "hidden", deep, set(), 3) for deep in (False, True)}
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh was called"))
+        messages = {}
+        for deep, lane in lanes.items():
+            lane.state = rho
+            lane.take(3)
+            lane.state = bad
+            with pytest.raises(NonFiniteStateError) as info:
+                lane.take(4)
+            assert info.value.step == 4
+            messages[deep] = str(info.value)
+        assert messages[True] == "Hermiticity defect inf at step 4 is not finite; reduce dt or eta"
+        # zdotc may form an inf entry's square as inf or nan, by BLAS kernel
+        assert re.fullmatch(r"purity (inf|nan) at step 4 is not finite; reduce dt or eta",
+                            messages[False])
 
 
 def stepped_states(cfg, engine, schedule=None):
@@ -1132,54 +1144,46 @@ class TestLaneOrder:
             assert info.value.step == 4
 
     @pytest.mark.parametrize("deep", [True, False])
-    def test_flagged_state_that_passes_continues_the_run(self, monkeypatch, deep):
-        # A state whose purity overflows stops its block early, yet passes every
-        # check: a hidden coherence far off the recorded diagonals at step 20 and a
-        # standard amplitude on level 0 at step 30, each undone by the next step.
-        def huge(fix):
-            def mutated(kernel, state, prep, tau):
-                state = held.pop(kernel, state)
-                out = step[type(kernel)](kernel, state, prep, tau)
-                j = round(tau / kernel.dt + 0.5)
-                if j == at[type(kernel)]:
-                    held[kernel] = out.copy()
-                    out = fix(out.copy())
-                    changed[type(kernel)] = out.copy()
-                return out
-            return mutated
-
+    def test_non_finite_purity_fails_at_its_step(self, monkeypatch, deep):
+        # A hidden coherence far off the recorded diagonals at step 20 and a standard
+        # amplitude on level 0 at step 30 pass every other check; their purity is inf.
         def coherence(rho):
             rho[0, -1] = rho[-1, 0] = 1e200
             return rho
 
         def amplitude(psi):
-            psi[0] *= 1e80  # a purity of inf, not nan
+            psi[0] *= 1e80
             return psi
 
-        held, changed = {}, {}
-        step = {kind: kind.step for kind in (engines._HiddenKernel, engines._StandardKernel)}
-        at = {engines._HiddenKernel: 20, engines._StandardKernel: 30}
-        monkeypatch.setattr(engines._HiddenKernel, "step", huge(coherence))
-        monkeypatch.setattr(engines._StandardKernel, "step", huge(amplitude))
+        monkeypatch.setattr(engines._HiddenKernel, "step",
+                            failing_at(engines._HiddenKernel.step, 20, coherence))
+        monkeypatch.setattr(engines._StandardKernel, "step",
+                            failing_at(engines._StandardKernel.step, 30, amplitude))
         finite_eigvalsh(monkeypatch)
         cfg = dataclasses.replace(self.CFG, steps=70)
-        res = run_compare(cfg, deep_checks=deep)
-        monkeypatch.undo()
-        states = {"hidden": stepped_states(cfg, "hidden"),
-                  "standard": stepped_states(cfg, "standard")}
-        states["hidden"][20] = changed[engines._HiddenKernel]
-        psi = changed[engines._StandardKernel]
-        states["standard"][30] = np.outer(psi, psi.conj())
-        for engine in ("hidden", "standard"):
-            TestBlockChecks.assert_lane(
-                getattr(res, f"records_{engine}"), getattr(res, f"final_{engine}"),
-                getattr(res, f"diagnostics_{engine}"), states[engine],
-                deep and engine == "hidden", cfg.dt)
-        assert res.records_hidden.purity[20] == math.inf
-        assert res.records_standard.purity[30] == math.inf
-        expected = [0.0] + [trace_distance(a, b)
-                            for a, b in zip(states["hidden"][1:], states["standard"][1:])]
-        assert res.trace_distances == expected
+        calls = [(run, cfg, 20), (run_compare, cfg, 20),
+                 (run, dataclasses.replace(cfg, engine="standard"), 30)]
+        for call, c, step in calls:
+            with pytest.raises(NonFiniteStateError) as info:
+                call(c, deep_checks=deep)
+            assert info.value.step == step
+            assert str(info.value) == f"purity inf at step {step} is not finite; reduce dt or eta"
+
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_nan_purity_fails(self, monkeypatch, deep):
+        # psi[0] scaled by 1e100: a trace of ~3e199, yet its purity overflows to nan,
+        # which once passed every check and read as a purity range of [1.0, 1.0].
+        def amplitude(psi):
+            psi[0] *= 1e100
+            return psi
+
+        monkeypatch.setattr(engines._StandardKernel, "step",
+                            failing_at(engines._StandardKernel.step, 30, amplitude))
+        cfg = dataclasses.replace(self.CFG, steps=70, engine="standard")
+        with pytest.raises(NonFiniteStateError,
+                           match=r"^purity (nan|inf) at step 30 is not finite") as info:
+            run(cfg, deep_checks=deep)
+        assert info.value.step == 30
 
 
 # Both sides of the bound on a coherent amplitude: 2 |gamma|^2 must be finite.

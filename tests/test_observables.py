@@ -257,6 +257,66 @@ class TestTraceDistance:
             assert 0.0 <= d1 <= 1.0 + 1e-12
 
 
+class TestPurityBound:
+    """A finite purity bounds every entry below sqrt(max float), so the trace and the
+    Hermiticity defect are finite too: the lockstep's per-step check rests on this."""
+
+    BOUND = 1.35e154  # sqrt(max float) is 1.3408e154
+
+    @classmethod
+    def assert_bounded(cls, rho):
+        p = purity(rho)
+        if math.isfinite(p):
+            assert np.abs(rho).max() < cls.BOUND
+            assert np.isfinite(np.trace(rho))
+            assert math.isfinite(np.abs(rho - rho.conj().T).max())
+        return math.isfinite(p)
+
+    @pytest.mark.parametrize("d", [2, 12, 64])
+    def test_finite_purity_bounds_every_entry(self, d):
+        # Whole states and single spikes scaled over 1e150..1e160, and spikes within a
+        # few ulps of sqrt(max float): both sides of the bound must occur.
+        rng = np.random.default_rng(d)
+        edge = math.sqrt(np.finfo(float).max)
+        finite = []
+        for _ in range(300):
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            finite.append(self.assert_bounded(10.0 ** rng.uniform(150, 160) * m / np.abs(m).max()))
+            spike = 1e140 * m
+            i, j = rng.integers(d, size=2)
+            spike[i, j] = 10.0 ** rng.uniform(153.5, 154.5) * rng.choice([1, -1, 1j, -1j])
+            finite.append(self.assert_bounded(spike))
+        for k in range(-8, 9):
+            for unit in (1, -1, 1j, -1j):
+                rho = np.zeros((d, d), dtype=complex)
+                rho[rng.integers(d), rng.integers(d)] = unit * edge * (1 + k * 2.0 ** -52)
+                finite.append(self.assert_bounded(rho))
+        assert any(finite) and not all(finite)
+
+    @pytest.mark.parametrize("d", [2, 12, 64])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_non_finite_entry_gives_non_finite_purity(self, d, value, part, where):
+        rng = np.random.default_rng([d, 7])
+        for scale in (1.0, 1e150):
+            rho = scale * random_density(rng, d)
+            i = int(rng.integers(d))
+            j = i if where == "diagonal" else (i + 1 + int(rng.integers(d - 1))) % d
+            entry = rho[i, j]
+            rho[i, j] = complex(value, entry.imag) if part == "real" else complex(entry.real, value)
+            assert not self.assert_bounded(rho)
+
+    def test_scaled_amplitude_with_a_finite_trace(self):
+        # psi[0] scaled by 1e100: a trace of ~1e200, yet a purity that is not finite
+        # (nan where zdotc forms inf - inf), so such a state fails its step.
+        psi = coherent_vector(0.5 + 0.2j, 12)
+        psi[0] *= 1e100
+        rho = np.outer(psi, psi.conj())
+        assert np.isfinite(np.trace(rho))
+        assert not self.assert_bounded(rho)
+
+
 class TestHusimi:
     def test_vacuum_center_value(self):
         grid = husimi_grid(vacuum(), 5.0, 201)
