@@ -999,7 +999,7 @@ def stepped_states(cfg, engine, schedule=None):
 
 
 class TestBlockChecks:
-    """The lockstep checks and records a block of steps at a time, with each step's bits."""
+    """The lockstep folds and records a block of steps at a time, with each step's bits."""
 
     # Steps per block when a lane holds whole states (a deep hidden lane, or per-step
     # distances): the deep guard's height. Otherwise 64, the recorder's chunk.
@@ -1087,7 +1087,7 @@ def finite_eigvalsh(monkeypatch):
 
 
 class TestLaneOrder:
-    """A block's error is its earliest failing step over all lanes, the hidden lane's on a tie."""
+    """A run's error is its earliest failing step over all lanes, the hidden lane's on a tie."""
 
     CFG = SimConfig(model="linear", omega=1.3, dt=0.01, steps=140, dim=12,
                     initial="coherent", gamma0=0.5 + 0.2j)
