@@ -42,26 +42,47 @@ and S = sin(g dt) / g (dt where g = 0). Tracing out the spin prepared in
 alpha|up> + beta|down> leaves two Kraus operators K_s = <s|U|phi>, each a
 diagonal plus one band at offset +-k', so the hidden step is
 rho -> K_up rho K_up^dag + K_down rho K_down^dag, one pass over both, with
-no eigendecomposition. The blocks depend only on |eta|: a kernel holds them
-for the |eta| of the current step and rebuilds them when it changes. The pass
-runs on nine d x d buffers the kernel holds (576 KiB at dim 64), every numpy
-call with operands of its output's shape, so a step allocates nothing that
-grows with dim and writes the state back into the kernel's own buffer.
+no eigendecomposition.
 
-The standard coupling is |eps| D (R0 + R0^dag) D^dag with
-D = diag(e^{i theta n / k'}), theta = arg eps + k omega tau and
-eps = eta conj(zeta). One eigh, R0 + R0^dag = W diag(w) W^dag, at build
-gives every step's propagator D W e^{-i |eps| dt w} W^dag D^dag. Every
-standard state is pure: a run starts from the vacuum or a coherent state and
-each step is unitary. So the standard lane holds the state vector psi and
-steps it by two matrix-vector products,
+Both lanes hold their state in one co-rotating frame. With
+D(t) = diag(e^{i k omega t n / k'}), D R0 D^dag = e^{-ik omega t} R0, so the
+rotating factor is a conjugation by D: K_s(tau) = D(tau) K_s(0) D(tau)^dag,
+and likewise the standard propagator. A lane holds rho~_j = D(t_j)^dag rho_j
+D(t_j) at the record time t_j = j dt, which is rho_0 itself at step 0, and
+a step is
 
-    psi -> q * (W (e^{-i |eps| dt w} * (W^dag (conj(q) * psi)))),   q = e^{i theta n / k'},
+    rho~ -> sum_s (H K_s(0) H) rho~ (H K_s(0) H)^dag,   H = D(-dt / 2),
 
-holding the d phases e^{-i |eps| dt w} for the current step's |eps| alike. It
-forms psi psi^dag in three d x d buffers it holds (192 KiB at dim 64).
-A kernel holds O(dim^2) state whatever its schedule, and every schedule takes
-the same path in both engines.
+the same channel for every step of one prep: a kernel refills its factors
+only when the step's prep is another object than the last one's. The lab
+state is D(t_j) rho~ D(t_j)^dag, entry [m, n] times e^{i phi_j (m - n)} with
+phi_j = k omega t_j / k'. The lane takes the final state and its snapshots
+back by that phase-plane product, and the recorder turns the diagonals -1
+and -2 by e^{i phi_j} and e^{2i phi_j}; populations, purity, traces,
+eigenvalues and trace distances are the same in either frame.
+
+The hidden blocks depend only on |eta|: a kernel holds them, times the
+frame's factors, for the |eta| of the current step and rebuilds them when it
+changes. The pass runs on thirteen d x d buffers the kernel holds (832 KiB
+at dim 64), every numpy call with operands of its output's shape, so a step
+allocates nothing and writes the state back into the kernel's own buffer.
+
+The standard coupling is |eps| Q (R0 + R0^dag) Q^dag with
+Q = diag(e^{i arg(eps) n / k'}) in the frame and eps = eta conj(zeta). One
+eigh, R0 + R0^dag = W diag(w) W^dag, at build gives every step's propagator
+H Q W e^{-i |eps| dt w} W^dag Q^dag H. Every standard state is pure: a run
+starts from the vacuum or a coherent state and each step is unitary. So the
+standard lane holds the state vector psi and steps it by two matrix-vector
+products,
+
+    psi -> (q h) * (W (e^{-i |eps| dt w} * (W^dag ((conj(q) h) * psi)))),
+
+with q = e^{i arg(eps) n / k'} and h the diagonal of H, both products and
+the d phases e^{-i |eps| dt w} refilled when the prep changes; a prep with
+eps = 0 only turns the frame, psi -> D(-dt) psi. The lane forms psi psi^dag
+in three d x d buffers the kernel holds (192 KiB at dim 64). A kernel holds
+O(dim^2) state whatever its schedule, and every schedule takes the same path
+in both engines.
 
 Driver
 ------
@@ -144,18 +165,20 @@ TRUNCATION_LIMIT = 1e-6
 # distance, which every two-lane run keeps (a float and its list slot, 32.6
 # bytes, counted as 36). A rotating run_compare at dim 8 traces 274-275 bytes
 # a step: the peak difference of 2,000- and 6,000-step runs on CPython 3.11.
-# None of the buffers below grows with steps. Each recorder's pending buffer
-# is a fixed 64 x (3 dim - 3) x 16 bytes. Each kernel holds the factors and
-# work buffers of one step: the hidden kernel nine d x d complex buffers, the
-# standard one five (psi psi^dag in three, and W and W^dag), 576 and 320 KiB
-# at dim 64. Each guard holds a block's diagonals, a block x d complex. A
+# None of the buffers below grows with steps. Each recorder's pending buffer,
+# and the block of frame turns it is multiplied by, is a fixed
+# 64 x (3 dim - 3) x 16 bytes. Each kernel holds the factors and
+# work buffers of one step: the hidden kernel thirteen d x d complex buffers,
+# the standard one five (psi psi^dag in three, and W and W^dag), 832 and 320
+# KiB at dim 64. Each guard holds a block's diagonals, a block x d complex. A
 # deep hidden lane's guard also holds the block's states, their conjugate
 # transposes and their Hermitian parts (three complex blocks of at most
 # _EIG_BLOCK_BYTES, or of one state where a single state is larger) and the
 # moduli of rho - rho^dag (one real block, half that); the standard lane's guard
 # is shallow and holds no states. A two-lane run holds the differences of
 # its lanes' states and their conjugate transposes, two more such complex
-# blocks, or one state each when only the last distance is taken.
+# blocks, or one state each when only the last distance is taken. The final
+# state and each snapshot, taken to the lab frame, are one new d x d array.
 RUN_MAX_BYTES = 1 << 30
 _STEP_BYTES = 2 * 72 + 100 + 36
 
@@ -325,6 +348,11 @@ def _last_value(build):
     return memo
 
 
+def _half_turns(rate: float, dt: float, count: int) -> np.ndarray:
+    """e^{-i rate dt m / 2} for m = 0 .. count - 1: H = D(-dt / 2) at m = n, D(-dt) at m = 2n."""
+    return np.exp(1j * (-0.5 * rate * dt * np.arange(count)))
+
+
 def _lanes(a: np.ndarray, start: int, lane_step: int, shape: tuple[int, ...]) -> np.ndarray:
     """(2, *shape) view of C-contiguous a: lane l starts at flat entry start + l * lane_step.
 
@@ -339,22 +367,25 @@ class _HiddenKernel:
     """Spin-assisted step as two banded Kraus operators from closed-form blocks.
 
     ``_blocks`` stacks C_up, C_down and the bands -i S_up R0, -i S_down R0^dag
-    (each in its first n = d - k' entries) for the step's |eta|; times
-    [alpha, beta, beta c, alpha conj(c)], c = conj(eta) e^{-i k omega tau}, it
-    gives K_up's and K_down's diagonal a and band b. A step is, on one lane per
-    operator, x = a rho, x[band rows] += b rho[source rows],
-    t[band cols] = x[source cols] conj(b), x = x conj(a) + t, then x[up] + x[down].
+    (each in its first n = d - k' entries) for the step's |eta|; ``_factors``
+    multiplies them by the frame's half-step turns, e^{-i rate dt m / 2} at
+    m = 2i on the diagonals and m = 2i + k' on the bands (rate = k omega / k').
+    Times [alpha, beta, beta c, alpha conj(c)], c = conj(eta), they give the
+    diagonal a and band b of H K_up H and H K_down H. A step is, on one lane
+    per operator, x = a rho, x[band rows] += b rho[source rows],
+    t[band cols] = x[source cols] conj(b), x = x conj(a) + t, then
+    x[up] + x[down].
 
     Every numpy call on that path has operands of its output's shape, taken
     from buffers the kernel holds: none broadcasts, so numpy's ufunc iterator
-    allocates no buffer, and none makes a temporary. The kernel holds nine
-    d x d complex buffers, 576 KiB at dim 64:
+    allocates no buffer, and none makes a temporary. The kernel holds thirteen
+    d x d complex buffers, 832 KiB at dim 64:
 
     - x, two lanes;
-    - the planes a_i and conj(a_j), two lanes each, refilled only when the
-      step's prep is another object than the last one's;
-    - the plane p, two lanes: b_i on the band rows, which becomes their
-      products b rho, then conj(b_j) on the band columns, which becomes t;
+    - the planes a_i, conj(a_j), b_i on the band rows and conj(b_j) on the
+      band columns, two lanes each, refilled only when the step's prep is
+      another object than the last one's;
+    - the plane p, two lanes: the band rows' products b rho, then t;
     - rho, which the lane sum is written into and the next step reads.
 
     The band rows and band columns of both lanes are each one flat run per
@@ -369,26 +400,29 @@ class _HiddenKernel:
     couples, the k' uncoupled levels of each spin padding the last k': O(dim).
     """
 
-    def __init__(self, r: np.ndarray, k_low: int, k_omega: float, dt: float):
-        self.r, self.k_low, self.k_omega, self.dt = r, k_low, k_omega, dt
+    def __init__(self, r: np.ndarray, k_low: int, rate: float, dt: float):
+        self.r, self.k_low, self.dt = r, k_low, dt
         self.unitarity_defect = 0.0
         n, d, k = r.size, r.size + k_low, k_low
+        half = _half_turns(rate, dt, 2 * d)
+        self._frame = np.zeros((4, d), dtype=complex)
+        self._frame[:2], self._frame[2:, :n] = half[0::2], half[k:2 * n + k:2]
         self._rho = np.empty((d, d), dtype=complex)
-        self._x, self._a, self._ac = (np.empty((2, d, d), dtype=complex) for _ in range(3))
-        self._p = np.zeros((2, d, d), dtype=complex)
-        self._coef, self._ab, self._abc = (np.empty((4, d), dtype=complex) for _ in range(3))
+        self._x, self._a, self._ac, self._p, self._b, self._bc = (
+            np.zeros((2, d, d), dtype=complex) for _ in range(6))
         self._prep = None
         # (up, down) lanes: band rows x[:n] and x[k':] read rho[k':] and rho[:n];
         # band columns t[:, :n] and t[:, k':] read x[:, k':] and x[:, :n]
         self._band_rows = _lanes(self._x, 0, d * d + k * d, (n * d,))
+        self._row_factors = self._b.reshape(2, d * d)[:, :n * d]
         self._row_products = self._p.reshape(2, d * d)[:, :n * d]
         self._source_rows = _lanes(self._rho, k * d, -k * d, (n * d,))
-        self._col_planes = _lanes(self._p, 0, d * d + k, (d, n))
+        self._col_planes = _lanes(self._bc, 0, d * d + k, (d, n))
+        self._col_factors = _lanes(self._bc, 0, d * d + k, (d * d - k,))
         self._band_cols = _lanes(self._p, 0, d * d + k, (d * d - k,))
         self._source_cols = _lanes(self._x, k, d * d - k, (d * d - k,))
         self._wrapped = _lanes(self._p, n, d * d - n, (d, k))
 
-    @_last_value
     def _blocks(self, eta_abs: float):
         r, k_low, dt = self.r, self.k_low, self.dt
         d, n = r.size + k_low, r.size
@@ -405,6 +439,10 @@ class _HiddenKernel:
         self.unitarity_defect = max(self.unitarity_defect, unitarity_defect(pairs))
         return stack
 
+    @_last_value
+    def _factors(self, eta_abs: float):
+        return np.multiply(self._blocks(eta_abs), self._frame)
+
     @staticmethod
     def start(psi: np.ndarray) -> np.ndarray:
         """The hidden step mixes, so this kernel steps the density matrix itself."""
@@ -414,31 +452,32 @@ class _HiddenKernel:
     def density(rho: np.ndarray) -> np.ndarray:
         return rho
 
-    def step(self, rho: np.ndarray, prep: _schedules.AtomPrep, tau: float) -> np.ndarray:
-        """The state after one step, in the kernel's own buffer, which the next step overwrites.
+    def _refill(self, prep: _schedules.AtomPrep) -> None:
+        """Fill the planes of prep's a and b; AtomPrep is frozen, so they hold while prep does."""
+        self._prep = prep
+        n, c = self.r.size, prep.eta.conjugate()
+        coef = np.array([prep.alpha, prep.beta, prep.beta * c, prep.alpha * c.conjugate()])
+        # Operand order as written: numpy's complex loops round a * b and b * a apart.
+        ab = np.multiply(coef[:, None], self._factors(abs(prep.eta)))
+        abc = ab.conj()
+        np.copyto(self._a, ab[:2, :, None])
+        np.copyto(self._ac, abc[:2, None, :])
+        np.copyto(self._b[:, :n], ab[2:, :n, None])
+        np.copyto(self._col_planes, abc[2:, None, :n])
 
-        A caller's array is copied in first and never written.
-        """
+    def step(self, rho: np.ndarray, prep: _schedules.AtomPrep) -> np.ndarray:
+        """The frame state after one step, in the kernel's own buffer, which the next
+        step overwrites. A caller's array is copied in first and never written."""
         if rho is not self._rho:
             np.copyto(self._rho, rho)
-        c = prep.eta.conjugate() * cmath.exp(-1j * self.k_omega * tau)
-        coef, ab, abc, x, p, n = self._coef, self._ab, self._abc, self._x, self._p, self.r.size
-        np.copyto(coef, np.array([prep.alpha, prep.beta, prep.beta * c,
-                                  prep.alpha * c.conjugate()])[:, None])
-        # Operand order as written: numpy's complex loops round a * b and b * a apart.
-        np.multiply(coef, self._blocks(abs(prep.eta)), out=ab)
-        np.conjugate(ab, out=abc)
-        if prep is not self._prep:  # AtomPrep is frozen; a value key would merge -0.0 and 0.0
-            self._prep = prep
-            np.copyto(self._a, ab[:2, :, None])
-            np.copyto(self._ac, abc[:2, None, :])
+        if prep is not self._prep:  # a value key would merge -0.0 and 0.0
+            self._refill(prep)
+        x, p = self._x, self._p
         for lane in 0, 1:
             np.multiply(self._a[lane], self._rho, out=x[lane])
-        np.copyto(p[:, :n], ab[2:, :n, None])
-        self._band_rows += np.multiply(self._row_products, self._source_rows,
+        self._band_rows += np.multiply(self._row_factors, self._source_rows,
                                        out=self._row_products)
-        np.copyto(self._col_planes, abc[2:, None, :n])
-        np.multiply(self._source_cols, self._band_cols, out=self._band_cols)
+        np.multiply(self._source_cols, self._col_factors, out=self._band_cols)
         self._wrapped.fill(complex(-0.0, -0.0))
         x *= self._ac
         x += p
@@ -446,7 +485,7 @@ class _HiddenKernel:
 
 
 class _StandardKernel:
-    """Semiclassical step of the state vector by D W e^{-i |eps| dt w} W^dag D^dag.
+    """Semiclassical step of the frame's state vector by H Q W e^{-i |eps| dt w} W^dag Q^dag H.
 
     ``density`` writes psi psi^dag into a d x d buffer the kernel holds, as
     one same-shape multiply of a row plane (psi_i) by a column plane
@@ -454,16 +493,20 @@ class _StandardKernel:
     eigenbasis W and W^dag.
     """
 
-    def __init__(self, r: np.ndarray, k_low: int, k_omega: float, dt: float):
+    def __init__(self, r: np.ndarray, k_low: int, rate: float, dt: float):
         # Complex on purpose: a real h0 sends eigh down LAPACK's real-symmetric path.
         h0 = np.diag(r.astype(complex), k_low)
         self.w, self.v = np.linalg.eigh(h0 + h0.conj().T)
         self.vh = self.v.conj().T
         self.unitarity_defect = unitarity_defect(self.v)
-        self.k_omega = k_omega
         self.dt = dt
-        self._fock = np.arange(h0.shape[0]) / k_low
+        d = h0.shape[0]
+        self._fock = np.arange(d) / k_low
+        half = _half_turns(rate, dt, 2 * d)
+        self._half, self._turn = half[:d], half[0::2]  # H = D(-dt / 2) and D(-dt)
         self._rho, self._rows, self._cols = (np.empty_like(h0) for _ in range(3))
+        # Factors of the last prep: (conj(q) h, q h, e^{-i |eps| dt w}), or (D(-dt), None, None).
+        self._prep = self._into = self._out = self._eps_phases = None
 
     @staticmethod
     def start(psi: np.ndarray) -> np.ndarray:
@@ -479,16 +522,22 @@ class _StandardKernel:
     def _phases(self, eps_abs: float) -> np.ndarray:
         return np.exp(-1j * eps_abs * self.dt * self.w)
 
-    def step(
-        self, psi: np.ndarray, prep: _schedules.AtomPrep, tau: float
-    ) -> np.ndarray:
+    def _refill(self, prep: _schedules.AtomPrep) -> None:
+        self._prep = prep
         eps = prep.eta * prep.zeta.conjugate()
-        eps_abs = abs(eps)
-        if eps_abs == 0.0:
-            return psi
-        theta = cmath.phase(eps) + self.k_omega * tau
-        q = np.exp(1j * theta * self._fock)
-        return q * (self.v @ (self._phases(eps_abs) * (self.vh @ (q.conj() * psi))))
+        if eps == 0.0:  # no drive: the frame still turns, by D(-dt)
+            self._into, self._out, self._eps_phases = self._turn, None, None
+            return
+        q = np.exp(1j * cmath.phase(eps) * self._fock)
+        self._into, self._out = q.conj() * self._half, q * self._half
+        self._eps_phases = self._phases(abs(eps))
+
+    def step(self, psi: np.ndarray, prep: _schedules.AtomPrep) -> np.ndarray:
+        if prep is not self._prep:
+            self._refill(prep)
+        if self._out is None:
+            return self._into * psi
+        return self._out * (self.v @ (self._eps_phases * (self.vh @ (self._into * psi))))
 
 
 def make_schedule(config: SimConfig) -> list[_schedules.AtomPrep]:
@@ -578,18 +627,25 @@ class _Guard:
         return self.diag
 
 
+def _frame_rate(config: SimConfig) -> float:
+    """k omega / k', the frame's turn per unit time and per quantum."""
+    k = phase_multiplicity(config.model, config.phase)
+    return k * config.omega / LOWERED_QUANTA[config.model]
+
+
 def _build_stepper(config: SimConfig, engine: str):
-    k_low = LOWERED_QUANTA[config.model]
-    k_omega = phase_multiplicity(config.model, config.phase) * config.omega
     kind = _HiddenKernel if engine == "hidden" else _StandardKernel
-    return kind(model_band(config.model, config.dim), k_low, k_omega, config.dt)
+    return kind(model_band(config.model, config.dim), LOWERED_QUANTA[config.model],
+                _frame_rate(config), config.dt)
 
 
 class _Lane:
     """One engine in the lockstep driver: its state, kernel, guard, recorder and snapshots.
 
-    ``state`` is what the kernel steps; ``rho``, its density matrix, is what
-    the guard, recorder, snapshots, trace distance and result see. ``take``
+    ``state`` is what the kernel steps, in the co-rotating frame; ``rho``, its
+    density matrix, is what the guard, recorder and trace distance see, and
+    the snapshots and the final state are ``rho`` taken back to the lab frame
+    by one phase-plane product. ``take``
     checks each step's state as it records it and raises at the first that
     fails. The lane holds the steps it took since its last ``fold``: their
     rows stay pending in the recorder and, for a deep guard, the states in
@@ -599,11 +655,13 @@ class _Lane:
     def __init__(self, config: SimConfig, engine: str, deep: bool, wanted: set[int],
                  height: int):
         self.kernel = _build_stepper(config, engine)
+        # The frame is the lab frame at t = 0, so the start needs no turn.
         self.state = self.kernel.start(initial_vector(config))
+        self._rate, self._dt, self._last = _frame_rate(config), config.dt, config.steps
         # psi psi^dag passes the deep checks by construction (D3): only a mixed lane's are run.
         self.guard = _Guard(deep and engine == "hidden", config.dim, height)
         self.stack = self.guard.stack
-        self.recorder = TrajectoryRecorder(config.steps, config.dt)
+        self.recorder = TrajectoryRecorder(config.steps, config.dt, self._rate)
         self.wanted = wanted
         self.snapshots: dict[int, np.ndarray] = {}
         self.held = 0
@@ -625,7 +683,11 @@ class _Lane:
             np.copyto(self.stack[self.held], rho)
         self.held += 1
         if j in self.wanted:
-            self.snapshots[j] = rho.copy()
+            self.snapshots[j] = self.lab(j)
+
+    def lab(self, j: int) -> np.ndarray:
+        """rho, the state of step j, in the lab frame: a new array."""
+        return _observables._turned(self.rho, self._rate * (j * self._dt))
 
     def fold(self) -> None:
         """Fold the held steps into the guard's diagnostics."""
@@ -635,7 +697,8 @@ class _Lane:
     def result(self) -> RunResult:
         records = self.recorder.records
         self.guard.diag.propagator_unitarity_defect = self.kernel.unitarity_defect
-        return RunResult(records, self.rho, self.guard.finish(records.purity), self.snapshots)
+        return RunResult(records, self.lab(self._last), self.guard.finish(records.purity),
+                         self.snapshots)
 
 
 class _Distances:
@@ -717,9 +780,9 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
         for lane in lanes:
             lane.recorder.reserve(height)
         for j in range(first, min(config.steps, first + height - 1) + 1):
-            prep, tau = schedule[j - 1], (j - 0.5) * config.dt
+            prep = schedule[j - 1]
             for lane in lanes:
-                lane.state = lane.kernel.step(lane.state, prep, tau)
+                lane.state = lane.kernel.step(lane.state, prep)
                 lane.take(j)
             if distances is not None:
                 distances.take(j, lanes)

@@ -1,7 +1,8 @@
 """Scalar observables, per-step trajectories and phase-space views of a field state.
 
 All functions take a dense d x d density matrix; the one-state functions
-reject any other shape with ``InvalidDimensionError`` (the recorder and
+reject any other shape with ``InvalidDimensionError`` and a state with a
+non-finite entry with ``ConfigValidationError`` (the recorder and
 ``purity``, which run every step, do not check). The quadratures are
 X = (b + b^dag)/2 and Y = (b - b^dag)/(2i), so the vacuum has
 var X = var Y = 1/4. Expectation values of b^dag b, b and b^2 are sums over
@@ -13,7 +14,10 @@ the diagonals 0, -1 and -2 of rho, weighted by arange(d) and by the
 next row, copying the three diagonals into a fixed buffer of ``_CHUNK`` rows
 with one gather and taking the purity; a full chunk is reduced column-wise
 to the moments of all its states at once. The rows stay pending until then,
-so the run's guards read each block's diagonals from them. Reading
+so the run's guards read each block's diagonals from them. A recorder
+given a frame rate records states held in the engines' co-rotating frame:
+it turns each row's diagonals -1 and -2 back to the lab frame before the
+reduction, which is ``_turned`` on those entries. Reading
 ``records`` reduces the rows still pending, so every row recorded so far is
 complete whenever the table is read. The one-state functions below are the
 same reduction on one row, so a recorded row equals them bit for bit.
@@ -31,6 +35,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigValidationError, InvalidDimensionError, check_number
 from .fockcore import coherent_vector, model_band
@@ -58,11 +63,14 @@ class HusimiGrid:
     mass: float
 
 
-def _check_state(rho: np.ndarray) -> int:
-    """d of a d x d state; any other shape raises InvalidDimensionError."""
+def _check_state(rho: np.ndarray, name: str = "rho") -> int:
+    """d of a d x d state; any other shape raises InvalidDimensionError, and a
+    non-finite entry ConfigValidationError."""
     shape = np.shape(rho)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidDimensionError(f"state must be a square 2-D array, got shape {shape}")
+    if not np.isfinite(rho).all():
+        raise ConfigValidationError(f"{name}: must be finite, got a state with a non-finite entry")
     return shape[0]
 
 
@@ -162,9 +170,28 @@ _TRAJECTORY_DTYPE = np.dtype([
     ("purity", float), ("mean_b", complex), ("var_x", float), ("var_y", float),
 ])
 
-# Rows the recorder gathers before it reduces them: its buffer is a fixed
-# _CHUNK x (3d - 3) complex entries, whatever the number of steps.
+# Rows the recorder gathers before it reduces them: its buffer, and the
+# block of turns it is multiplied by, are a fixed _CHUNK x (3d - 3) complex
+# entries each, whatever the number of steps.
 _CHUNK = 64
+
+# Offsets m - n of the diagonals -1 and -2, which the recorder turns.
+_LOWER_OFFSETS = np.arange(1, 3)
+
+
+def _turns(angles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """e^{i angle (m - n)} for each angle (a row) and each offset m - n (a column)."""
+    return np.exp(1j * np.multiply.outer(angles, offsets))
+
+
+def _turned(rho: np.ndarray, angle: float) -> np.ndarray:
+    """D rho D^dag for D = diag(e^{i angle n}): entry [m, n] of rho times
+    e^{i angle (m - n)}, by one product with a phase plane. A new array."""
+    d = rho.shape[0]
+    # Row m of the plane is the turns of offsets m, m - 1, ..., m - d + 1.
+    turns = _turns(angle, np.arange(d - 1, -d, -1))
+    plane = sliding_window_view(turns, d)[::-1].copy()
+    return np.multiply(plane, rho, out=plane)
 
 
 class TrajectoryRecorder:
@@ -187,13 +214,22 @@ class TrajectoryRecorder:
     next n rows, read back by ``pending(n)``, stay pending together. Reading
     ``records`` first reduces the rows still pending, so every row recorded
     so far is complete whenever the table is read.
+
+    The state of row j may be held in a frame turning at ``rate`` per unit
+    time and per quantum, D(t) = diag(e^{i rate t n}) at t = j dt: before the
+    reduction, the pending rows are multiplied, as one flat run, by a held
+    block of their shape that is e^{i phi_j} and e^{2i phi_j} (phi_j = rate t)
+    on the entries of diagonals -1 and -2 and 1 on diagonal 0. These are the
+    factors and operand order of ``_turned``, so a row equals the one-state
+    functions of the lab-frame state bit for bit. Diagonal 0 and the purity
+    are the same in either frame. The default rate 0 records lab-frame states.
     """
 
-    def __init__(self, steps: int, dt: float):
+    def __init__(self, steps: int, dt: float, rate: float = 0.0):
         self._table = np.recarray(steps + 1, dtype=_TRAJECTORY_DTYPE)
         self._columns = self._table.view(np.ndarray)  # plain field views, no recarray lookups
         self._purity = self._columns["purity"]
-        self._dt = dt
+        self._dt, self._rate = dt, rate
         self._diagonals: _Diagonals | None = None
         self._pending: np.ndarray | None = None
         self._done = 0  # rows reduced into the table; rows _done..._next - 1 are pending
@@ -209,6 +245,7 @@ class TrajectoryRecorder:
         if self._diagonals is None:
             self._diagonals = _Diagonals(rho.shape[0], _CHUNK)
             self._pending = np.empty((_CHUNK, self._diagonals.index.size), dtype=complex)
+            self._turn_rows = np.ones_like(self._pending)
         elif self._next - self._done == _CHUNK:
             self._flush()
         p = self._purity[self._next] = purity(rho)
@@ -234,9 +271,15 @@ class TrajectoryRecorder:
         pending = self._pending[:self._next - self._done]
         cols = self._columns
         cols["p00"][rows] = pending[:, 0].real
-        mean_n, mean_b, mean_bb = self._diagonals.moments(pending)
         cols["step"][rows] = range(self._done, self._next)
         cols["t"][rows] = cols["step"][rows] * self._dt
+        turns = _turns(self._rate * cols["t"][rows], _LOWER_OFFSETS)
+        planes = self._turn_rows[:self._next - self._done]
+        _, low1, low2 = np.split(planes, self._diagonals._cuts, axis=1)
+        np.copyto(low1, turns[:, :1])
+        np.copyto(low2, turns[:, 1:])
+        np.multiply(planes, pending, out=pending)
+        mean_n, mean_b, mean_bb = self._diagonals.moments(pending)
         cols["mean_n"][rows] = mean_n
         cols["mean_b"][rows] = mean_b
         cols["var_x"][rows], cols["var_y"][rows] = zip(*map(
@@ -251,16 +294,11 @@ def fidelity_coherent(rho: np.ndarray, gamma: complex) -> float:
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) sum |eigenvalues(a - b)| for Hermitian a, b.
-
-    A state with a non-finite entry raises ``ConfigValidationError``.
-    """
-    d = _check_state(a)
+    """(1/2) sum |eigenvalues(a - b)| for Hermitian a, b."""
+    d = _check_state(a, "a")
     if np.shape(b) != (d, d):
         raise InvalidDimensionError(f"shape mismatch {(d, d)} vs {np.shape(b)}")
-    for name, rho in (("a", a), ("b", b)):
-        if not np.isfinite(rho).all():
-            raise ConfigValidationError(f"{name}: must be finite, got a state with a non-finite entry")
+    _check_state(b, "b")
     diff = np.subtract(a, b)[None]
     if diff.dtype.kind not in "fc":  # integer states: their Hermitian parts are not
         diff = diff.astype(float)

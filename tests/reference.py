@@ -10,8 +10,11 @@ against them. ``joint_propagator`` assembles the hidden kernel's closed-form
 blocks into that dense 2d x 2d propagator, the oracle for the kernel's
 pairwise unitarity check. ``two_pass_hidden_step`` is the hidden kernel's step as
 one ``sandwich`` call per Kraus operator, the byte-for-byte oracle of its
-stacked pass; its blocks take sin(g dt) / g from its own ``sin_over``, so it
-imports nothing of the kernel it checks. ``reference_csv_text`` is the CSV
+stacked pass in the engines' co-rotating frame; its blocks take
+sin(g dt) / g from its own ``sin_over`` and its frame factors from its own
+formula, so it imports nothing of the kernel it checks. ``to_lab`` takes a
+frame state at time t to the lab frame by the dense conjugation with
+D(t) = diag(e^{i rate t n}), rate = ``frame_rate``. ``reference_csv_text`` is the CSV
 writer's oracle: every cell formatted on its own by ``format_cell``. ``reference_husimi`` is the
 Husimi grid's oracle: every grid point's coherent amplitudes at once, in one
 points^2 x d table (``reference_amplitudes``), and Q from one einsum.
@@ -58,9 +61,9 @@ import tracemalloc
 
 import numpy as np
 
-from hlq.engines import RunDiagnostics, SimConfig, initial_vector
+from hlq.engines import RunDiagnostics, SimConfig, initial_vector, phase_multiplicity
 from hlq.errors import InvalidDimensionError, InvalidPreparationError
-from hlq.fockcore import model_band
+from hlq.fockcore import LOWERED_QUANTA, model_band
 from hlq.observables import _TRAJECTORY_DTYPE
 from hlq.schedules import AtomPrep
 
@@ -235,25 +238,43 @@ def sin_over(g: np.ndarray, dt: float) -> np.ndarray:
 
 
 def two_pass_hidden_step(
-    rho: np.ndarray, prep: AtomPrep, r: np.ndarray, k_low: int, k_omega: float,
-    tau: float, dt: float,
+    rho: np.ndarray, prep: AtomPrep, r: np.ndarray, k_low: int, rate: float, dt: float,
 ) -> np.ndarray:
-    """The hidden kernel's step as one ``sandwich`` per Kraus operator.
+    """The hidden kernel's step in the co-rotating frame as one ``sandwich`` per Kraus operator.
 
     The blocks are built in closed form with real cosines and each band at its
-    own d - k' entries; the kernel's one stacked pass must equal this byte for byte.
+    own d - k' entries, at tau = 0 (coupling conj(eta)), and the frame's
+    constant factors H = diag(e^{-i rate dt n / 2}) are applied on both sides
+    of each operator: e^{-i rate dt m / 2} at m = 2n on the diagonal and at
+    m = 2n + k' on the band. The kernel's one stacked pass must equal this
+    byte for byte.
     """
     d, n = r.size + k_low, r.size
     g_up, g_down = np.zeros(d), np.zeros(d)
     g_up[:n] = g_down[k_low:] = abs(prep.eta) * np.abs(r)
-    c_up, c_down = np.cos(g_up * dt), np.cos(g_down * dt)
-    band_up = -1j * sin_over(g_up, dt)[:n] * r
-    band_down = -1j * sin_over(g_down, dt)[k_low:] * r.conj()
-    coupling = prep.eta.conjugate() * cmath.exp(-1j * k_omega * tau)
+    half = np.exp(1j * (-0.5 * rate * dt * np.arange(2 * d)))
+    c_up, c_down = np.cos(g_up * dt) * half[0::2], np.cos(g_down * dt) * half[0::2]
+    band_up = (-1j * sin_over(g_up, dt)[:n] * r) * half[k_low:2 * n + k_low:2]
+    band_down = (-1j * sin_over(g_down, dt)[k_low:] * r.conj()) * half[k_low:2 * n + k_low:2]
+    coupling = prep.eta.conjugate()
     up = sandwich(rho, prep.alpha * c_up, prep.beta * coupling * band_up, k_low, upper=True)
     down = sandwich(rho, prep.beta * c_down, prep.alpha * coupling.conjugate() * band_down,
                     k_low, upper=False)
     return up + down
+
+
+def frame_rate(config: SimConfig) -> float:
+    """k omega / k': the engines' frame at time t turns level n by e^{i rate t n}."""
+    k = phase_multiplicity(config.model, config.phase)
+    return k * config.omega / LOWERED_QUANTA[config.model]
+
+
+def to_lab(state: np.ndarray, rate: float, t: float) -> np.ndarray:
+    """D(t) psi, or D(t) rho D(t)^dag, for D(t) = diag(e^{i rate t n}); t < 0 turns back."""
+    turn = np.exp(1j * rate * t * np.arange(state.shape[0]))
+    if state.ndim == 1:
+        return turn * state
+    return turn[:, None] * state * turn.conj()[None, :]
 
 
 def standard_step(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hlq import engines
+from hlq import engines, observables
 from hlq.engines import (
     SimConfig,
     converge,
@@ -54,6 +54,8 @@ from reference import (
     reference_diagnostics,
     reference_records,
     standard_step,
+    frame_rate,
+    to_lab,
     traced_peak,
     two_pass_hidden_step,
 )
@@ -122,6 +124,15 @@ def reference_run(cfg, sched, engine):
             eps = prep.eta * np.conj(prep.zeta)
             rho = standard_step(rho, eps, r0, k, cfg.omega, tau, cfg.dt)
     return rho
+
+
+def lab_step(cfg, engine, state, prep, tau):
+    """One kernel step of the lab-frame state at tau - dt/2, returned in the lab frame at
+    tau + dt/2: the kernel steps the co-rotating frame, which ``to_lab`` turns in and out."""
+    rate = frame_rate(cfg)
+    kernel = engines._build_stepper(cfg, engine)
+    out = kernel.step(to_lab(state, rate, -(tau - 0.5 * cfg.dt)), prep)
+    return to_lab(out, rate, tau + 0.5 * cfg.dt)
 
 
 class TestCouplings:
@@ -278,11 +289,10 @@ class TestCachedStepping:
         cfg = self.config("linear", "uniform")
         sched = make_schedule(cfg)
         p0 = sched[0]
-        step = engines._build_stepper(cfg, "hidden").step
         rng = np.random.default_rng(28)
         rho = random_density(rng, cfg.dim)
         direct = hidden_step(rho, p0, model_operator("linear", cfg.dim), 1, cfg.omega, 0.0, cfg.dt)
-        assert np.max(np.abs(step(rho, p0, 0.0) - direct)) <= 1e-13
+        assert np.max(np.abs(lab_step(cfg, "hidden", rho, p0, 0.0) - direct)) <= 1e-13
 
     @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
     @pytest.mark.parametrize("phase", ["operator", "coherence"])
@@ -298,15 +308,13 @@ class TestCachedStepping:
             tau = rng.uniform(0.0, 5.0)
             rho = random_density(rng, d)
             psi = random_vector(rng, d)
-            step_h = engines._build_stepper(cfg, "hidden").step
-            step_s = engines._build_stepper(cfg, "standard").step
             eps = prep.eta * np.conj(prep.zeta)
             ref_h = hidden_step(rho, prep, r0, k, cfg.omega, tau, cfg.dt)
             # The standard kernel steps the state vector: psi' psi'^dag against
             # the dense conjugation of psi psi^dag.
             ref_s = standard_step(np.outer(psi, psi.conj()), eps, r0, k, cfg.omega, tau, cfg.dt)
-            out_s = step_s(psi, prep, tau)
-            assert np.max(np.abs(step_h(rho, prep, tau) - ref_h)) <= 1e-13
+            out_s = lab_step(cfg, "standard", psi, prep, tau)
+            assert np.max(np.abs(lab_step(cfg, "hidden", rho, prep, tau) - ref_h)) <= 1e-13
             assert np.max(np.abs(np.outer(out_s, out_s.conj()) - ref_s)) <= 1e-13
 
     @pytest.mark.parametrize("engine", ["hidden", "standard"])
@@ -354,7 +362,7 @@ class TestCachedStepping:
         cfg = self.config("linear", "uniform")
         kernel = engines._build_stepper(cfg, engine)
         start = kernel.start(engines.initial_vector(cfg))
-        kernel.step(start, make_schedule(cfg)[0], 0.5 * cfg.dt)
+        kernel.step(start, make_schedule(cfg)[0])
         gone = weakref.ref(kernel)
         gc.disable()
         try:
@@ -459,12 +467,10 @@ class TestStackedHiddenStep:
         """(step, stacked state, two-pass state) after every step, both from the same start."""
         kernel = engines._build_stepper(cfg, "hidden")
         r, k_low = model_band(cfg.model, cfg.dim), engines.LOWERED_QUANTA[cfg.model]
-        k_omega = phase_multiplicity(cfg.model, cfg.phase) * cfg.omega
         stacked = two_pass = initial_state(cfg)
         for j, prep in enumerate(schedule, start=1):
-            tau = (j - 0.5) * cfg.dt
-            stacked = kernel.step(stacked, prep, tau)
-            two_pass = two_pass_hidden_step(two_pass, prep, r, k_low, k_omega, tau, cfg.dt)
+            stacked = kernel.step(stacked, prep)
+            two_pass = two_pass_hidden_step(two_pass, prep, r, k_low, frame_rate(cfg), cfg.dt)
             yield j, stacked, two_pass
 
     @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
@@ -506,8 +512,8 @@ class TestStackedHiddenStep:
         cfg = SimConfig(model="two-boson", omega=1.3, dt=0.05, steps=1, dim=12, eta=0.9 - 0.4j)
         rho = random_density(rng, 24)[::2, ::2]
         prep = make_schedule(cfg)[0]
-        expected = two_pass_hidden_step(rho, prep, model_band("two-boson", 12), 2, 2.6, 0.3, 0.05)
-        step = engines._build_stepper(cfg, "hidden").step(rho, prep, 0.3)
+        expected = two_pass_hidden_step(rho, prep, model_band("two-boson", 12), 2, 1.3, 0.05)
+        step = engines._build_stepper(cfg, "hidden").step(rho, prep)
         assert step.tobytes() == expected.tobytes()
 
 
@@ -522,9 +528,9 @@ class TestStackedHiddenStep:
         kernel = engines._build_stepper(cfg, "hidden")
         rho = random_density(rng, cfg.dim)
         before = rho.tobytes()
-        state = kernel.step(rho, sched[0], 0.5 * cfg.dt)
+        state = kernel.step(rho, sched[0])
         assert rho.tobytes() == before
-        assert kernel.step(state, sched[1], 1.5 * cfg.dt) is state
+        assert kernel.step(state, sched[1]) is state
 
         first = run(cfg, snapshot_steps={cfg.steps})
         assert first.final.tobytes() == first.snapshots[cfg.steps].tobytes()
@@ -549,15 +555,22 @@ class TestStandardLane:
         assert np.max(np.abs(purity - 1.0)) <= 1e-12
 
     def test_final_and_snapshots_are_psi_psi_dag(self):
+        # The lane steps psi in the co-rotating frame; a snapshot is psi psi^dag taken
+        # to the lab frame by the lane's one phase-plane product, and equals the dense
+        # D psi (D psi)^dag to rounding.
         cfg = self.config("two-boson", "rotating", steps=60)
         res = run(cfg, snapshot_steps=range(cfg.steps + 1))
         kernel = engines._build_stepper(cfg, "standard")
         psi = kernel.start(engines.initial_vector(cfg))
         assert np.array_equal(res.snapshots[0], np.outer(psi, psi.conj()))
         for j, prep in enumerate(make_schedule(cfg), start=1):
-            psi = kernel.step(psi, prep, (j - 0.5) * cfg.dt)
-            assert np.array_equal(res.snapshots[j], np.outer(psi, psi.conj())), j
-        assert np.array_equal(res.final, np.outer(psi, psi.conj()))
+            psi = kernel.step(psi, prep)
+            angle = frame_rate(cfg) * (j * cfg.dt)
+            lab = to_lab(psi, frame_rate(cfg), j * cfg.dt)
+            assert np.array_equal(res.snapshots[j],
+                                  observables._turned(np.outer(psi, psi.conj()), angle)), j
+            assert np.max(np.abs(res.snapshots[j] - np.outer(lab, lab.conj()))) <= 1e-15, j
+        assert np.array_equal(res.final, res.snapshots[cfg.steps])
 
     def test_density_is_outer_bytes_in_a_held_buffer(self):
         rng = np.random.default_rng(44)
@@ -622,10 +635,9 @@ class TestStepHeap:
         kernel = engines._build_stepper(cfg, engine)
         state = kernel.start(engines.initial_vector(cfg))
         for j in range(1, cfg.steps):  # warm-up; a rotating schedule's prep is new every step
-            state = kernel.step(state, sched[j - 1], (j - 0.5) * cfg.dt)
+            state = kernel.step(state, sched[j - 1])
             kernel.density(state)
-        _, peak = traced_peak(lambda: kernel.density(
-            kernel.step(state, sched[-1], (cfg.steps - 0.5) * cfg.dt)))
+        _, peak = traced_peak(lambda: kernel.density(kernel.step(state, sched[-1])))
         assert peak < 16 * 1024
 
     @pytest.mark.parametrize("d, height", [(12, 56), (32, 8), (64, 2)])
@@ -888,12 +900,12 @@ class TestGuardOracle:
     def test_run_diagnostics_equal_oracle_bits(self, model, d, steps, deep):
         # A run inspects steps + 1 states: the counts end a block one short, on it,
         # one past it, and past two blocks. Dim 2 cannot run: its top two levels are all.
+        # The guards check the states the kernels step, in the co-rotating frame.
         cfg = self.config(model, d, steps)
         both = run_compare(cfg, per_step_distance=False, deep_checks=deep)
         for engine in ("hidden", "standard"):
-            single = run(dataclasses.replace(cfg, engine=engine),
-                         snapshot_steps=range(steps + 1), deep_checks=deep)
-            states = [single.snapshots[j] for j in range(steps + 1)]
+            single = run(dataclasses.replace(cfg, engine=engine), deep_checks=deep)
+            states = stepped_states(cfg, engine)
             for got in (single.diagnostics, getattr(both, f"diagnostics_{engine}")):
                 # The pure standard lane's guard is shallow whatever deep_checks says.
                 expected = dataclasses.replace(
@@ -931,18 +943,15 @@ class TestNonFiniteStop:
 
     @staticmethod
     def nan_at_step_3(step):
-        def mutated(kernel, psi, prep, tau):
-            psi = step(kernel, psi, prep, tau)
-            if round(tau / kernel.dt + 0.5) == 3:
-                psi = psi.copy()
-                psi[1] = complex(math.nan, 0.0)
+        def nan_entry(psi):
+            psi[1] = complex(math.nan, 0.0)
             return psi
-        return mutated
+        return failing_at(step, 3, nan_entry)
 
     @staticmethod
     def doubling(step):
-        def mutated(kernel, psi, prep, tau):
-            return 2.0 * step(kernel, psi, prep, tau)
+        def mutated(kernel, psi, prep):
+            return 2.0 * step(kernel, psi, prep)
         return mutated
 
     @pytest.mark.parametrize("call", ["run", "run_compare"])
@@ -988,14 +997,21 @@ class TestNonFiniteStop:
 
 
 def stepped_states(cfg, engine, schedule=None):
-    """The densities of steps 0..steps of one kernel stepped one step at a time."""
+    """The densities of steps 0..steps of one kernel stepped one step at a time, in
+    the co-rotating frame the kernel steps."""
     kernel = engines._build_stepper(cfg, engine)
     state = kernel.start(engines.initial_vector(cfg))
     states = [kernel.density(state).copy()]
-    for j, prep in enumerate(schedule or make_schedule(cfg), start=1):
-        state = kernel.step(state, prep, (j - 0.5) * cfg.dt)
+    for prep in schedule or make_schedule(cfg):
+        state = kernel.step(state, prep)
         states.append(kernel.density(state).copy())
     return states
+
+
+def lab_states(cfg, states):
+    """Frame states of steps 0, 1, ... taken to the lab frame as a lane takes its snapshots."""
+    rate = frame_rate(cfg)
+    return [observables._turned(rho, rate * (j * cfg.dt)) for j, rho in enumerate(states)]
 
 
 class TestBlockChecks:
@@ -1014,9 +1030,13 @@ class TestBlockChecks:
                                    zeta_abs=0.41, eta=0.4 + 0.25j, schedule="rotating"), **start})
 
     @staticmethod
-    def assert_lane(records, final, diagnostics, states, deep, dt):
-        assert records.tobytes() == reference_records(dict(enumerate(states)), dt).tobytes()
-        assert final.tobytes() == states[-1].tobytes()
+    def assert_lane(records, final, diagnostics, states, labs, deep, dt):
+        # Records of the lab-frame states, with the purity the recorder takes of the
+        # frame state; guards of the frame states; the final state in the lab frame.
+        expected = reference_records(dict(enumerate(labs)), dt)
+        expected.purity = [np.vdot(rho, rho).real for rho in states]
+        assert records.tobytes() == expected.tobytes()
+        assert final.tobytes() == labs[-1].tobytes()
         expected = dataclasses.replace(
             reference_diagnostics(states, deep),
             propagator_unitarity_defect=diagnostics.propagator_unitarity_defect)
@@ -1031,22 +1051,23 @@ class TestBlockChecks:
         for steps in sorted({max(1, h - 1), h, h + 1, 2 * h + 1}):
             cfg = self.config(d, steps)
             states = {engine: stepped_states(cfg, engine) for engine in ("hidden", "standard")}
+            labs = {engine: lab_states(cfg, states[engine]) for engine in states}
             if call.startswith("run"):
                 engine = call.split()[1]
                 res = run(dataclasses.replace(cfg, engine=engine),
                           snapshot_steps=range(steps + 1), deep_checks=deep)
                 self.assert_lane(res.records, res.final, res.diagnostics, states[engine],
-                                 deep and engine == "hidden", cfg.dt)
+                                 labs[engine], deep and engine == "hidden", cfg.dt)
                 assert sorted(res.snapshots) == list(range(steps + 1))
                 for j, rho in res.snapshots.items():
-                    assert rho.tobytes() == states[engine][j].tobytes(), (steps, j)
+                    assert rho.tobytes() == labs[engine][j].tobytes(), (steps, j)
                 continue
             every = call == "compare every step"
             res = run_compare(cfg, per_step_distance=every, deep_checks=deep)
             for engine in ("hidden", "standard"):
                 self.assert_lane(getattr(res, f"records_{engine}"), getattr(res, f"final_{engine}"),
                                  getattr(res, f"diagnostics_{engine}"), states[engine],
-                                 deep and engine == "hidden", cfg.dt)
+                                 labs[engine], deep and engine == "hidden", cfg.dt)
             pairs = zip(states["hidden"], states["standard"])
             expected = [trace_distance(a, b) for a, b in pairs]
             expected[0] = 0.0
@@ -1056,10 +1077,12 @@ class TestBlockChecks:
 
 
 def failing_at(step, at, mutate):
-    """A kernel step whose state of step ``at`` is passed through mutate (on a copy)."""
-    def mutated(kernel, state, prep, tau):
-        state = step(kernel, state, prep, tau)
-        if round(tau / kernel.dt + 0.5) == at:
+    """A kernel step whose state of step ``at`` (counted per kernel) is passed through
+    mutate (on a copy)."""
+    def mutated(kernel, state, prep):
+        state = step(kernel, state, prep)
+        kernel.taken = getattr(kernel, "taken", 0) + 1
+        if kernel.taken == at:
             state = mutate(state.copy())
         return state
     return mutated
@@ -1116,7 +1139,7 @@ class TestLaneOrder:
     @pytest.mark.parametrize("deep", [True, False])
     def test_hidden_lane_first(self, monkeypatch, deep):
         self.fail(monkeypatch, 57, 58)
-        with pytest.raises(NonFiniteStateError, match=r"^trace \(nan\+.*\) at step 57 is not "):
+        with pytest.raises(NonFiniteStateError, match=r"^trace \(nan[+-].*\) at step 57 is not "):
             run_compare(self.CFG, deep_checks=deep)
 
     @pytest.mark.parametrize("call", [run, run_compare])
@@ -1501,8 +1524,6 @@ class TestLockstepDriver:
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_purity_taken_once_per_step(self, monkeypatch, deep):
-        from hlq import observables
-
         calls, original = [], observables.purity
 
         def counting(rho):
@@ -1519,3 +1540,50 @@ class TestLockstepDriver:
         assert purities.min() < 1.0 - 1e-6
         assert res.diagnostics.min_purity == min(1.0, float(purities.min()))
         assert res.diagnostics.max_purity == max(1.0, float(purities.max()))
+
+
+class TestFrameEquivalence:
+    """Both lanes step the drive's co-rotating frame; taken back to the lab frame, every
+    step of a run lies within 1e-12 of the dense lab-frame references."""
+
+    @staticmethod
+    def reference_states(cfg, sched, engine):
+        """The dense lab-frame densities of steps 0..steps of one engine."""
+        r0 = model_operator(cfg.model, cfg.dim)
+        k = phase_multiplicity(cfg.model, cfg.phase)
+        states = [initial_state(cfg)]
+        for j, prep in enumerate(sched, start=1):
+            tau = (j - 0.5) * cfg.dt
+            if engine == "hidden":
+                states.append(hidden_step(states[-1], prep, r0, k, cfg.omega, tau, cfg.dt))
+            else:
+                eps = prep.eta * np.conj(prep.zeta)
+                states.append(standard_step(states[-1], eps, r0, k, cfg.omega, tau, cfg.dt))
+        return states
+
+    @pytest.mark.parametrize("d", [2, 3, 12, 32, 65])
+    @pytest.mark.parametrize("schedule", ["uniform", "alternating", "rotating", "pulse"])
+    @pytest.mark.parametrize("phase", ["operator", "coherence"])
+    @pytest.mark.parametrize("model", ["linear", "two-boson", "intensity"])
+    def test_every_step_matches_lab_references(self, monkeypatch, model, phase, schedule, d):
+        monkeypatch.setattr(engines, "TRUNCATION_LIMIT", 2.0)  # dims 2 and 3 fill their top
+        for initial in ("vacuum", "coherent"):
+            cfg = SimConfig(model=model, omega=3.1, dt=0.05, steps=12, dim=d, zeta_abs=0.4,
+                            eta=0.9 - 0.4j, phase=phase, initial=initial, gamma0=0.6 - 0.3j,
+                            schedule="uniform" if schedule == "pulse" else schedule)
+            sched = pulse_schedule(cfg.steps, cfg.eta) if schedule == "pulse" else make_schedule(cfg)
+            refs = {}
+            for engine in ("hidden", "standard"):
+                refs[engine] = self.reference_states(cfg, sched, engine)
+                res = run(dataclasses.replace(cfg, engine=engine), sched,
+                          snapshot_steps=range(cfg.steps + 1), deep_checks=False)
+                for j, rho in res.snapshots.items():
+                    assert np.max(np.abs(rho - refs[engine][j])) <= 1e-12, (engine, initial, j)
+                assert np.max(np.abs(res.final - refs[engine][-1])) <= 1e-12, (engine, initial)
+                expected = reference_records(dict(enumerate(refs[engine])), cfg.dt)
+                for name in ("p00", "mean_n", "purity", "mean_b", "var_x", "var_y"):
+                    gap = np.max(np.abs(res.records[name] - expected[name]))
+                    assert gap <= 1e-12, (engine, initial, name)
+            both = run_compare(cfg, sched)
+            distances = [trace_distance(a, b) for a, b in zip(refs["hidden"], refs["standard"])]
+            assert np.max(np.abs(np.array(both.trace_distances) - distances)) <= 1e-12, initial

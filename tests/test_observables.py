@@ -191,6 +191,22 @@ class TestRecorderOracle:
             recorder.record(states[j])
         assert recorder.records.tobytes() == reference_records(states, 0.013).tobytes()
 
+    # States held in a frame turning at rate: each row equals the oracle's row of the
+    # lab-frame state, taken as the engines take their snapshots, but for the purity,
+    # which the recorder takes of the frame state.
+    @pytest.mark.parametrize("d", [1, 2, 3, 12, 64])
+    def test_frame_rows_equal_lab_oracle(self, d):
+        rate, dt = -1.7, 0.013
+        frames = self.states(d, 2 * self.CHUNK + 9, seed=80 + d)
+        recorder = TrajectoryRecorder(len(frames) - 1, dt, rate)
+        for rho in frames.values():
+            recorder.record(rho)
+        labs = {j: observables._turned(rho, rate * (j * dt)) for j, rho in frames.items()}
+        expected = reference_records(labs, dt)
+        expected.purity = [purity(rho) for rho in frames.values()]
+        assert recorder.records.tobytes() == expected.tobytes()
+        assert not np.array_equal(labs[9], frames[9]) or d == 1
+
     # The pending buffer is a fixed _CHUNK rows of 3d - 3 diagonal entries.
     def test_buffer_does_not_grow_with_steps(self):
         recorder = self.recorded(self.states(8, 3, seed=70), 100000)
@@ -528,3 +544,75 @@ class TestMalformedState:
     def test_rejected(self, func, shape):
         with pytest.raises(InvalidDimensionError, match="square 2-D array"):
             func(np.zeros(shape, dtype=complex))
+
+
+class TestNonFiniteState:
+    """One-state observables reject a state with a non-finite entry, as trace_distance does.
+
+    Each used to return nan (or a number read past the bad entry) for such a state.
+    """
+
+    MESSAGE = r"^rho: must be finite, got a state with a non-finite entry$"
+
+    @staticmethod
+    def bad_states():
+        """The all-NaN state, then NaN, +inf and -inf in the real and in the imaginary part,
+        on and off the diagonal, of an otherwise valid state."""
+        yield np.full((4, 4), math.nan)
+        for value in (math.nan, math.inf, -math.inf):
+            for imaginary in (False, True):
+                for where in ((0, 0), (3, 1)):
+                    rho = vacuum(4)
+                    if imaginary:
+                        rho.imag[where] = value
+                    else:
+                        rho.real[where] = value
+                    yield rho
+
+    def check(self, func):
+        states = list(self.bad_states())
+        assert len(states) == 13
+        for rho in states:
+            with pytest.raises(ConfigValidationError, match=self.MESSAGE):
+                func(rho)
+
+    def test_ground_population(self):
+        self.check(ground_population)
+
+    def test_mean_photon(self):
+        self.check(mean_photon)
+
+    def test_trajectory_point(self):
+        self.check(trajectory_point)
+
+    def test_quadrature_variances(self):
+        self.check(quadrature_variances)
+
+    def test_fidelity_coherent(self):
+        self.check(lambda rho: fidelity_coherent(rho, 0.3))
+
+    def test_husimi_grid(self):
+        self.check(lambda rho: husimi_grid(rho, 2.0, 5))
+
+    def test_husimi_grids(self):
+        self.check(lambda rho: husimi_grids([vacuum(4), rho], 2.0, 5))
+
+
+class TestStridedTraceSum:
+    """``rows[:n, :d].sum(axis=1)`` over the recorder's strided (n, 3d - 3) rows equals each
+    state's ``rho.trace()`` bit for bit; the guard still sums a contiguous copy."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 56, 64])
+    @pytest.mark.parametrize("d", [2, 3, 5, 12, 17, 33, 64, 65])
+    def test_strided_sum_is_the_trace(self, d, n):
+        rng = np.random.default_rng([d, n])
+        index = observables._Diagonals(d).index
+        rows = np.empty((observables._CHUNK, index.size), dtype=complex)
+        states = []
+        for i in range(n):
+            m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = m * 10.0 ** rng.uniform(-13, 13, size=(d, d))
+            rows[i] = rho.ravel()[index]
+            states.append(rho)
+        sums = rows[:n, :d].sum(axis=1)
+        assert sums.tobytes() == np.array([rho.trace() for rho in states]).tobytes()
