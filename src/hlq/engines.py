@@ -93,10 +93,10 @@ snapshot steps. A schedule the driver makes from the config is not re-checked:
 the generators make only valid preps. The driver builds one lane (kernel,
 guard, trajectory recorder) per engine from the same initial state, checks its
 step 0, and moves every lane through step j before any lane takes step j + 1.
-Every step is checked as it is taken. A lane forms its density matrix (the
-hidden lane holds it, the standard lane takes psi psi^dag), and its recorder
-takes the purity and gathers the diagonals 0, -1 and -2 into its pending
-rows. The state passes when its purity is finite and its top-two population
+Every step is checked as it is taken. A lane forms its density matrix in the
+frame (the hidden lane holds it, the standard lane takes psi psi^dag), and
+its recorder takes the purity and gathers the diagonals 0, -1 and -2 into its
+pending rows. The state passes when its purity is finite and its top-two population
 is under the limit. A finite purity bounds every entry below sqrt(max float),
 about 1.34e154, so the trace and the Hermiticity defect of a state that
 passed are finite too. A state that fails raises at once, so the first
@@ -348,11 +348,6 @@ def _last_value(build):
     return memo
 
 
-def _half_turns(rate: float, dt: float, count: int) -> np.ndarray:
-    """e^{-i rate dt m / 2} for m = 0 .. count - 1: H = D(-dt / 2) at m = n, D(-dt) at m = 2n."""
-    return np.exp(1j * (-0.5 * rate * dt * np.arange(count)))
-
-
 def _lanes(a: np.ndarray, start: int, lane_step: int, shape: tuple[int, ...]) -> np.ndarray:
     """(2, *shape) view of C-contiguous a: lane l starts at flat entry start + l * lane_step.
 
@@ -404,7 +399,8 @@ class _HiddenKernel:
         self.r, self.k_low, self.dt = r, k_low, dt
         self.unitarity_defect = 0.0
         n, d, k = r.size, r.size + k_low, k_low
-        half = _half_turns(rate, dt, 2 * d)
+        # e^{-i rate dt m / 2}: H = D(-dt / 2) at m = n, D(-dt) at m = 2n
+        half = _observables._turns(-0.5 * rate * dt, np.arange(2 * d))
         self._frame = np.zeros((4, d), dtype=complex)
         self._frame[:2], self._frame[2:, :n] = half[0::2], half[k:2 * n + k:2]
         self._rho = np.empty((d, d), dtype=complex)
@@ -502,7 +498,7 @@ class _StandardKernel:
         self.dt = dt
         d = h0.shape[0]
         self._fock = np.arange(d) / k_low
-        half = _half_turns(rate, dt, 2 * d)
+        half = _observables._turns(-0.5 * rate * dt, np.arange(2 * d))
         self._half, self._turn = half[:d], half[0::2]  # H = D(-dt / 2) and D(-dt)
         self._rho, self._rows, self._cols = (np.empty_like(h0) for _ in range(3))
         # Factors of the last prep: (conj(q) h, q h, e^{-i |eps| dt w}), or (D(-dt), None, None).

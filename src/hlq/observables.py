@@ -180,7 +180,8 @@ _LOWER_OFFSETS = np.arange(1, 3)
 
 
 def _turns(angles: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """e^{i angle (m - n)} for each angle (a row) and each offset m - n (a column)."""
+    """e^{i angle x} for each angle (a row) and each x of offsets (a column): the
+    turns of the frame's diagonals (x = m - n) or of its levels (x = n)."""
     return np.exp(1j * np.multiply.outer(angles, offsets))
 
 
