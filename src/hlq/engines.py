@@ -483,25 +483,29 @@ class _HiddenKernel:
 class _StandardKernel:
     """Semiclassical step of the frame's state vector by H Q W e^{-i |eps| dt w} W^dag Q^dag H.
 
+    H is folded into the eigenbasis at build, as H W and W^dag H, and Q
+    commutes with H, so a step is two matrix-vector products between the
+    prep's q and conj(q), as in the lab frame.
+
     ``density`` writes psi psi^dag into a d x d buffer the kernel holds, as
     one same-shape multiply of a row plane (psi_i) by a column plane
-    (conj(psi_j)): three d x d complex buffers, 192 KiB at dim 64, beside the
-    eigenbasis W and W^dag.
+    (conj(psi_j)): three d x d complex buffers, 192 KiB at dim 64, beside
+    H W and W^dag H.
     """
 
     def __init__(self, r: np.ndarray, k_low: int, rate: float, dt: float):
         # Complex on purpose: a real h0 sends eigh down LAPACK's real-symmetric path.
         h0 = np.diag(r.astype(complex), k_low)
-        self.w, self.v = np.linalg.eigh(h0 + h0.conj().T)
-        self.vh = self.v.conj().T
-        self.unitarity_defect = unitarity_defect(self.v)
+        self.w, v = np.linalg.eigh(h0 + h0.conj().T)
+        self.unitarity_defect = unitarity_defect(v)
         self.dt = dt
         d = h0.shape[0]
         self._fock = np.arange(d) / k_low
         half = _observables._turns(-0.5 * rate * dt, np.arange(2 * d))
-        self._half, self._turn = half[:d], half[0::2]  # H = D(-dt / 2) and D(-dt)
+        h, self._turn = half[:d], half[0::2]  # H = D(-dt / 2) and D(-dt)
+        self._hv, self._vh = h[:, None] * v, v.conj().T * h
         self._rho, self._rows, self._cols = (np.empty_like(h0) for _ in range(3))
-        # Factors of the last prep: (conj(q) h, q h, e^{-i |eps| dt w}), or (D(-dt), None, None).
+        # Factors of the last prep: (conj(q), q, e^{-i |eps| dt w}), or (D(-dt), None, None).
         self._prep = self._into = self._out = self._eps_phases = None
 
     @staticmethod
@@ -525,15 +529,14 @@ class _StandardKernel:
             self._into, self._out, self._eps_phases = self._turn, None, None
             return
         q = np.exp(1j * cmath.phase(eps) * self._fock)
-        self._into, self._out = q.conj() * self._half, q * self._half
-        self._eps_phases = self._phases(abs(eps))
+        self._into, self._out, self._eps_phases = q.conj(), q, self._phases(abs(eps))
 
     def step(self, psi: np.ndarray, prep: _schedules.AtomPrep) -> np.ndarray:
         if prep is not self._prep:
             self._refill(prep)
         if self._out is None:
             return self._into * psi
-        return self._out * (self.v @ (self._eps_phases * (self.vh @ (self._into * psi))))
+        return self._out * (self._hv @ (self._eps_phases * (self._vh @ (self._into * psi))))
 
 
 def make_schedule(config: SimConfig) -> list[_schedules.AtomPrep]:
