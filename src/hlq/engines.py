@@ -75,14 +75,14 @@ starts from the vacuum or a coherent state and each step is unitary. So the
 standard lane holds the state vector psi and steps it by two matrix-vector
 products,
 
-    psi -> (q h) * (W (e^{-i |eps| dt w} * (W^dag ((conj(q) h) * psi)))),
+    psi -> q * ((H W) (e^{-i |eps| dt w} * ((W^dag H) (conj(q) * psi)))),
 
-with q = e^{i arg(eps) n / k'} and h the diagonal of H, both products and
-the d phases e^{-i |eps| dt w} refilled when the prep changes; a prep with
-eps = 0 only turns the frame, psi -> D(-dt) psi. The lane forms psi psi^dag
-in three d x d buffers the kernel holds (192 KiB at dim 64). A kernel holds
-O(dim^2) state whatever its schedule, and every schedule takes the same path
-in both engines.
+with q = e^{i arg(eps) n / k'}: H is folded into the eigenbasis at build,
+and q and the d phases e^{-i |eps| dt w} are refilled when the prep changes.
+A prep with eps = 0 only turns the frame, psi -> D(-dt) psi. The lane forms
+psi psi^dag in three d x d buffers the kernel holds (192 KiB at dim 64). A
+kernel holds O(dim^2) state whatever its schedule, and every schedule takes
+the same path in both engines.
 
 Driver
 ------
@@ -165,12 +165,11 @@ TRUNCATION_LIMIT = 1e-6
 # distance, which every two-lane run keeps (a float and its list slot, 32.6
 # bytes, counted as 36). A rotating run_compare at dim 8 traces 274-275 bytes
 # a step: the peak difference of 2,000- and 6,000-step runs on CPython 3.11.
-# None of the buffers below grows with steps. Each recorder's pending buffer,
-# and the block of frame turns it is multiplied by, is a fixed
-# 64 x (3 dim - 3) x 16 bytes. Each kernel holds the factors and
-# work buffers of one step: the hidden kernel thirteen d x d complex buffers,
-# the standard one five (psi psi^dag in three, and W and W^dag), 832 and 320
-# KiB at dim 64. Each guard holds a block's diagonals, a block x d complex. A
+# None of the buffers below grows with steps. Each recorder's pending buffer
+# is a fixed 64 x (3 dim - 3) x 16 bytes. Each kernel holds the factors and work buffers
+# of one step: the hidden kernel thirteen d x d complex buffers, the standard
+# one five (psi psi^dag in three, and H W and W^dag H), 832 and 320 KiB at
+# dim 64. Each guard holds a block's diagonals, a block x d complex. A
 # deep hidden lane's guard also holds the block's states, their conjugate
 # transposes and their Hermitian parts (three complex blocks of at most
 # _EIG_BLOCK_BYTES, or of one state where a single state is larger) and the

@@ -121,13 +121,18 @@ class _Diagonals:
     diagonal times its weights, arange(d) for the real part of diagonal 0 and
     the ``linear`` and ``two-boson`` bands for the diagonals -1 and -2.
 
-    The weights are two full (rows, index.size) planes: a real one, arange(d)
-    and then ones, which scales the real parts in place, and a complex one,
-    zeros and then the bands, which scales the whole rows in place after
-    diagonal 0 is summed. Every call is then one flat run over operands of one
-    shape and type: none casts, broadcasts, buffers a strided operand or
-    allocates a block. The returned columns are views of held buffers, valid
-    until the next call.
+    The weights are a full (rows, index.size) real plane, arange(d) and then
+    ones, which scales the real parts in place, and one complex row, zeros and
+    then the bands, copied into a held complex plane of the same shape, which
+    scales the whole rows in place after diagonal 0 is summed. Rows of states
+    held in the engines' co-rotating frame are first turned back to the lab
+    frame: the same plane, filled with 1 on diagonal 0 and with each row's
+    ``turns`` e^{i phi} and e^{2i phi} on the diagonals -1 and -2, multiplies
+    them, with the factors and operand order of ``_turned``. Every product is
+    then one flat run over operands of one shape and type: none casts,
+    broadcasts, buffers a strided operand or allocates a block, and the
+    plane's fills are copies that allocate nothing. The returned columns are
+    views of held buffers, valid until the next call.
     """
 
     def __init__(self, d: int, rows: int = 1):
@@ -137,18 +142,31 @@ class _Diagonals:
         self._cuts = (d, 2 * d - 1)
         self._weights_n = np.ones((rows, self.index.size))
         self._weights_n[:, :d] = n
-        self._weights_b = np.zeros((rows, self.index.size), dtype=complex)
-        self._weights_b[:, d:2 * d - 1] = model_band("linear", d)
-        self._weights_b[:, 2 * d - 1:] = model_band("two-boson", d)
+        self._weights_b = np.zeros(self.index.size, dtype=complex)
+        self._weights_b[d:2 * d - 1] = model_band("linear", d)
+        self._weights_b[2 * d - 1:] = model_band("two-boson", d)
+        self._plane = np.empty((rows, self.index.size), dtype=complex)
         self._sums = (np.empty(rows), np.empty(rows, dtype=complex), np.empty(rows, dtype=complex))
 
-    def moments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three columns of a contiguous complex128 stack ``rows``, which is overwritten."""
-        k = rows.shape[0]
+    def moments(self, rows: np.ndarray, turns: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three columns of a contiguous complex128 stack ``rows``, which is overwritten.
+
+        ``turns``, each row's (e^{i phi}, e^{2i phi}), first turns rows held in
+        a frame back to the lab frame.
+        """
+        k, d = rows.shape[0], self._d
         mean_n, mean_b, mean_bb = (total[:k] for total in self._sums)
+        plane = self._plane[:k]
+        if turns is not None:
+            plane[:, :d] = 1.0
+            plane[:, d:2 * d - 1] = turns[:, :1]
+            plane[:, 2 * d - 1:] = turns[:, 1:]
+            np.multiply(plane, rows, out=rows)
         np.multiply(self._weights_n[:k], rows.real, out=rows.real)
-        np.sum(rows.real[:, :self._d], axis=1, out=mean_n)
-        np.multiply(self._weights_b[:k], rows, out=rows)
+        np.sum(rows.real[:, :d], axis=1, out=mean_n)
+        np.copyto(plane, self._weights_b)
+        np.multiply(plane, rows, out=rows)
         _, low1, low2 = np.split(rows, self._cuts, axis=1)
         np.sum(low1, axis=1, out=mean_b)
         np.sum(low2, axis=1, out=mean_bb)
@@ -170,9 +188,8 @@ _TRAJECTORY_DTYPE = np.dtype([
     ("purity", float), ("mean_b", complex), ("var_x", float), ("var_y", float),
 ])
 
-# Rows the recorder gathers before it reduces them: its buffer, and the
-# block of turns it is multiplied by, are a fixed _CHUNK x (3d - 3) complex
-# entries each, whatever the number of steps.
+# Rows the recorder gathers before it reduces them: its buffer is a fixed
+# _CHUNK x (3d - 3) complex entries, whatever the number of steps.
 _CHUNK = 64
 
 # Offsets m - n of the diagonals -1 and -2, which the recorder turns.
@@ -218,12 +235,11 @@ class TrajectoryRecorder:
 
     The state of row j may be held in a frame turning at ``rate`` per unit
     time and per quantum, D(t) = diag(e^{i rate t n}) at t = j dt: before the
-    reduction, the pending rows are multiplied, as one flat run, by a held
-    block of their shape that is e^{i phi_j} and e^{2i phi_j} (phi_j = rate t)
-    on the entries of diagonals -1 and -2 and 1 on diagonal 0. These are the
-    factors and operand order of ``_turned``, so a row equals the one-state
-    functions of the lab-frame state bit for bit. Diagonal 0 and the purity
-    are the same in either frame. The default rate 0 records lab-frame states.
+    reduction, ``_Diagonals.moments`` multiplies the entries of diagonals -1
+    and -2 by e^{i phi_j} and e^{2i phi_j} (phi_j = rate t), the factors and
+    operand order of ``_turned``, so a row equals the one-state functions of
+    the lab-frame state bit for bit. Diagonal 0 and the purity are the same in
+    either frame. The default rate 0 records lab-frame states.
     """
 
     def __init__(self, steps: int, dt: float, rate: float = 0.0):
@@ -246,7 +262,6 @@ class TrajectoryRecorder:
         if self._diagonals is None:
             self._diagonals = _Diagonals(rho.shape[0], _CHUNK)
             self._pending = np.empty((_CHUNK, self._diagonals.index.size), dtype=complex)
-            self._turn_rows = np.ones_like(self._pending)
         elif self._next - self._done == _CHUNK:
             self._flush()
         p = self._purity[self._next] = purity(rho)
@@ -275,12 +290,7 @@ class TrajectoryRecorder:
         cols["step"][rows] = range(self._done, self._next)
         cols["t"][rows] = cols["step"][rows] * self._dt
         turns = _turns(self._rate * cols["t"][rows], _LOWER_OFFSETS)
-        planes = self._turn_rows[:self._next - self._done]
-        _, low1, low2 = np.split(planes, self._diagonals._cuts, axis=1)
-        np.copyto(low1, turns[:, :1])
-        np.copyto(low2, turns[:, 1:])
-        np.multiply(planes, pending, out=pending)
-        mean_n, mean_b, mean_bb = self._diagonals.moments(pending)
+        mean_n, mean_b, mean_bb = self._diagonals.moments(pending, turns)
         cols["mean_n"][rows] = mean_n
         cols["mean_b"][rows] = mean_b
         cols["var_x"][rows], cols["var_y"][rows] = zip(*map(
