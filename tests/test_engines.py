@@ -43,6 +43,7 @@ from hlq.oracles import ground_state_probability
 from hlq.schedules import AtomPrep, alternating_schedule, uniform_schedule
 from reference import (
     annihilation_matrix,
+    frame_rate,
     hermitian_propagator,
     hermiticity_defect,
     hidden_step,
@@ -54,7 +55,6 @@ from reference import (
     reference_diagnostics,
     reference_records,
     standard_step,
-    frame_rate,
     to_lab,
     traced_peak,
     two_pass_hidden_step,
@@ -560,15 +560,14 @@ class TestStandardLane:
         # D psi (D psi)^dag to rounding.
         cfg = self.config("two-boson", "rotating", steps=60)
         res = run(cfg, snapshot_steps=range(cfg.steps + 1))
-        kernel = engines._build_stepper(cfg, "standard")
+        kernel, rate = engines._build_stepper(cfg, "standard"), frame_rate(cfg)
         psi = kernel.start(engines.initial_vector(cfg))
         assert np.array_equal(res.snapshots[0], np.outer(psi, psi.conj()))
         for j, prep in enumerate(make_schedule(cfg), start=1):
             psi = kernel.step(psi, prep)
-            angle = frame_rate(cfg) * (j * cfg.dt)
-            lab = to_lab(psi, frame_rate(cfg), j * cfg.dt)
-            assert np.array_equal(res.snapshots[j],
-                                  observables._turned(np.outer(psi, psi.conj()), angle)), j
+            lab = to_lab(psi, rate, j * cfg.dt)
+            turned = observables._turned(np.outer(psi, psi.conj()), rate * (j * cfg.dt))
+            assert np.array_equal(res.snapshots[j], turned), j
             assert np.max(np.abs(res.snapshots[j] - np.outer(lab, lab.conj()))) <= 1e-15, j
         assert np.array_equal(res.final, res.snapshots[cfg.steps])
 
@@ -1571,7 +1570,8 @@ class TestFrameEquivalence:
             cfg = SimConfig(model=model, omega=3.1, dt=0.05, steps=12, dim=d, zeta_abs=0.4,
                             eta=0.9 - 0.4j, phase=phase, initial=initial, gamma0=0.6 - 0.3j,
                             schedule="uniform" if schedule == "pulse" else schedule)
-            sched = pulse_schedule(cfg.steps, cfg.eta) if schedule == "pulse" else make_schedule(cfg)
+            sched = (pulse_schedule(cfg.steps, cfg.eta) if schedule == "pulse"
+                     else make_schedule(cfg))
             refs = {}
             for engine in ("hidden", "standard"):
                 refs[engine] = self.reference_states(cfg, sched, engine)
