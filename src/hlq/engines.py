@@ -403,8 +403,10 @@ class _HiddenKernel:
         self._frame = np.zeros((4, d), dtype=complex)
         self._frame[:2], self._frame[2:, :n] = half[0::2], half[k:2 * n + k:2]
         self._rho = np.empty((d, d), dtype=complex)
-        self._x, self._a, self._ac, self._p, self._b, self._bc = (
-            np.zeros((2, d, d), dtype=complex) for _ in range(6))
+        self._x, self._a, self._ac, self._p, self._b = (
+            np.empty((2, d, d), dtype=complex) for _ in range(5))
+        self._bc = np.zeros((2, d, d), dtype=complex)  # finite off the band columns
+        self._coef, self._ab, self._abc = (np.empty((4, d), dtype=complex) for _ in range(3))
         self._prep = None
         # (up, down) lanes: band rows x[:n] and x[k':] read rho[k':] and rho[:n];
         # band columns t[:, :n] and t[:, k':] read x[:, k':] and x[:, :n]
@@ -450,11 +452,12 @@ class _HiddenKernel:
     def _refill(self, prep: _schedules.AtomPrep) -> None:
         """Fill the planes of prep's a and b; AtomPrep is frozen, so they hold while prep does."""
         self._prep = prep
-        n, c = self.r.size, prep.eta.conjugate()
-        coef = np.array([prep.alpha, prep.beta, prep.beta * c, prep.alpha * c.conjugate()])
+        n, c, ab, abc = self.r.size, prep.eta.conjugate(), self._ab, self._abc
+        np.copyto(self._coef, np.array([prep.alpha, prep.beta, prep.beta * c,
+                                        prep.alpha * c.conjugate()])[:, None])
         # Operand order as written: numpy's complex loops round a * b and b * a apart.
-        ab = np.multiply(coef[:, None], self._factors(abs(prep.eta)))
-        abc = ab.conj()
+        np.multiply(self._coef, self._factors(abs(prep.eta)), out=ab)
+        np.conjugate(ab, out=abc)
         np.copyto(self._a, ab[:2, :, None])
         np.copyto(self._ac, abc[:2, None, :])
         np.copyto(self._b[:, :n], ab[2:, :n, None])

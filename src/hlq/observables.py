@@ -35,7 +35,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigValidationError, InvalidDimensionError, check_number
 from .fockcore import coherent_vector, model_band
@@ -206,9 +205,10 @@ def _turned(rho: np.ndarray, angle: float) -> np.ndarray:
     """D rho D^dag for D = diag(e^{i angle n}): entry [m, n] of rho times
     e^{i angle (m - n)}, by one product with a phase plane. A new array."""
     d = rho.shape[0]
-    # Row m of the plane is the turns of offsets m, m - 1, ..., m - d + 1.
-    turns = _turns(angle, np.arange(d - 1, -d, -1))
-    plane = sliding_window_view(turns, d)[::-1].copy()
+    turns = _turns(angle, np.arange(1 - d, d))
+    # Entry [m, n] of the view is turns[d - 1 + m - n], the turn of offset m - n.
+    s = turns.itemsize
+    plane = np.ndarray((d, d), turns.dtype, turns, (d - 1) * s, (s, -s)).copy()
     return np.multiply(plane, rho, out=plane)
 
 
