@@ -89,37 +89,37 @@ Driver
 ``run`` and ``run_compare`` are thin wrappers over one lockstep driver. A
 ``SimConfig`` is checked when it is made, so the driver checks only what the
 caller passes beside it: an explicit schedule, each of its preps, and the
-snapshot steps. A schedule the driver makes from the config is not re-checked:
-the generators make only valid preps. The driver builds one lane (kernel,
-guard, trajectory recorder) per engine from the same initial state, checks its
-step 0, and moves every lane through step j before any lane takes step j + 1.
+snapshot steps, whose lab-frame copies must fit the run-size limit. A
+schedule the driver makes from the config is not re-checked: the generators
+make only valid preps. The driver builds one lane (kernel, trajectory
+recorder and, for a deep hidden lane, guard) per engine from the same initial
+state, each of which takes its step 0, then steps the schedule in one flat
+loop: every lane takes step j before any lane takes step j + 1.
+
 Every step is checked as it is taken. A lane forms its density matrix in the
 frame (the hidden lane holds it, the standard lane takes psi psi^dag), and
-its recorder takes the purity and gathers the diagonals 0, -1 and -2 into its
-pending rows. The state passes when its purity is finite and its top-two population
-is under the limit. A finite purity bounds every entry below sqrt(max float),
-about 1.34e154, so the trace and the Hermiticity defect of a state that
-passed are finite too. A state that fails raises at once, so the first
-failing step over all lanes is named, the hidden lane's on a tie, and no lane
-steps past it. The guard names the error in the order trace, top-two
-population, Hermiticity defect (deep checks only), purity. A deep lane copies
-a state that passed into its guard's stack, and two lanes keep their
-difference for the trace distance.
-The steps go in blocks, and the block only folds diagnostics: after it each
-guard folds the block's states with whole-block numpy calls, reading the
-traces and top-two populations from the gathered diagonals, and the distances
-are taken by one stacked ``eigvalsh``.
-A block is the deep guard's height, at most 128 KiB of states (56 / 8 / 2 at
-dims 12 / 32 / 64, one from dim 65), when the hidden lane runs deep checks or
-the distance of every step is wanted, and 64 steps, the recorder's chunk,
-otherwise. The recorder reduces its pending rows 64 at a time into the lane's
-``np.recarray``, allocated once and returned as is with every row complete.
-Deep checks deepen the hidden lane's guard only: it also folds the
-Hermiticity defect and the lowest eigenvalue of every state. The standard
-lane's guard is always shallow (it folds the trace drift and top-two
-population of every step) and reports a Hermiticity defect and lowest
-eigenvalue of 0.0: its psi psi^dag passes the deep checks by construction
-(DECISIONS.md D3).
+its recorder takes the purity and gathers the diagonals 0, -1 and -2. The
+state passes when its purity is finite and its top-two population is under
+the limit. A finite purity bounds every entry below sqrt(max float), about
+1.34e154, so the trace and the Hermiticity defect of a state that passed are
+finite too. A state that fails raises at once, so the first failing step over
+all lanes is named, the hidden lane's on a tie, and no lane steps past it.
+The error is named in the order trace, top-two population, Hermiticity
+defect (deep checks only), purity.
+
+Every buffer that reduces a run of steps fills and folds itself, so the
+driver folds nothing. The lane keeps the largest top-two population it
+checked. The recorder folds the trace drift of its pending rows as it reduces
+them, 64 at a time, into the lane's ``np.recarray``, allocated once and
+returned as is with every row complete. A deep hidden lane's guard copies
+each state that passed into its stack, at most 128 KiB of states (56 / 8 / 2
+at dims 12 / 32 / 64, one from dim 65), and folds a full stack into the
+Hermiticity defect and the lowest eigenvalue with one stacked ``eigvalsh``;
+two lanes' trace distances are taken the same way, a stack of differences at
+a time. A lane's result folds what its buffers still hold. Deep checks deepen
+the hidden lane only: the standard lane has no guard and reports a
+Hermiticity defect and lowest eigenvalue of 0.0, since its psi psi^dag passes
+the deep checks by construction (DECISIONS.md D3).
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ from .fockcore import (
     unitarity_defect,
 )
 from . import observables as _observables
-from .observables import _CHUNK, TrajectoryRecorder
+from .observables import TrajectoryRecorder
 
 ENGINES = ("hidden", "standard", "both")
 PHASE_CONVENTIONS = ("operator", "coherence")
@@ -158,34 +158,41 @@ OUTPUTS = ("timeseries", "final")
 
 TRUNCATION_LIMIT = 1e-6
 
-# Largest memory a run may ask for before its first step, in bytes. It is
-# counted at _STEP_BYTES per step: two lanes' 72-byte trajectory rows, one
+# Largest memory a run may ask for before its first step, in bytes, counted
+# twice, and a run is rejected if either count is over it.
+#
+# Steps, at _STEP_BYTES per step: two lanes' 72-byte trajectory rows, one
 # rotating-schedule prep (the largest schedule item; 97.2 bytes traced with
 # its list slot on CPython 3.10 to 3.13, counted as 100) and one trace
 # distance, which every two-lane run keeps (a float and its list slot, 32.6
 # bytes, counted as 36). A rotating run_compare at dim 8 traces 274-275 bytes
 # a step: the peak difference of 2,000- and 6,000-step runs on CPython 3.11.
-# None of the buffers below grows with steps. Each recorder's pending buffer
-# is a fixed 64 x (3 dim - 3) x 16 bytes. Each kernel holds the factors and work buffers
-# of one step: the hidden kernel thirteen d x d complex buffers, the standard
-# one five (psi psi^dag in three, and H W and W^dag H), 832 and 320 KiB at
-# dim 64. Each guard holds a block's diagonals, a block x d complex. A
-# deep hidden lane's guard also holds the block's states, their conjugate
-# transposes and their Hermitian parts (three complex blocks of at most
-# _EIG_BLOCK_BYTES, or of one state where a single state is larger) and the
-# moduli of rho - rho^dag (one real block, half that); the standard lane's guard
-# is shallow and holds no states. A two-lane run holds the differences of
-# its lanes' states and their conjugate transposes, two more such complex
-# blocks, or one state each when only the last distance is taken. The final
-# state and each snapshot, taken to the lab frame, are one new d x d array.
+#
+# Dim, at _DIM_STATES d x d complex states. None of these buffers grows with
+# steps. Each kernel holds the factors and work buffers of one step: the
+# hidden kernel thirteen d x d complex buffers, the standard one five (psi
+# psi^dag in three, and H W and W^dag H), 832 and 320 KiB at dim 64. Each
+# recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes. A deep
+# hidden lane's guard holds a stack of states, their conjugate transposes and
+# their Hermitian parts (three complex stacks of at most _EIG_BLOCK_BYTES, or
+# of one state where a single state is larger) and the moduli of rho - rho^dag
+# (one real stack, half that); the standard lane has no guard. A two-lane run
+# holds the differences of its lanes' states and their conjugate transposes,
+# two more such stacks, or one state each when only the last distance is
+# taken. The final state is one new d x d array. A deep rotating run_compare
+# with every distance, the most a dim allows, traced a peak of 40.2 / 35.1 /
+# 32.4 / 30.8 such states over 8 steps at dims 65 / 96 / 128 / 160 on CPython
+# 3.11, so the largest dim is 1264. Each snapshot, taken to the lab frame, is
+# one more d x d array: the driver checks them against the limit too.
 RUN_MAX_BYTES = 1 << 30
 _STEP_BYTES = 2 * 72 + 100 + 36
+_DIM_STATES = 42
 
-# The deep guard's block of states per eigvalsh call, and the driver's block
-# of steps whenever a lane holds whole states: 56 / 8 / 2 states at dims
-# 12 / 32 / 64, 1 from dim 65, and at most 64, the recorder's chunk. A block
-# pays numpy's per-call cost once; a fixed 16-state block (1 MiB at dim 64)
-# leaves L2 and was slower there than one state per call.
+# States per stacked eigvalsh, in the deep guard and in the trace distances
+# of every step: at most 128 KiB of states (56 / 8 / 2 at dims 12 / 32 / 64,
+# one from dim 65) and at most 64. A stack pays numpy's per-call cost once; a
+# fixed 16-state stack (1 MiB at dim 64) leaves L2 and was slower there than
+# one state per call.
 _EIG_BLOCK_BYTES = 128 * 1024
 
 
@@ -265,6 +272,12 @@ class SimConfig:
                 f"steps: {self.steps!r} steps need {nbytes} bytes of records and schedule, "
                 f"over the {RUN_MAX_BYTES}-byte limit"
             )
+        nbytes = _DIM_STATES * 16 * int(self.dim) ** 2
+        if nbytes > RUN_MAX_BYTES:
+            raise ConfigValidationError(
+                f"dim: dim {self.dim!r} needs {nbytes} bytes of state buffers, "
+                f"over the {RUN_MAX_BYTES}-byte limit"
+            )
         _schedules.check_zeta_abs(self.zeta_abs, ConfigValidationError)
         check_number("eta", self.eta, ConfigValidationError)
         check_number("gamma0", self.gamma0, ConfigValidationError, squared=True)
@@ -332,21 +345,6 @@ def _sin_over(g: np.ndarray, dt: float) -> np.ndarray:
     return s
 
 
-def _last_value(build):
-    """Kernel method memo: build's result for the last argument only, held on the
-    instance, so a kernel owns no reference cycle and is freed with its run."""
-    slot = "_last" + build.__name__
-
-    def memo(self, x):
-        last = getattr(self, slot, None)
-        if last is None or last[0] != x:
-            last = (x, build(self, x))
-            setattr(self, slot, last)
-        return last[1]
-
-    return memo
-
-
 def _lanes(a: np.ndarray, start: int, lane_step: int, shape: tuple[int, ...]) -> np.ndarray:
     """(2, *shape) view of C-contiguous a: lane l starts at flat entry start + l * lane_step.
 
@@ -362,7 +360,7 @@ class _HiddenKernel:
 
     ``_blocks`` stacks C_up, C_down and the bands -i S_up R0, -i S_down R0^dag
     (each in its first n = d - k' entries) for the step's |eta|; ``_factors``
-    multiplies them by the frame's half-step turns, e^{-i rate dt m / 2} at
+    holds them times the frame's half-step turns, e^{-i rate dt m / 2} at
     m = 2i on the diagonals and m = 2i + k' on the bands (rate = k omega / k').
     Times [alpha, beta, beta c, alpha conj(c)], c = conj(eta), they give the
     diagonal a and band b of H K_up H and H K_down H. A step is, on one lane
@@ -406,8 +404,9 @@ class _HiddenKernel:
         self._x, self._a, self._ac, self._p, self._b = (
             np.empty((2, d, d), dtype=complex) for _ in range(5))
         self._bc = np.zeros((2, d, d), dtype=complex)  # finite off the band columns
-        self._coef, self._ab, self._abc = (np.empty((4, d), dtype=complex) for _ in range(3))
-        self._prep = None
+        self._coef, self._ab, self._abc, self._factors = (
+            np.empty((4, d), dtype=complex) for _ in range(4))
+        self._prep = self._eta_abs = None
         # (up, down) lanes: band rows x[:n] and x[k':] read rho[k':] and rho[:n];
         # band columns t[:, :n] and t[:, k':] read x[:, k':] and x[:, :n]
         self._band_rows = _lanes(self._x, 0, d * d + k * d, (n * d,))
@@ -436,10 +435,6 @@ class _HiddenKernel:
         self.unitarity_defect = max(self.unitarity_defect, unitarity_defect(pairs))
         return stack
 
-    @_last_value
-    def _factors(self, eta_abs: float):
-        return np.multiply(self._blocks(eta_abs), self._frame)
-
     @staticmethod
     def start(psi: np.ndarray) -> np.ndarray:
         """The hidden step mixes, so this kernel steps the density matrix itself."""
@@ -450,13 +445,17 @@ class _HiddenKernel:
         return rho
 
     def _refill(self, prep: _schedules.AtomPrep) -> None:
-        """Fill the planes of prep's a and b; AtomPrep is frozen, so they hold while prep does."""
+        """Fill the planes of prep's a and b; AtomPrep is frozen, so they hold while prep does.
+        The blocks times the frame's factors are rebuilt only when |eta| changes."""
         self._prep = prep
+        if abs(prep.eta) != self._eta_abs:
+            self._eta_abs = abs(prep.eta)
+            np.multiply(self._blocks(self._eta_abs), self._frame, out=self._factors)
         n, c, ab, abc = self.r.size, prep.eta.conjugate(), self._ab, self._abc
         np.copyto(self._coef, np.array([prep.alpha, prep.beta, prep.beta * c,
                                         prep.alpha * c.conjugate()])[:, None])
         # Operand order as written: numpy's complex loops round a * b and b * a apart.
-        np.multiply(self._coef, self._factors(abs(prep.eta)), out=ab)
+        np.multiply(self._coef, self._factors, out=ab)
         np.conjugate(ab, out=abc)
         np.copyto(self._a, ab[:2, :, None])
         np.copyto(self._ac, abc[:2, None, :])
@@ -507,8 +506,9 @@ class _StandardKernel:
         h, self._turn = half[:d], half[0::2]  # H = D(-dt / 2) and D(-dt)
         self._hv, self._vh = h[:, None] * v, v.conj().T * h
         self._rho, self._rows, self._cols = (np.empty_like(h0) for _ in range(3))
-        # Factors of the last prep: (conj(q), q, e^{-i |eps| dt w}), or (D(-dt), None, None).
-        self._prep = self._into = self._out = self._eps_phases = None
+        # Factors of the last prep: (conj(q), q), or (D(-dt), None) for eps = 0, and
+        # e^{-i |eps| dt w} for the last |eps| > 0.
+        self._prep = self._into = self._out = self._eps_abs = self._eps_phases = None
 
     @staticmethod
     def start(psi: np.ndarray) -> np.ndarray:
@@ -520,18 +520,18 @@ class _StandardKernel:
         np.copyto(self._cols, psi.conj())
         return np.multiply(self._rows, self._cols, out=self._rho)
 
-    @_last_value
-    def _phases(self, eps_abs: float) -> np.ndarray:
-        return np.exp(-1j * eps_abs * self.dt * self.w)
-
     def _refill(self, prep: _schedules.AtomPrep) -> None:
+        """Take prep's factors; the phases are rebuilt only when |eps| changes."""
         self._prep = prep
         eps = prep.eta * prep.zeta.conjugate()
         if eps == 0.0:  # no drive: the frame still turns, by D(-dt)
-            self._into, self._out, self._eps_phases = self._turn, None, None
+            self._into, self._out = self._turn, None
             return
+        if abs(eps) != self._eps_abs:
+            self._eps_abs = abs(eps)
+            self._eps_phases = np.exp(-1j * self._eps_abs * self.dt * self.w)
         q = np.exp(1j * cmath.phase(eps) * self._fock)
-        self._into, self._out, self._eps_phases = q.conj(), q, self._phases(abs(eps))
+        self._into, self._out = q.conj(), q
 
     def step(self, psi: np.ndarray, prep: _schedules.AtomPrep) -> np.ndarray:
         if prep is not self._prep:
@@ -552,80 +552,70 @@ def make_schedule(config: SimConfig) -> list[_schedules.AtomPrep]:
     )
 
 
+def _eig_height(d: int) -> int:
+    """States per stacked eigvalsh at dim d, in the deep guard and the trace distances."""
+    return min(64, max(1, _EIG_BLOCK_BYTES // (16 * d * d)))
+
+
+def _failure(step: int, rho: np.ndarray, top2: float, purity: float, deep: bool) -> HlqError:
+    """The error of the state rho of ``step`` that failed its check (a finite purity and a
+    top-two population under the limit), named in the order trace, top-two population,
+    then, for a deep lane, Hermiticity defect; a state that fails none of these fails on
+    its purity."""
+    trace = rho.trace()
+    if not cmath.isfinite(trace):
+        return NonFiniteStateError(step, "trace", trace)
+    if top2 >= TRUNCATION_LIMIT:
+        return TruncationOverflowError(step, top2)
+    if deep:
+        herm = float(np.abs(rho - rho.conj().T).max())
+        if not math.isfinite(herm):
+            return NonFiniteStateError(step, "Hermiticity defect", herm)
+    return NonFiniteStateError(step, "purity", purity)
+
+
 class _Guard:
-    """A lane's state checks: one per step, and diagnostics folded a block at a time.
+    """A deep hidden lane's Hermiticity defect and lowest eigenvalue, folded a stack at a time.
 
-    ``failure`` names the error of a state that failed the lane's per-step
-    check (a finite purity and a top-two population under the limit), in the
-    order trace, top-two population, then, for a deep guard, Hermiticity
-    defect; a state that fails none of these fails on its purity. A finite
-    purity bounds every entry below sqrt(max float), so a state that passed
-    has a finite trace and Hermiticity defect, and ``inspect`` only folds.
+    ``take`` copies a state that passed its step's check into ``stack`` and
+    calls ``inspect`` when the stack is full; the lane calls it once more for
+    the states left. ``inspect`` folds the held states with whole-stack numpy
+    calls: the lowest eigenvalues of the Hermitian parts 0.5 (rho + rho^dag)
+    are taken by one ``eigvalsh`` call, with each state's bits. A finite purity
+    bounds every entry below sqrt(max float), so every held state is finite.
 
-    A block is the states of up to ``height`` consecutive steps that passed.
-    ``inspect`` takes their gathered rows, whose first d entries are each
-    state's diagonal, and for a deep guard the states themselves, which the
-    lane copies into ``stack``, and folds them into the diagnostics with
-    whole-block numpy calls. The lowest eigenvalues of the Hermitian parts
-    0.5 (rho + rho^dag) are taken by one ``eigvalsh`` call per block, with
-    each state's bits.
-
-    Every guard holds a (height, d) copy of the diagonals, contiguous so that
-    each trace is rho.trace()'s sum. A deep guard also holds the stack, its
-    conjugate transpose, the Hermitian parts (three height x d x d complex
-    buffers) and the moduli of rho - rho^dag (one real one).
+    The guard holds the stack, its conjugate transpose and the Hermitian parts
+    (three ``_eig_height(d)`` x d x d complex buffers) and the moduli of
+    rho - rho^dag (one real one).
     """
 
-    def __init__(self, deep: bool, d: int, height: int):
-        self.deep = deep
-        self.diag = RunDiagnostics(min_eigenvalue=np.inf if deep else 0.0)
-        self._diagonals = np.empty((height, d), dtype=complex)
-        self.stack = None
-        if deep:
-            self.stack, self._adj, self._parts = (np.empty((height, d, d), dtype=complex)
-                                                  for _ in range(3))
-            self._abs = np.empty((height, d, d))
+    def __init__(self, d: int):
+        height = _eig_height(d)
+        self.stack, self._adj, self._parts = (np.empty((height, d, d), dtype=complex)
+                                              for _ in range(3))
+        self._abs = np.empty((height, d, d))
+        self.held = 0
+        self.max_hermiticity_defect, self.min_eigenvalue = 0.0, math.inf
 
-    def failure(self, step: int, rho: np.ndarray, row: np.ndarray, top2: float,
-                purity: float) -> HlqError:
-        """The error of the state rho of ``step``, gathered as ``row``, that failed its check."""
-        trace = np.add.reduce(row[:rho.shape[0]])
-        if not cmath.isfinite(trace):
-            return NonFiniteStateError(step, "trace", trace)
-        if top2 >= TRUNCATION_LIMIT:
-            return TruncationOverflowError(step, top2)
-        if self.deep:
-            herm = float(np.abs(rho - rho.conj().T).max())
-            if not math.isfinite(herm):
-                return NonFiniteStateError(step, "Hermiticity defect", herm)
-        return NonFiniteStateError(step, "purity", purity)
+    def take(self, rho: np.ndarray) -> None:
+        np.copyto(self.stack[self.held], rho)
+        self.held += 1
+        if self.held == len(self.stack):
+            self.inspect()
 
-    def inspect(self, rows: np.ndarray) -> None:
-        """Fold the block's states, one per row of ``rows``, into the diagnostics."""
-        n, d = rows.shape[0], self._diagonals.shape[1]
-        diagonals = self._diagonals[:n]
-        np.copyto(diagonals, rows[:, :d])
-        traces = np.add.reduce(diagonals, axis=1)
-        top2 = diagonals[:, -1].real + diagonals[:, -2].real
-        diag = self.diag
-        diag.max_top_two_population = max(diag.max_top_two_population, float(top2.max()))
-        drift = float((np.abs(traces.real - 1.0) + np.abs(traces.imag)).max())
-        diag.max_trace_drift = max(diag.max_trace_drift, drift)
-        if self.deep:
-            states, adj = self.stack[:n], self._adj[:n]
-            parts = _observables._hermitian_parts(states, adj, self._parts[:n])
-            herm = np.abs(np.subtract(states, adj, out=states), out=self._abs[:n])
-            diag.max_hermiticity_defect = max(diag.max_hermiticity_defect, float(herm.max()))
-            lows = np.linalg.eigvalsh(parts)[:, 0]
-            k = int(lows.argmin())  # the first of tied minima, as a fold in step order keeps
-            if lows[k] < diag.min_eigenvalue:
-                diag.min_eigenvalue = float(lows[k])
-
-    def finish(self, purities: np.ndarray) -> RunDiagnostics:
-        """Close the diagnostics; the purity range is read from the recorded column."""
-        self.diag.min_purity = min(1.0, float(purities.min()))
-        self.diag.max_purity = max(1.0, float(purities.max()))
-        return self.diag
+    def inspect(self) -> None:
+        """Fold the held states into the diagnostics and empty the stack."""
+        n, self.held = self.held, 0
+        if not n:
+            return
+        states, adj = self.stack[:n], self._adj[:n]
+        parts = _observables._hermitian_parts(states, adj, self._parts[:n])
+        herm = np.abs(np.subtract(states, adj, out=states), out=self._abs[:n])
+        self.max_hermiticity_defect = max(self.max_hermiticity_defect, float(herm.max()))
+        lows = np.linalg.eigvalsh(parts)[:, 0]
+        k = int(lows.argmin())  # the first of tied minima, as a fold in step order keeps
+        if lows[k] < self.min_eigenvalue:
+            self.min_eigenvalue = float(lows[k])
 
 
 def _frame_rate(config: SimConfig) -> float:
@@ -641,48 +631,44 @@ def _build_stepper(config: SimConfig, engine: str):
 
 
 class _Lane:
-    """One engine in the lockstep driver: its state, kernel, guard, recorder and snapshots.
+    """One engine in the lockstep driver: its state, kernel, recorder, guard and snapshots.
 
     ``state`` is what the kernel steps, in the co-rotating frame; ``rho``, its
-    density matrix, is what the guard, recorder and trace distance see, and
+    density matrix, is what the recorder, guard and trace distance see, and
     the snapshots and the final state are ``rho`` taken back to the lab frame
-    by one phase-plane product. ``take``
-    checks each step's state as it records it and raises at the first that
-    fails. The lane holds the steps it took since its last ``fold``: their
-    rows stay pending in the recorder and, for a deep guard, the states in
-    its stack. A new lane has checked and folded its step 0.
+    by one phase-plane product. ``take`` checks each step's state as it
+    records it, raises at the first that fails, and keeps the largest top-two
+    population. Only a deep hidden lane has a guard. A new lane has taken its
+    step 0.
     """
 
-    def __init__(self, config: SimConfig, engine: str, deep: bool, wanted: set[int],
-                 height: int):
+    def __init__(self, config: SimConfig, engine: str, deep: bool, wanted: set[int]):
         self.kernel = _build_stepper(config, engine)
         # The frame is the lab frame at t = 0, so the start needs no turn.
         self.state = self.kernel.start(initial_vector(config))
         self._rate, self._dt, self._last = _frame_rate(config), config.dt, config.steps
         # psi psi^dag passes the deep checks by construction (D3): only a mixed lane's are run.
-        self.guard = _Guard(deep and engine == "hidden", config.dim, height)
-        self.stack = self.guard.stack
+        self.guard = _Guard(config.dim) if deep and engine == "hidden" else None
         self.recorder = TrajectoryRecorder(config.steps, config.dt, self._rate)
         self.wanted = wanted
         self.snapshots: dict[int, np.ndarray] = {}
-        self.held = 0
+        self.max_top_two = 0.0
         # Flat positions of the top two levels' populations, read as Python numbers.
         self._top = (-1, -config.dim - 2)
         self.take(0)
-        self.fold()
 
     def take(self, j: int) -> None:
         """Record and check the state of step j: its purity must be finite and its
-        top-two population under the limit, or the guard names the error raised."""
+        top-two population under the limit, or the error ``_failure`` names is raised."""
         rho = self.rho = self.kernel.density(self.state)
         p = self.recorder.record(rho)
         last, second = self._top
         top2 = rho.item(last).real + rho.item(second).real
         if not (math.isfinite(p) and top2 < TRUNCATION_LIMIT):
-            raise self.guard.failure(j, rho, self.recorder.pending(1)[0], top2, p)
-        if self.stack is not None:
-            np.copyto(self.stack[self.held], rho)
-        self.held += 1
+            raise _failure(j, rho, top2, p, self.guard is not None)
+        self.max_top_two = max(self.max_top_two, top2)
+        if self.guard is not None:
+            self.guard.take(rho)
         if j in self.wanted:
             self.snapshots[j] = self.lab(j)
 
@@ -690,45 +676,57 @@ class _Lane:
         """rho, the state of step j, in the lab frame: a new array."""
         return _observables._turned(self.rho, self._rate * (j * self._dt))
 
-    def fold(self) -> None:
-        """Fold the held steps into the guard's diagnostics."""
-        n, self.held = self.held, 0
-        self.guard.inspect(self.recorder.pending(n))
-
     def result(self) -> RunResult:
-        records = self.recorder.records
-        self.guard.diag.propagator_unitarity_defect = self.kernel.unitarity_defect
-        return RunResult(records, self.lab(self._last), self.guard.finish(records.purity),
-                         self.snapshots)
+        records, guard = self.recorder.records, self.guard
+        herm = low = 0.0
+        if guard is not None:
+            guard.inspect()
+            herm, low = guard.max_hermiticity_defect, guard.min_eigenvalue
+        diagnostics = RunDiagnostics(
+            propagator_unitarity_defect=self.kernel.unitarity_defect,
+            max_trace_drift=self.recorder.max_trace_drift, max_hermiticity_defect=herm,
+            min_eigenvalue=low, min_purity=min(1.0, float(records.purity.min())),
+            max_purity=max(1.0, float(records.purity.max())),
+            max_top_two_population=self.max_top_two)
+        return RunResult(records, self.lab(self._last), diagnostics, self.snapshots)
 
 
 class _Distances:
-    """Trace distances between two lanes' states, taken a block at a time.
+    """Trace distances between two lanes' states, taken a stack at a time.
 
-    ``take`` holds a due step's difference a - b in one of ``height`` held
-    layers and appends nan for a step that is not due; ``flush`` appends the
-    held steps' distances in step order, by one stacked ``eigvalsh``.
+    ``take`` holds a due step's difference a - b in the next layer of its
+    stack (``_eig_height(d)`` layers, or one when only the last step is due)
+    and appends nan for a step that is not due. A full stack, and on reading
+    ``values`` the layers left, is reduced into the distances in step order
+    by one stacked ``eigvalsh``.
     """
 
-    def __init__(self, d: int, height: int, every: bool, last: int):
-        self.values = [0.0]
+    def __init__(self, d: int, every: bool, last: int):
+        self._values = [0.0]
         self.every, self.last = every, last
-        self._diffs, self._scratch = (np.empty((height if every else 1, d, d), dtype=complex)
-                                      for _ in range(2))
+        self._diffs, self._scratch = (np.empty((_eig_height(d) if every else 1, d, d),
+                                               dtype=complex) for _ in range(2))
         self._held = 0
 
-    def take(self, j: int, lanes) -> None:
-        if self.every or j == self.last:
-            np.subtract(lanes[0].rho, lanes[1].rho, out=self._diffs[self._held])
-            self._held += 1
-        else:
-            self.values.append(math.nan)
+    @property
+    def values(self) -> list[float]:
+        self._flush()
+        return self._values
 
-    def flush(self) -> None:
+    def take(self, j: int, lanes) -> None:
+        if not (self.every or j == self.last):
+            self._values.append(math.nan)
+            return
+        np.subtract(lanes[0].rho, lanes[1].rho, out=self._diffs[self._held])
+        self._held += 1
+        if self._held == len(self._diffs):
+            self._flush()
+
+    def _flush(self) -> None:
         n, self._held = self._held, 0
         if n:
-            self.values += _observables._trace_distances(self._diffs[:n],
-                                                          self._scratch[:n]).tolist()
+            self._values += _observables._trace_distances(self._diffs[:n],
+                                                           self._scratch[:n]).tolist()
 
 
 def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks: bool,
@@ -771,26 +769,20 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
     bad = sorted(s for s in wanted if s not in range(config.steps + 1))
     if bad:
         raise ConfigValidationError(f"steps: snapshot(s) {bad} outside [0, {config.steps}]")
-    pair = len(engines) == 2
-    height = _CHUNK
-    if deep_checks and "hidden" in engines or pair and per_step_distance:
-        height = min(_CHUNK, max(1, _EIG_BLOCK_BYTES // (16 * config.dim ** 2)))
-    lanes = [_Lane(config, engine, deep_checks, wanted, height) for engine in engines]
-    distances = _Distances(config.dim, height, per_step_distance, config.steps) if pair else None
-    for first in range(1, config.steps + 1, height):
+    nbytes = len(wanted) * 16 * config.dim ** 2
+    if nbytes > RUN_MAX_BYTES:
+        raise ConfigValidationError(
+            f"steps: {len(wanted)} snapshots at dim {config.dim} need {nbytes} bytes, "
+            f"over the {RUN_MAX_BYTES}-byte limit"
+        )
+    lanes = [_Lane(config, engine, deep_checks, wanted) for engine in engines]
+    distances = _Distances(config.dim, per_step_distance, config.steps) if len(lanes) == 2 else None
+    for j, prep in enumerate(schedule, start=1):
         for lane in lanes:
-            lane.recorder.reserve(height)
-        for j in range(first, min(config.steps, first + height - 1) + 1):
-            prep = schedule[j - 1]
-            for lane in lanes:
-                lane.state = lane.kernel.step(lane.state, prep)
-                lane.take(j)
-            if distances is not None:
-                distances.take(j, lanes)
-        for lane in lanes:
-            lane.fold()
+            lane.state = lane.kernel.step(lane.state, prep)
+            lane.take(j)
         if distances is not None:
-            distances.flush()
+            distances.take(j, lanes)
     return lanes, distances.values if distances is not None else []
 
 

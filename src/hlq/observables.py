@@ -1,9 +1,10 @@
 """Scalar observables, per-step trajectories and phase-space views of a field state.
 
 All functions take a dense d x d density matrix; the one-state functions
-reject any other shape with ``InvalidDimensionError`` and a state with a
-non-finite entry with ``ConfigValidationError`` (the recorder and
-``purity``, which run every step, do not check). The quadratures are
+reject a ragged sequence or any other shape with ``InvalidDimensionError``,
+and a state whose entries are not numbers or not finite with
+``ConfigValidationError`` (the recorder and ``purity``, which run every step,
+do not check). The quadratures are
 X = (b + b^dag)/2 and Y = (b - b^dag)/(2i), so the vacuum has
 var X = var Y = 1/4. Expectation values of b^dag b, b and b^2 are sums over
 the diagonals 0, -1 and -2 of rho, weighted by arange(d) and by the
@@ -13,8 +14,9 @@ the diagonals 0, -1 and -2 of rho, weighted by arange(d) and by the
 ``TrajectoryRecorder`` keeps per-step recording cheap: each step appends the
 next row, copying the three diagonals into a fixed buffer of ``_CHUNK`` rows
 with one gather and taking the purity; a full chunk is reduced column-wise
-to the moments of all its states at once. The rows stay pending until then,
-so the run's guards read each block's diagonals from them. A recorder
+to the moments of all its states at once. Before that reduction overwrites
+them, the chunk's diagonals 0 are summed into traces, and the largest trace
+drift |Re tr - 1| + |Im tr| is kept for the run's diagnostics. A recorder
 given a frame rate records states held in the engines' co-rotating frame:
 it turns each row's diagonals -1 and -2 back to the lab frame before the
 reduction, which is ``_turned`` on those entries. Reading
@@ -63,12 +65,20 @@ class HusimiGrid:
 
 
 def _check_state(rho: np.ndarray, name: str = "rho") -> int:
-    """d of a d x d state; any other shape raises InvalidDimensionError, and a
-    non-finite entry ConfigValidationError."""
-    shape = np.shape(rho)
+    """d of a d x d state; a ragged sequence or any other shape raises
+    InvalidDimensionError, and entries that are not numbers (a dtype outside the
+    kinds b, i, u, f and c) or not finite raise ConfigValidationError."""
+    try:
+        state = np.asarray(rho)
+    except ValueError:  # a ragged nested sequence
+        raise InvalidDimensionError("state must be a square 2-D array, got a ragged sequence"
+                                    ) from None
+    shape = state.shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidDimensionError(f"state must be a square 2-D array, got shape {shape}")
-    if not np.isfinite(rho).all():
+    if state.dtype.kind not in "biufc":
+        raise ConfigValidationError(f"{name}: must be an array of numbers, got dtype {state.dtype}")
+    if not np.isfinite(state).all():
         raise ConfigValidationError(f"{name}: must be finite, got a state with a non-finite entry")
     return shape[0]
 
@@ -76,7 +86,7 @@ def _check_state(rho: np.ndarray, name: str = "rho") -> int:
 def ground_population(rho: np.ndarray) -> float:
     """<0|rho|0>, the survival probability of the empty mode."""
     _check_state(rho)
-    return float(rho[0, 0].real)
+    return float(np.asarray(rho)[0, 0].real)
 
 
 def mean_photon(rho: np.ndarray) -> float:
@@ -137,7 +147,7 @@ class _Diagonals:
     def __init__(self, d: int, rows: int = 1):
         n = np.arange(d)
         self.index = np.concatenate([n * (d + 1), n[1:] * (d + 1) - 1, n[2:] * (d + 1) - 2])
-        self._d = d
+        self.d = d
         self._cuts = (d, 2 * d - 1)
         self._weights_n = np.ones((rows, self.index.size))
         self._weights_n[:, :d] = n
@@ -154,7 +164,7 @@ class _Diagonals:
         ``turns``, each row's (e^{i phi}, e^{2i phi}), first turns rows held in
         a frame back to the lab frame.
         """
-        k, d = rows.shape[0], self._d
+        k, d = rows.shape[0], self.d
         mean_n, mean_b, mean_bb = (total[:k] for total in self._sums)
         plane = self._plane[:k]
         if turns is not None:
@@ -228,10 +238,13 @@ class TrajectoryRecorder:
     (``_Diagonals.moments``, in place, after p00 is copied out) when the next
     row comes, and its rows' step, t, p00, mean_n and mean_b are written as
     whole column slices; var_x and var_y are taken per state from those
-    moments. ``reserve(n)`` reduces early unless n more rows fit, so that the
-    next n rows, read back by ``pending(n)``, stay pending together. Reading
-    ``records`` first reduces the rows still pending, so every row recorded
-    so far is complete whenever the table is read.
+    moments. Reading ``records`` first reduces the rows still pending, so
+    every row recorded so far is complete whenever the table is read.
+
+    ``max_trace_drift`` is the largest |Re tr - 1| + |Im tr| over the rows
+    reduced so far, so over every row once ``records`` is read. Each reduction
+    first sums the chunk's diagonals 0 by one strided ``np.add.reduce``, which
+    gives each state's ``rho.trace()`` bit for bit.
 
     The state of row j may be held in a frame turning at ``rate`` per unit
     time and per quantum, D(t) = diag(e^{i rate t n}) at t = j dt: before the
@@ -251,6 +264,7 @@ class TrajectoryRecorder:
         self._pending: np.ndarray | None = None
         self._done = 0  # rows reduced into the table; rows _done..._next - 1 are pending
         self._next = 0
+        self.max_trace_drift = 0.0
 
     @property
     def records(self) -> np.recarray:
@@ -269,22 +283,15 @@ class TrajectoryRecorder:
         self._next += 1
         return p
 
-    def reserve(self, rows: int) -> None:
-        """Reduce the pending rows unless ``rows`` more fit beside them, so the next
-        ``rows`` records stay pending together."""
-        if self._next - self._done + rows > _CHUNK:
-            self._flush()
-
-    def pending(self, rows: int) -> np.ndarray:
-        """The last ``rows`` gathered rows, still unreduced; valid until the next record."""
-        end = self._next - self._done
-        return self._pending[end - rows:end]
-
     def _flush(self) -> None:
         if self._next == self._done:
             return
         rows = slice(self._done, self._next)
         pending = self._pending[:self._next - self._done]
+        # Diagonal 0 is read before the reduction overwrites the rows.
+        traces = np.add.reduce(pending[:, :self._diagonals.d], axis=1)
+        drift = float((np.abs(traces.real - 1.0) + np.abs(traces.imag)).max())
+        self.max_trace_drift = max(self.max_trace_drift, drift)
         cols = self._columns
         cols["p00"][rows] = pending[:, 0].real
         cols["step"][rows] = range(self._done, self._next)
@@ -307,9 +314,8 @@ def fidelity_coherent(rho: np.ndarray, gamma: complex) -> float:
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2) sum |eigenvalues(a - b)| for Hermitian a, b."""
     d = _check_state(a, "a")
-    if np.shape(b) != (d, d):
+    if _check_state(b, "b") != d:
         raise InvalidDimensionError(f"shape mismatch {(d, d)} vs {np.shape(b)}")
-    _check_state(b, "b")
     diff = np.subtract(a, b)[None]
     if diff.dtype.kind not in "fc":  # integer states: their Hermitian parts are not
         diff = diff.astype(float)

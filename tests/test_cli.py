@@ -361,8 +361,12 @@ class TestNoOutputOnFailure:
         ("husimi", TINY, ("--steps", "0,99"), 1),
         ("husimi", TINY, ("--steps", " , "), 1),
         ("husimi", TINY, ("--steps", ""), 1),
+        ("run", TINY + "dim = 1265\n", (), 1),
+        ("husimi", TINY.replace("steps = 40", "steps = 67") + "dim = 1000\n",
+         ("--grid", "2", "--steps", ",".join(map(str, range(68)))), 1),
     ], ids=["run", "run-both", "compare", "converge", "husimi-overflow", "husimi-grid",
-            "husimi-extent", "husimi-steps", "husimi-steps-blank", "husimi-steps-empty"])
+            "husimi-extent", "husimi-steps", "husimi-steps-blank", "husimi-steps-empty",
+            "run-dim-cap", "husimi-snapshot-cap"])
     def test_out_dir_not_made(self, tmp_path, command, text, flags, code):
         cfg = write(tmp_path, text)
         out = tmp_path / "absent" / "o"

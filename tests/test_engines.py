@@ -18,6 +18,7 @@ import pytest
 
 from hlq import engines, observables
 from hlq.engines import (
+    RunDiagnostics,
     SimConfig,
     converge,
     make_schedule,
@@ -34,6 +35,7 @@ from hlq.errors import (
 )
 from hlq.fockcore import coherent_vector, model_band, unitarity_defect
 from hlq.observables import (
+    TrajectoryRecorder,
     fidelity_coherent,
     quadrature_variances,
     trace_distance,
@@ -584,16 +586,17 @@ class TestStandardLane:
                 assert rho.tobytes() == np.outer(psi, psi.conj()).tobytes(), d
 
     def test_shallow_guard_inspects_every_density(self, monkeypatch):
-        # Deep checks on, yet the pure lane's guard is shallow: it still sees every density.
+        # Deep checks on, yet the pure lane builds no guard: its recorder still folds the
+        # trace of every density into the drift, from the rows it reduces.
+        monkeypatch.setattr(engines, "_Guard", lambda d: pytest.fail("the pure lane built a guard"))
         seen = []
-        inspect = engines._Guard.inspect
+        flush = TrajectoryRecorder._flush
 
-        def recording(guard, rows):
-            assert guard.stack is None
-            seen.extend(row.copy() for row in rows)
-            return inspect(guard, rows)
+        def recording(recorder):
+            seen.extend(row.copy() for row in recorder._pending[:recorder._next - recorder._done])
+            return flush(recorder)
 
-        monkeypatch.setattr(engines._Guard, "inspect", recording)
+        monkeypatch.setattr(TrajectoryRecorder, "_flush", recording)
         cfg = self.config("intensity", "uniform")
         res = run(cfg, snapshot_steps=range(cfg.steps + 1))
         # Steps 0..steps, each folded once and in order: row j holds step j's diagonal.
@@ -601,6 +604,9 @@ class TestStandardLane:
         for j, row in enumerate(seen):
             assert row.shape == (3 * cfg.dim - 3,)
             assert row[:cfg.dim].tobytes() == np.diagonal(res.snapshots[j]).tobytes(), j
+        traces = [np.diagonal(rho).sum() for rho in res.snapshots.values()]
+        assert res.diagnostics.max_trace_drift == max(
+            0.0, *(abs(t.real - 1.0) + abs(t.imag) for t in traces))
         # psi psi^dag is Hermitian up to the rounding of one product
         assert res.diagnostics.max_hermiticity_defect <= np.finfo(float).eps
 
@@ -644,12 +650,13 @@ class TestStepHeap:
         cfg = SimConfig(model="linear", omega=1.3, dt=1e-3, steps=8, dim=d,
                         initial="coherent", gamma0=1.0 + 0.5j)
         rho = initial_state(cfg)
-        rows = np.tile(np.diagonal(rho), (height, 3))  # the guard reads the first d columns
-        guard = engines._Guard(True, d, height)
-        for _ in range(2):  # the first block warms numpy's caches; the second is traced
+        guard = engines._Guard(d)
+        assert len(guard.stack) == height
+        for _ in range(2):  # the first full stack warms numpy's caches; the second is traced
             guard.stack[:] = rho
-            _, peak = traced_peak(guard.inspect, rows)
-        assert guard.diag.min_eigenvalue < 1e-9
+            guard.held = height
+            _, peak = traced_peak(guard.inspect)
+        assert guard.min_eigenvalue < 1e-9
         assert peak < 16 * 1024
 
     CHILD = """
@@ -828,20 +835,32 @@ class TestRun:
         assert abs(np.trace(res.final) - 1.0) <= 1e-12
 
 
-def inspect_blocks(states, deep: bool, height: int):
-    """A guard of ``height`` that has inspected states as a run does: step 0 alone, then blocks."""
-    guard = engines._Guard(deep, states[0].shape[0], height)
-    starts = [0, *range(1, len(states), height)]
-    for first, end in zip(starts, [*starts[1:], len(states)]):
-        block = states[first:end]
+def inspect_blocks(states, deep: bool) -> RunDiagnostics:
+    """The diagnostics a lane folds over ``states``, the densities of steps 0, 1, ...: a
+    recorder's trace drift and purity range, the running top-two maximum and, when
+    ``deep``, a guard's, which inspects each full stack and then the states left."""
+    recorder = TrajectoryRecorder(len(states) - 1, 1.0)
+    guard = engines._Guard(states[0].shape[0]) if deep else None
+    top2 = 0.0
+    for rho in states:
+        recorder.record(rho)
+        top2 = max(top2, rho.item(-1).real + rho.item(-rho.shape[0] - 2).real)
         if deep:
-            guard.stack[:len(block)] = block
-        guard.inspect(np.array([np.diagonal(rho) for rho in block]))
-    return guard
+            guard.take(rho)
+    purities = recorder.records.purity
+    diag = RunDiagnostics(max_trace_drift=recorder.max_trace_drift,
+                          min_purity=min(1.0, float(purities.min())),
+                          max_purity=max(1.0, float(purities.max())),
+                          max_top_two_population=top2)
+    if deep:
+        guard.inspect()
+        diag.max_hermiticity_defect, diag.min_eigenvalue = (guard.max_hermiticity_defect,
+                                                             guard.min_eigenvalue)
+    return diag
 
 
 class TestGuardOracle:
-    """The deep guard takes lowest eigenvalues a block of states at a time, with one's bits."""
+    """The deep guard takes lowest eigenvalues a stack of states at a time, with one's bits."""
 
     # States per eigvalsh block, written out so that a changed block size shows here.
     HEIGHTS = {2: 64, 12: 56, 32: 8, 64: 2}
@@ -857,8 +876,8 @@ class TestGuardOracle:
         (lane,), _ = engines._lockstep(cfg, None, ("hidden",), True)
         assert lane.guard.stack.shape == (self.HEIGHTS[d], d, d)
 
-    # Each block's edges, and at dim 2 also the edges of its former 2,048-state block:
-    # runs of many blocks.
+    # Each stack's edges, and at dim 2 also the edges of its former 2,048-state stack:
+    # runs of many stacks. Step 0 is the first state of the first stack.
     @pytest.mark.parametrize("deep", [True, False])
     @pytest.mark.parametrize("d, count", [(d, n) for d, h in [*HEIGHTS.items(), (2, 2048)]
                                           for n in (h - 2, h - 1, h, 2 * h + 3) if n >= 1])
@@ -872,9 +891,8 @@ class TestGuardOracle:
             states.append(1e-8 * (m if j % 3 else m + m.conj().T))
         states[count // 2] = np.zeros((d, d), dtype=complex)
         states[-1] = np.full((d, d), complex(-0.0, -0.0))
-        guard = inspect_blocks(states, deep, self.HEIGHTS[d])
-        purities = np.array([np.vdot(rho, rho).real for rho in states])
-        assert self.bits(guard.finish(purities)) == self.bits(reference_diagnostics(states, deep))
+        diag = inspect_blocks(states, deep)
+        assert self.bits(diag) == self.bits(reference_diagnostics(states, deep))
 
     @pytest.mark.parametrize("first", [0.0, -0.0])
     @pytest.mark.parametrize("d", sorted(HEIGHTS))
@@ -882,7 +900,7 @@ class TestGuardOracle:
         # Zero states of either sign, whose lowest eigenvalues tie: the earliest is kept.
         signs = [first] + [-first] * (2 * self.HEIGHTS[d] + 3)
         states = [np.full((d, d), complex(s, s)) for s in signs]
-        diag = inspect_blocks(states, True, self.HEIGHTS[d]).finish(np.zeros(len(states)))
+        diag = inspect_blocks(states, True)
         assert self.bits(diag) == self.bits(reference_diagnostics(states, True))
 
     @staticmethod
@@ -897,8 +915,8 @@ class TestGuardOracle:
     @pytest.mark.parametrize("d, steps", [(d, n) for d, h in HEIGHTS.items() if d > 2
                                           for n in (h - 2, h - 1, h, 2 * h + 3) if n >= 1])
     def test_run_diagnostics_equal_oracle_bits(self, model, d, steps, deep):
-        # A run inspects steps + 1 states: the counts end a block one short, on it,
-        # one past it, and past two blocks. Dim 2 cannot run: its top two levels are all.
+        # A run stacks steps + 1 states, step 0 first: the counts end a stack one short,
+        # on it, one past it, and past two stacks. Dim 2 cannot run: its top two levels are all.
         # The guards check the states the kernels step, in the co-rotating frame.
         cfg = self.config(model, d, steps)
         both = run_compare(cfg, per_step_distance=False, deep_checks=deep)
@@ -977,8 +995,8 @@ class TestNonFiniteStop:
         rho = initial_state(cfg)
         bad = rho.copy()
         bad[0, 5] = np.inf
-        # Each lane has folded its step 0; steps 3 and 4 are checked as they are taken.
-        lanes = {deep: engines._Lane(cfg, "hidden", deep, set(), 3) for deep in (False, True)}
+        # Each lane has taken its step 0; steps 3 and 4 are checked as they are taken.
+        lanes = {deep: engines._Lane(cfg, "hidden", deep, set()) for deep in (False, True)}
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh was called"))
         messages = {}
         for deep, lane in lanes.items():
@@ -1014,10 +1032,11 @@ def lab_states(cfg, states):
 
 
 class TestBlockChecks:
-    """The lockstep folds and records a block of steps at a time, with each step's bits."""
+    """The lockstep's buffers fold and record a stack of steps at a time, with each step's bits."""
 
-    # Steps per block when a lane holds whole states (a deep hidden lane, or per-step
-    # distances): the deep guard's height. Otherwise 64, the recorder's chunk.
+    # States per stack when a lane holds whole states (a deep hidden lane, or per-step
+    # distances): the deep guard's height. Otherwise 64, the recorder's chunk. Step 0
+    # is the first state of each lane's first stack, so steps h - 1 fill one.
     DEEP_HEIGHTS = {4: 64, 12: 56, 32: 8, 64: 2, 65: 1}
     CALLS = ["run hidden", "run standard", "compare every step", "compare last step"]
 
@@ -1047,7 +1066,7 @@ class TestBlockChecks:
     def test_runs_equal_reference_bits(self, d, call, deep):
         whole = deep and call != "run standard" or call == "compare every step"
         h = self.DEEP_HEIGHTS[d] if whole else 64
-        for steps in sorted({max(1, h - 1), h, h + 1, 2 * h + 1}):
+        for steps in sorted({max(1, h - 2), max(1, h - 1), h, h + 1, 2 * h - 1, 2 * h + 1}):
             cfg = self.config(d, steps)
             states = {engine: stepped_states(cfg, engine) for engine in ("hidden", "standard")}
             labs = {engine: lab_states(cfg, states[engine]) for engine in states}
@@ -1246,6 +1265,48 @@ class TestConfigBoundary:
         SimConfig(**{**self.BASE, "steps": most}).validate()
         with pytest.raises(ConfigValidationError, match=f"steps: {most + 1} steps need"):
             SimConfig(**{**self.BASE, "steps": most + 1}).validate()
+
+    # validate() alone: no run is made, so nothing near the cap is allocated.
+    def test_dim_cap_edge(self):
+        most = math.isqrt(engines.RUN_MAX_BYTES // (16 * engines._DIM_STATES))
+        assert most == 1264
+        SimConfig(**{**self.BASE, "dim": most}).validate()
+        nbytes = engines._DIM_STATES * 16 * (most + 1) ** 2
+        with pytest.raises(ConfigValidationError,
+                           match=f"^dim: dim {most + 1} needs {nbytes} bytes of state buffers, "
+                                 f"over the 1073741824-byte limit$"):
+            SimConfig(**{**self.BASE, "dim": most + 1})
+
+    # A deep rotating run_compare with every distance holds the most d x d buffers a
+    # dim allows, besides snapshots; from dim 65 the guard and distance stacks hold
+    # one state each.
+    @pytest.mark.parametrize("d", [65, 96, 128])
+    def test_dim_states_cover_a_deep_compare(self, d):
+        cfg = SimConfig(model="linear", omega=1.3, dt=1e-3, steps=8, dim=d, schedule="rotating",
+                        initial="coherent", gamma0=1.0 + 0.5j)
+        run_compare(cfg, deep_checks=True)  # first-call caches stay out of the peak
+        peak = traced_peak(run_compare, cfg, deep_checks=True)[1]
+        assert peak <= engines._DIM_STATES * 16 * d * d
+
+    # Each snapshot is one more lab-frame state: a set over the cap is rejected before
+    # any lane is built, and the largest set is let through.
+    def test_snapshot_cap_checked_before_any_lane(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def lane(*args):
+            raise Built
+
+        monkeypatch.setattr(engines, "_Lane", lane)
+        most = engines.RUN_MAX_BYTES // (16 * 1000 ** 2)
+        cfg = SimConfig(**{**self.BASE, "dim": 1000, "steps": most})
+        with pytest.raises(Built):
+            run(cfg, snapshot_steps=range(most))
+        with pytest.raises(ConfigValidationError,
+                           match=f"^steps: {most + 1} snapshots at dim 1000 need "
+                                 f"{(most + 1) * 16 * 1000 ** 2} bytes, "
+                                 f"over the 1073741824-byte limit$"):
+            run(cfg, snapshot_steps=range(most + 1))
 
     # A rotating run_compare keeps the most per step: two rows, a prep made for
     # the step and a distance. A float eta is made complex once for the schedule.

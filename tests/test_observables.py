@@ -11,6 +11,7 @@ from hlq import observables
 from hlq.fockcore import coherent_vector
 from hlq.observables import (
     HUSIMI_MAX_BYTES,
+    HusimiGrid,
     TrajectoryRecorder,
     fidelity_coherent,
     ground_population,
@@ -23,8 +24,8 @@ from hlq.observables import (
     trace_distance,
     trajectory_point,
 )
-from reference import (annihilation_matrix, reference_amplitudes, reference_husimi,
-                       reference_records, traced_peak)
+from reference import (annihilation_matrix, reference_amplitudes, reference_diagnostics,
+                       reference_husimi, reference_records, traced_peak)
 
 
 def vacuum(d=32):
@@ -206,6 +207,18 @@ class TestRecorderOracle:
         expected.purity = [purity(rho) for rho in frames.values()]
         assert recorder.records.tobytes() == expected.tobytes()
         assert not np.array_equal(labs[9], frames[9]) or d == 1
+
+    # The trace drift is folded from the rows as each chunk is reduced, with each
+    # state's rho.trace() bits.
+    @pytest.mark.parametrize("d", [2, 3, 12, 32])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None])
+    def test_trace_drift_equals_oracle(self, d, extra):
+        rows = 3 * self.CHUNK + 5 if extra is None else self.CHUNK + extra
+        states = self.states(d, rows, seed=120 + d)
+        recorder = self.recorded(states, rows - 1)
+        recorder.records
+        drift = reference_diagnostics(list(states.values()), False).max_trace_drift
+        assert recorder.max_trace_drift.hex() == drift.hex()
 
     # The pending buffer is a fixed _CHUNK rows of 3d - 3 diagonal entries.
     def test_buffer_does_not_grow_with_steps(self):
@@ -544,6 +557,49 @@ class TestMalformedState:
     def test_rejected(self, func, shape):
         with pytest.raises(InvalidDimensionError, match="square 2-D array"):
             func(np.zeros(shape, dtype=complex))
+
+
+class TestNonNumericState:
+    """Every state-taking entry point rejects entries that are not numbers, and a ragged
+    sequence, with a package error. Each used to raise a bare TypeError or ValueError,
+    or, for a datetime state, to return a number."""
+
+    BAD = {"str": np.array([["1", "0"], ["0", "0"]]),
+           "object": np.array([[1.0, 0.0], [0.0, 0.0]], dtype=object),
+           "datetime": np.zeros((2, 2), dtype="datetime64[s]")}
+    RAGGED = [[1.0, 0.0], [0.0]]
+    CALLS = {
+        "ground_population": lambda rho: ground_population(rho),
+        "mean_photon": lambda rho: mean_photon(rho),
+        "trajectory_point": lambda rho: trajectory_point(rho),
+        "quadrature_variances": lambda rho: quadrature_variances(rho),
+        "fidelity_coherent": lambda rho: fidelity_coherent(rho, 0.3),
+        "trace_distance a": lambda rho: trace_distance(rho, vacuum(2)),
+        "trace_distance b": lambda rho: trace_distance(vacuum(2), rho),
+        "husimi_grid": lambda rho: husimi_grid(rho, 2.0, 5),
+        "husimi_grids": lambda rho: husimi_grids([vacuum(2), rho], 2.0, 5),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected(self, call):
+        name = call.split()[1] if " " in call else "rho"
+        for kind, rho in self.BAD.items():
+            with pytest.raises(ConfigValidationError,
+                               match=rf"^{name}: must be an array of numbers, got dtype "):
+                self.CALLS[call](rho)
+        with pytest.raises(InvalidDimensionError,
+                           match=r"^state must be a square 2-D array, got a ragged sequence$"):
+            self.CALLS[call](self.RAGGED)
+
+    # Nested lists of numbers are states too, and give the array's values.
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_number_lists_accepted(self, call):
+        def values(result):
+            grids = result if isinstance(result, list) else [result]
+            return [g.values.tobytes() if isinstance(g, HusimiGrid) else g for g in grids]
+
+        rho = coherent_density(0.3, 2)
+        assert values(self.CALLS[call](rho.tolist())) == values(self.CALLS[call](rho))
 
 
 class TestNonFiniteState:
