@@ -656,7 +656,7 @@ class TestNonFiniteState:
 
 class TestStridedTraceSum:
     """``rows[:n, :d].sum(axis=1)`` over the recorder's strided (n, 3d - 3) rows equals each
-    state's ``rho.trace()`` bit for bit; the guard still sums a contiguous copy."""
+    state's ``rho.trace()`` bit for bit, which the recorder's trace drift rests on."""
 
     @pytest.mark.parametrize("n", [1, 2, 8, 56, 64])
     @pytest.mark.parametrize("d", [2, 3, 5, 12, 17, 33, 64, 65])
