@@ -12,9 +12,10 @@ With ``engine = both``, ``run`` and each ``sweep`` value step the two engines
 together in one lockstep run and write ``timeseries_<engine>.csv`` and
 ``final_state_<engine>.csv`` per engine; a failure names the earliest step at
 which either engine fails. That run steps and checks the engines as
-``compare``'s does, with one difference: its hidden lane's guard runs deep
-checks, and ``compare``'s runs shallow. The standard lane's guard is shallow
-in both, since psi psi^dag passes the deep checks by construction. ``husimi``
+``compare``'s does, with one difference: its hidden lane runs deep checks,
+and ``compare``'s does not. The standard lane has no guard in either and runs
+only the per-step checks, since psi psi^dag passes the deep checks by
+construction. ``husimi``
 snapshots the hidden engine when ``engine = both``. ``converge`` writes the
 distances of ``engines.converge`` and each ratio of successive ones as the
 IEEE quotient: ``nan`` for 0/0, where the engines agree exactly, ``inf``
@@ -29,10 +30,11 @@ them, by one exact vectorised formatter that leaves to ``%`` only the cells
 it cannot place (``_format_cells``); identical config and schedule give
 byte-identical files.
 
-Exit status: 0 success, 1 config/validation problem (a Husimi window too
-wide or too large for ``dim`` and a run over the run-size cap included) or
-out of memory, 2 numerical failure (truncation overflow, non-finite state),
-3 I/O failure.
+Exit status: 0 success (``--help`` and ``--version`` included), 1
+command-line usage, config or validation problem (a Husimi window too wide or
+too large for ``dim`` and a run over the run-size budget included) or out of
+memory, 2 numerical failure (truncation overflow, non-finite state), 3 I/O
+failure.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment. Keys:
 
@@ -578,8 +580,16 @@ def cmd_sweep(args) -> int:
     return max(statuses)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigValidationError, so it exits 1 like any other bad input;
+    the subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hlq",
         description="Truncated-Fock-space simulator for driven oscillator modes.",
     )
@@ -621,8 +631,8 @@ def _exit_status(exc: HlqError | OSError | MemoryError) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # A step that overflows is stopped by the guard with a NonFiniteStateError;
         # numpy's own warnings about it would only print ahead of that one line.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -89,7 +89,7 @@ Driver
 ``run`` and ``run_compare`` are thin wrappers over one lockstep driver. A
 ``SimConfig`` is checked when it is made, so the driver checks only what the
 caller passes beside it: an explicit schedule, each of its preps, and the
-snapshot steps, whose lab-frame copies must fit the run-size limit. A
+snapshot steps, whose lab-frame copies count toward the run-size budget. A
 schedule the driver makes from the config is not re-checked: the generators
 make only valid preps. The driver builds one lane (kernel, trajectory
 recorder and, for a deep hidden lane, guard) per engine from the same initial
@@ -158,32 +158,22 @@ OUTPUTS = ("timeseries", "final")
 
 TRUNCATION_LIMIT = 1e-6
 
-# Largest memory a run may ask for before its first step, in bytes, counted
-# twice, and a run is rejected if either count is over it.
+# Largest memory a run may ask for before its first step, in bytes: the sum of
+# three parts, checked once by _check_run_size.
 #
-# Steps, at _STEP_BYTES per step: two lanes' 72-byte trajectory rows, one
-# rotating-schedule prep (the largest schedule item; 97.2 bytes traced with
-# its list slot on CPython 3.10 to 3.13, counted as 100) and one trace
-# distance, which every two-lane run keeps (a float and its list slot, 32.6
-# bytes, counted as 36). A rotating run_compare at dim 8 traces 274-275 bytes
-# a step: the peak difference of 2,000- and 6,000-step runs on CPython 3.11.
-#
-# Dim, at _DIM_STATES d x d complex states. None of these buffers grows with
-# steps. Each kernel holds the factors and work buffers of one step: the
-# hidden kernel thirteen d x d complex buffers, the standard one five (psi
-# psi^dag in three, and H W and W^dag H), 832 and 320 KiB at dim 64. Each
-# recorder's pending buffer is a fixed 64 x (3 dim - 3) x 16 bytes. A deep
-# hidden lane's guard holds a stack of states, their conjugate transposes and
-# their Hermitian parts (three complex stacks of at most _EIG_BLOCK_BYTES, or
-# of one state where a single state is larger) and the moduli of rho - rho^dag
-# (one real stack, half that); the standard lane has no guard. A two-lane run
-# holds the differences of its lanes' states and their conjugate transposes,
-# two more such stacks, or one state each when only the last distance is
-# taken. The final state is one new d x d array. A deep rotating run_compare
-# with every distance, the most a dim allows, traced a peak of 40.2 / 35.1 /
-# 32.4 / 30.8 such states over 8 steps at dims 65 / 96 / 128 / 160 on CPython
-# 3.11, so the largest dim is 1264. Each snapshot, taken to the lab frame, is
-# one more d x d array: the driver checks them against the limit too.
+# - Steps, at _STEP_BYTES each: two lanes' 72-byte trajectory rows, one
+#   rotating-schedule prep (the largest schedule item; 97.2 bytes traced with
+#   its list slot on CPython 3.10 to 3.13, counted as 100) and one trace
+#   distance (a float and its list slot, 32.6 bytes, counted as 36). A rotating
+#   run_compare at dim 8 traces 274-275 bytes a step: the peak difference of
+#   2,000- and 6,000-step runs on CPython 3.11.
+# - Dim, at _DIM_STATES d x d complex states that do not grow with steps: the
+#   kernels' factors and work buffers, the recorders' pending rows, a deep
+#   hidden lane's guard stacks, the trace-distance stacks and the final state.
+#   A deep rotating run_compare with every distance, the most a dim holds,
+#   traced a peak of 40.2 / 35.1 / 32.4 / 30.8 such states over 8 steps at
+#   dims 65 / 96 / 128 / 160 on CPython 3.11.
+# - Snapshots, one d x d complex lab-frame state each.
 RUN_MAX_BYTES = 1 << 30
 _STEP_BYTES = 2 * 72 + 100 + 36
 _DIM_STATES = 42
@@ -194,6 +184,17 @@ _DIM_STATES = 42
 # fixed 16-state stack (1 MiB at dim 64) leaves L2 and was slower there than
 # one state per call.
 _EIG_BLOCK_BYTES = 128 * 1024
+
+
+def _check_run_size(steps: int, dim: int, snapshots: int) -> None:
+    """Raise ConfigValidationError when the three parts of a run's size sum past RUN_MAX_BYTES."""
+    state = 16 * int(dim) ** 2  # Python integers: a numpy one could wrap
+    parts = int(steps) * _STEP_BYTES, _DIM_STATES * state, snapshots * state
+    if sum(parts) > RUN_MAX_BYTES:
+        raise ConfigValidationError(
+            f"run size: {steps} steps ({parts[0]} bytes) + dim {dim} ({parts[1]} bytes) "
+            f"+ {snapshots} snapshots ({parts[2]} bytes) = {sum(parts)} bytes, "
+            f"over the {RUN_MAX_BYTES}-byte limit")
 
 
 def phase_multiplicity(model: str, convention: str) -> int:
@@ -266,18 +267,7 @@ class SimConfig:
                 f"dt: steps * dt or k * omega * steps * dt overflows "
                 f"(steps {self.steps!r}, dt {self.dt!r}, k {k}, omega {self.omega!r})"
             )
-        nbytes = int(self.steps) * _STEP_BYTES
-        if nbytes > RUN_MAX_BYTES:
-            raise ConfigValidationError(
-                f"steps: {self.steps!r} steps need {nbytes} bytes of records and schedule, "
-                f"over the {RUN_MAX_BYTES}-byte limit"
-            )
-        nbytes = _DIM_STATES * 16 * int(self.dim) ** 2
-        if nbytes > RUN_MAX_BYTES:
-            raise ConfigValidationError(
-                f"dim: dim {self.dim!r} needs {nbytes} bytes of state buffers, "
-                f"over the {RUN_MAX_BYTES}-byte limit"
-            )
+        _check_run_size(self.steps, self.dim, 0)
         _schedules.check_zeta_abs(self.zeta_abs, ConfigValidationError)
         check_number("eta", self.eta, ConfigValidationError)
         check_number("gamma0", self.gamma0, ConfigValidationError, squared=True)
@@ -737,10 +727,6 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
     states after every step (row 0 is 0.0; nan except after the last step
     when ``per_step_distance`` is off).
     """
-    if "both" in engines:
-        raise ConfigValidationError(
-            "engine: run() drives a single engine; use run_compare for 'both'"
-        )
     if schedule is None:  # the generators make only valid preps, so these are not re-checked
         schedule = make_schedule(config)
     elif not isinstance(schedule, Sequence):  # steps index it, so a set or an iterator won't do
@@ -769,12 +755,7 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
     bad = sorted(s for s in wanted if s not in range(config.steps + 1))
     if bad:
         raise ConfigValidationError(f"steps: snapshot(s) {bad} outside [0, {config.steps}]")
-    nbytes = len(wanted) * 16 * config.dim ** 2
-    if nbytes > RUN_MAX_BYTES:
-        raise ConfigValidationError(
-            f"steps: {len(wanted)} snapshots at dim {config.dim} need {nbytes} bytes, "
-            f"over the {RUN_MAX_BYTES}-byte limit"
-        )
+    _check_run_size(config.steps, config.dim, len(wanted))
     lanes = [_Lane(config, engine, deep_checks, wanted) for engine in engines]
     distances = _Distances(config.dim, per_step_distance, config.steps) if len(lanes) == 2 else None
     for j, prep in enumerate(schedule, start=1):
@@ -799,10 +780,14 @@ def run(
     the final density matrix, worst-case diagnostics, and copies of the
     state at the requested snapshot steps (each in [0, steps]). Raises
     truncation-overflow once the top two Fock levels together reach 1e-6.
-    ``deep_checks`` deepens the hidden engine's guard; the standard engine's
-    guard is shallow either way, and reports a Hermiticity defect and lowest
-    eigenvalue of 0.0.
+    ``deep_checks`` adds the hidden engine's guard; the standard engine has
+    none either way, runs only the per-step checks, and reports a Hermiticity
+    defect and lowest eigenvalue of 0.0.
     """
+    if config.engine == "both":
+        raise ConfigValidationError(
+            "engine: run() drives a single engine; use run_compare for 'both'"
+        )
     (lane,), _ = _lockstep(config, schedule, (config.engine,), deep_checks, snapshot_steps)
     return lane.result()
 
@@ -816,7 +801,7 @@ def run_compare(
 ) -> CompareResult:
     """Run the hidden and standard engines in lockstep over one schedule.
 
-    ``deep_checks`` deepens the hidden lane's guard only, as in ``run``.
+    ``deep_checks`` adds the hidden lane's guard only, as in ``run``.
     """
     lanes, distances = _lockstep(config, schedule, ("hidden", "standard"), deep_checks,
                                  per_step_distance=per_step_distance)
@@ -830,12 +815,12 @@ def converge(config: SimConfig, halvings: int) -> list[float]:
     run at dt / 2**i and steps * 2**i, for i = 0..halvings, over the same interval.
 
     ``halvings`` is an integer >= 2. The finest config is made first, so the
-    run-size cap rejects an over-long ladder before any run. Each run is
-    ``run_compare``'s with shallow guards and only the last distance taken.
+    run-size budget rejects an over-long ladder before any run. Each run is
+    ``run_compare``'s without deep checks and with only the last distance taken.
     """
     check_integer("halvings", halvings, 2, ConfigValidationError)
     # Each halving doubles the steps: past RUN_MAX_BYTES.bit_length() halvings
-    # every config is over the run-size cap, and 2**halvings is not formed.
+    # every config is over the run-size budget, and 2**halvings is not formed.
     if halvings > RUN_MAX_BYTES.bit_length():
         raise ConfigValidationError(
             f"halvings: steps * 2**{halvings} steps are over the run-size limit")

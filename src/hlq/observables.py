@@ -316,9 +316,10 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     d = _check_state(a, "a")
     if _check_state(b, "b") != d:
         raise InvalidDimensionError(f"shape mismatch {(d, d)} vs {np.shape(b)}")
+    # Boolean and integer states are cast first: numpy subtracts no booleans, and their
+    # Hermitian parts are not integers.
+    a, b = (x if x.dtype.kind in "fc" else x.astype(float) for x in map(np.asarray, (a, b)))
     diff = np.subtract(a, b)[None]
-    if diff.dtype.kind not in "fc":  # integer states: their Hermitian parts are not
-        diff = diff.astype(float)
     return float(_trace_distances(diff, np.empty_like(diff))[0])
 
 

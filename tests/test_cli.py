@@ -294,19 +294,44 @@ class TestExitCodes:
         cfg = write(tmp_path, text)
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
 
-    # Only the requested size is computed: no test allocates a run near the cap.
-    @pytest.mark.parametrize("steps, nbytes", [
-        ("99999999999999999999999", "27999999999999999999999720"),
-        ("10000000000", "2800000000000"),
+    # Only the requested size is computed: no test allocates a run near the budget.
+    # TINY's dim 32 adds 42 states of 16,384 bytes to the steps' 280 bytes each.
+    @pytest.mark.parametrize("steps, nbytes, total", [
+        ("99999999999999999999999", "27999999999999999999999720", "28000000000000000000687848"),
+        ("10000000000", "2800000000000", "2800000688128"),
     ])
-    def test_run_over_size_cap_is_1_before_allocating(self, tmp_path, capsys, steps, nbytes):
+    def test_run_over_size_cap_is_1_before_allocating(self, tmp_path, capsys, steps, nbytes,
+                                                       total):
         cfg = write(tmp_path, TINY.replace("steps = 40", f"steps = {steps}"))
         code, peak = traced_peak(main, ["run", cfg, "--out-dir", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: steps: {steps} steps need {nbytes} bytes of records and schedule, "
-            f"over the 1073741824-byte limit\n")
+            f"error: run size: {steps} steps ({nbytes} bytes) + dim 32 (688128 bytes) "
+            f"+ 0 snapshots (0 bytes) = {total} bytes, over the 1073741824-byte limit\n")
         assert peak < 1_000_000
+
+    # argparse's own exit for bad usage is 2, the code of a numerical failure.
+    @pytest.mark.parametrize("argv, message", [
+        (["converge", "CFG", "--halvings", "x"], "argument --halvings: invalid int value: 'x'"),
+        (["husimi", "CFG", "--grid", "2.5"], "argument --grid: invalid int value: '2.5'"),
+        (["sweep", "CFG"], "the following arguments are required: --param, --values"),
+        (["frobnicate", "CFG"], "argument command: invalid choice: 'frobnicate' "),
+    ])
+    def test_usage_error_is_1(self, tmp_path, capsys, argv, message):
+        cfg = write(tmp_path, TINY)
+        out = tmp_path / "o"
+        argv = [cfg if a == "CFG" else a for a in argv] + ["--out-dir", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["husimi", "--help"]])
+    def test_help_and_version_are_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("key, value", [
         ("omega", "nan"), ("omega", "1e400"), ("dt", "inf"), ("steps", "1e3"),
@@ -531,7 +556,8 @@ class TestConvergeCommand:
 
     # 40 * 2**17 steps fit no run; 2**5000 is past the float range of dt / 2**halvings.
     @pytest.mark.parametrize("halvings, message", [
-        ("17", "error: steps: 5242880 steps need 1468006400 bytes"),
+        ("17", "error: run size: 5242880 steps (1468006400 bytes) + dim 32 (688128 bytes) "
+               "+ 0 snapshots (0 bytes) = 1468694528 bytes, over the 1073741824-byte limit"),
         ("5000", "error: halvings: steps * 2**5000 steps are over the run-size limit"),
     ])
     def test_finest_halving_checked_before_the_first_run(self, tmp_path, capsys, monkeypatch,

@@ -41,7 +41,7 @@ from hlq.observables import (
     trace_distance,
     trajectory_point,
 )
-from hlq.oracles import ground_state_probability
+from hlq.oracles import ground_state_law, ground_state_probability
 from hlq.schedules import AtomPrep, alternating_schedule, uniform_schedule
 from reference import (
     annihilation_matrix,
@@ -1259,23 +1259,51 @@ class TestConfigBoundary:
         for gamma0 in (BELOW_EDGE, complex(0.0, -BELOW_EDGE)):
             SimConfig(**self.BASE, initial="coherent", gamma0=gamma0)
 
-    # validate() alone: no run is made, so nothing near the cap is allocated.
+    @staticmethod
+    def over_budget(steps: int, dim: int, snapshots: int) -> str:
+        """The whole message of a run over the budget: 280 bytes a step, 42 states
+        of dim and one state a snapshot."""
+        parts = (steps * 280, 42 * 16 * dim * dim, snapshots * 16 * dim * dim)
+        return re.escape(f"run size: {steps} steps ({parts[0]} bytes) + dim {dim} ({parts[1]} "
+                         f"bytes) + {snapshots} snapshots ({parts[2]} bytes) = {sum(parts)} "
+                         f"bytes, over the 1073741824-byte limit") + "$"
+
+    # validate() alone: no run is made, so nothing near the budget is allocated.
     def test_run_size_cap_edge(self):
-        most = engines.RUN_MAX_BYTES // 280
+        # At dim 32 the steps take what the dim's 688,128 bytes leave of the budget.
+        most = (engines.RUN_MAX_BYTES - 42 * 16 * 32 ** 2) // 280
+        assert most == 3_832_334
         SimConfig(**{**self.BASE, "steps": most}).validate()
-        with pytest.raises(ConfigValidationError, match=f"steps: {most + 1} steps need"):
+        with pytest.raises(ConfigValidationError, match=self.over_budget(most + 1, 32, 0)):
             SimConfig(**{**self.BASE, "steps": most + 1}).validate()
 
-    # validate() alone: no run is made, so nothing near the cap is allocated.
+    # validate() alone: no run is made, so nothing near the budget is allocated.
     def test_dim_cap_edge(self):
         most = math.isqrt(engines.RUN_MAX_BYTES // (16 * engines._DIM_STATES))
         assert most == 1264
-        SimConfig(**{**self.BASE, "dim": most}).validate()
-        nbytes = engines._DIM_STATES * 16 * (most + 1) ** 2
-        with pytest.raises(ConfigValidationError,
-                           match=f"^dim: dim {most + 1} needs {nbytes} bytes of state buffers, "
-                                 f"over the 1073741824-byte limit$"):
-            SimConfig(**{**self.BASE, "dim": most + 1})
+        # 90,112 bytes are left over at dim 1264: 321 steps of 280.
+        steps = (engines.RUN_MAX_BYTES - 42 * 16 * most ** 2) // 280
+        assert steps == 321
+        SimConfig(**{**self.BASE, "dim": most, "steps": steps}).validate()
+        for dim, steps in [(most, steps + 1), (most + 1, 1)]:
+            with pytest.raises(ConfigValidationError, match=self.over_budget(steps, dim, 0)):
+                SimConfig(**{**self.BASE, "dim": dim, "steps": steps})
+
+    # Steps, dim and snapshots are one sum: 3,834,776 steps at dim 2 with 29 snapshots
+    # is the budget to the byte, and a budget one byte smaller rejects it.
+    def test_budget_is_one_sum_to_the_byte(self, monkeypatch):
+        steps, dim, snapshots = 3_834_776, 2, 29
+        assert steps * 280 + (42 + snapshots) * 16 * dim ** 2 == engines.RUN_MAX_BYTES
+        engines._check_run_size(steps, dim, snapshots)
+        monkeypatch.setattr(engines, "RUN_MAX_BYTES", engines.RUN_MAX_BYTES - 1)
+        with pytest.raises(ConfigValidationError, match=rf"= 1073741824 bytes, over the "
+                                                        rf"1073741823-byte limit$"):
+            engines._check_run_size(steps, dim, snapshots)
+
+    # Each part is under the limit on its own, their sum is not.
+    def test_parts_over_the_limit_together(self):
+        with pytest.raises(ConfigValidationError, match=self.over_budget(2_000_000, 1000, 0)):
+            SimConfig(model="linear", omega=1.0, dt=0.01, steps=2_000_000, dim=1000)
 
     # A deep rotating run_compare with every distance holds the most d x d buffers a
     # dim allows, besides snapshots; from dim 65 the guard and distance stacks hold
@@ -1288,8 +1316,20 @@ class TestConfigBoundary:
         peak = traced_peak(run_compare, cfg, deep_checks=True)[1]
         assert peak <= engines._DIM_STATES * 16 * d * d
 
-    # Each snapshot is one more lab-frame state: a set over the cap is rejected before
-    # any lane is built, and the largest set is let through.
+    # A deep run that snapshots every step holds its dim's states and one lab-frame
+    # state a snapshot: its peak is under the budget's sum for it.
+    @pytest.mark.parametrize("d", [65, 96])
+    def test_budget_covers_a_deep_run_with_snapshots(self, d):
+        cfg = SimConfig(model="linear", omega=1.3, dt=1e-3, steps=8, dim=d, schedule="rotating",
+                        initial="coherent", gamma0=1.0 + 0.5j)
+        snapshots = range(cfg.steps + 1)
+        run(cfg, snapshot_steps=snapshots)  # first-call caches stay out of the peak
+        peak = traced_peak(run, cfg, snapshot_steps=snapshots)[1]
+        assert peak <= (cfg.steps * engines._STEP_BYTES
+                        + (engines._DIM_STATES + len(snapshots)) * 16 * d * d)
+
+    # Each snapshot is one more lab-frame state: a set over the budget is rejected
+    # before any lane is built, and the largest set is let through.
     def test_snapshot_cap_checked_before_any_lane(self, monkeypatch):
         class Built(Exception):
             pass
@@ -1298,14 +1338,15 @@ class TestConfigBoundary:
             raise Built
 
         monkeypatch.setattr(engines, "_Lane", lane)
-        most = engines.RUN_MAX_BYTES // (16 * 1000 ** 2)
-        cfg = SimConfig(**{**self.BASE, "dim": 1000, "steps": most})
+        # 25 steps at dim 1000 leave 401,734,824 bytes: 25 states of 16,000,000.
+        steps = 25
+        most = (engines.RUN_MAX_BYTES - steps * 280 - 42 * 16 * 1000 ** 2) // (16 * 1000 ** 2)
+        assert most == 25
+        cfg = SimConfig(**{**self.BASE, "dim": 1000, "steps": steps})
         with pytest.raises(Built):
             run(cfg, snapshot_steps=range(most))
         with pytest.raises(ConfigValidationError,
-                           match=f"^steps: {most + 1} snapshots at dim 1000 need "
-                                 f"{(most + 1) * 16 * 1000 ** 2} bytes, "
-                                 f"over the 1073741824-byte limit$"):
+                           match="^" + self.over_budget(steps, 1000, most + 1)):
             run(cfg, snapshot_steps=range(most + 1))
 
     # A rotating run_compare keeps the most per step: two rows, a prep made for
@@ -1515,6 +1556,41 @@ class TestEngineAgreement:
         assert len(res.trace_distances) == 101
         assert res.trace_distances[0] == 0.0
         assert max(res.trace_distances) <= 0.02
+
+
+class TestOrderAgainstExactLaw:
+    """Each engine's order in dt, from its largest p00 gap to the linear model's exact law
+    over T = 4 (omega 1.3, |zeta| 1/2, dim 32): a gap that falls 4x per halving is
+    second order, 2x first order."""
+
+    LAW = ground_state_law(0.5, 1.3)
+
+    @staticmethod
+    def p00(engine: str, steps: int) -> np.ndarray:
+        cfg = SimConfig(model="linear", omega=1.3, dt=4.0 / steps, steps=steps, engine=engine)
+        return run(cfg, deep_checks=False).records.p00
+
+    @classmethod
+    def gap(cls, p00: np.ndarray) -> float:
+        law = np.array([cls.LAW(4.0 * j / (p00.size - 1)) for j in range(p00.size)])
+        return float(np.abs(p00 - law).max())
+
+    @staticmethod
+    def ratios(gaps: list[float]) -> list[float]:
+        return [a / b for a, b in zip(gaps, gaps[1:])]
+
+    def test_standard_engine_is_second_order(self):
+        gaps = [self.gap(self.p00("standard", n)) for n in (125, 250, 500, 1000)]
+        assert all(3.5 <= r <= 4.5 for r in self.ratios(gaps)), gaps
+
+    def test_hidden_engine_is_first_order_and_its_extrapolation_second(self):
+        series = [self.p00("hidden", n) for n in (500, 1000, 2000, 4000)]
+        gaps = [self.gap(p) for p in series]
+        assert all(1.8 <= r <= 2.2 for r in self.ratios(gaps)), gaps
+        # Richardson: 2 X(dt / 2) - X(dt) on the coarse run's rows cancels the O(dt) term.
+        extrapolated = [self.gap(2.0 * fine[::2] - coarse)
+                        for coarse, fine in zip(series, series[1:])]
+        assert all(3.5 <= r <= 4.5 for r in self.ratios(extrapolated)), extrapolated
 
 
 class TestLockstepDriver:

@@ -277,6 +277,13 @@ class TestTraceDistance:
     def test_integer_states(self):
         assert trace_distance(np.diag([1, 0, 0]), np.diag([0, 1, 0])) == 1.0
 
+    # Cast before the subtraction: numpy subtracts no booleans, and uint8 would wrap.
+    @pytest.mark.parametrize("dtype", [bool, np.uint8])
+    def test_boolean_and_unsigned_states(self, dtype):
+        a, b = np.diag([1, 0, 0]).astype(dtype), np.diag([0, 1, 0]).astype(dtype)
+        assert trace_distance(a, a) == 0.0
+        assert trace_distance(a, b) == trace_distance(b, a) == 1.0
+
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
