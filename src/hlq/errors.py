@@ -20,8 +20,9 @@ raises, and raises it with one message form, ``<name>: must be ..., got
 
 A number or an integer is an instance of ``numbers.Complex``,
 ``numbers.Real`` or ``numbers.Integral``, so numpy scalars pass and strings,
-None and arrays do not. A value that fails any part of a rule gets that
-rule's one message, whether it is of the wrong type or out of range.
+None and arrays do not; a ``bool`` is no integer (``steps=True`` is
+refused). A value that fails any part of a rule gets that rule's one
+message, whether it is of the wrong type or out of range.
 """
 
 import math
@@ -107,8 +108,8 @@ def check_number(name: str, value, error, *, real=False, positive=False, squared
 
 
 def check_integer(name: str, value, least: int, error) -> None:
-    """Raise error(message) unless value is an integer >= least."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    """Raise error(message) unless value is an integer >= least and not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
         raise error(f"{name}: must be an integer >= {least}, got {value!r}")
 
 

@@ -3,26 +3,26 @@
 All functions take a dense d x d density matrix; the one-state functions
 reject a ragged sequence or any other shape with ``InvalidDimensionError``,
 and a state whose entries are not numbers or not finite with
-``ConfigValidationError`` (the recorder and ``purity``, which run every step,
-do not check). The quadratures are
-X = (b + b^dag)/2 and Y = (b - b^dag)/(2i), so the vacuum has
-var X = var Y = 1/4. Expectation values of b^dag b, b and b^2 are sums over
-the diagonals 0, -1 and -2 of rho, weighted by arange(d) and by the
-``linear`` and ``two-boson`` bands of ``fockcore.model_band``;
-``_Diagonals`` states those positions and weights once.
+``ConfigValidationError`` (the recorder, which runs every step, does not
+check). The quadratures are X = (b + b^dag)/2 and Y = (b - b^dag)/(2i), so
+the vacuum has var X = var Y = 1/4. Expectation values of b^dag b, b and b^2
+are sums over the diagonals 0, -1 and -2 of rho, weighted by arange(d) and
+by the ``linear`` and ``two-boson`` bands of ``fockcore.model_band``.
 
-``TrajectoryRecorder`` keeps per-step recording cheap: each step appends the
-next row, copying the three diagonals into a fixed buffer of ``_CHUNK`` rows
-with one gather and taking the purity; a full chunk is reduced column-wise
-to the moments of all its states at once. Before that reduction overwrites
-them, the chunk's diagonals 0 are summed into traces, and the largest trace
-drift |Re tr - 1| + |Im tr| is kept for the run's diagnostics. A recorder
-given a frame rate records states held in the engines' co-rotating frame:
-it turns each row's diagonals -1 and -2 back to the lab frame before the
-reduction, which is ``_turned`` on those entries. Reading
-``records`` reduces the rows still pending, so every row recorded so far is
-complete whenever the table is read. The one-state functions below are the
-same reduction on one row, so a recorded row equals them bit for bit.
+``TrajectoryRecorder`` is the one reduction of a state to its scalar
+observables, and keeps it cheap per step: each step appends the next row,
+copying the three diagonals into a fixed buffer of at most ``_CHUNK`` rows
+with one gather and taking the purity; a full buffer is reduced column-wise
+to the observables of all its states at once. Before that reduction
+overwrites them, the buffer's diagonals 0 are summed into traces, and the
+largest trace drift |Re tr - 1| + |Im tr| is kept for the run's
+diagnostics. A recorder given a frame rate records states held in the
+engines' co-rotating frame: it turns each row's diagonals -1 and -2 back to
+the lab frame before the reduction, which is ``_turned`` on those entries.
+Reading ``records`` reduces the rows still pending, so every row recorded so
+far is complete whenever the table is read. A one-state function is a
+one-row record: it reads its field of the row its state records, so a
+recorded row equals the one-state functions bit for bit.
 
 ``husimi_grids`` evaluates Q of a list of states on blocks of grid rows: each
 block's coherent-amplitude table is built once, in one pass, for all the
@@ -83,113 +83,44 @@ def _check_state(rho: np.ndarray, name: str = "rho") -> int:
     return shape[0]
 
 
+def _row(rho: np.ndarray) -> np.record:
+    """The row a recorder records of one checked state, cast to complex128 (a real,
+    integer or complex64 state casts exactly): what every one-state function reads."""
+    _check_state(rho)
+    recorder = TrajectoryRecorder(0, 0.0)
+    recorder.record(np.asarray(rho, dtype=complex))
+    return recorder.records[0]
+
+
 def ground_population(rho: np.ndarray) -> float:
     """<0|rho|0>, the survival probability of the empty mode."""
-    _check_state(rho)
-    return float(np.asarray(rho)[0, 0].real)
+    return float(_row(rho).p00)
 
 
 def mean_photon(rho: np.ndarray) -> float:
     """<b^dag b>."""
-    return _moments(rho)[0]
+    return float(_row(rho).mean_n)
 
 
 def purity(rho: np.ndarray) -> float:
-    """Tr rho^2, computed as the squared Frobenius norm (rho is Hermitian)."""
+    """Tr rho^2 of the state cast to complex128, by ``_purity``."""
+    return float(_row(rho).purity)
+
+
+def _purity(rho: np.ndarray) -> float:
+    """Tr rho^2, computed as the squared Frobenius norm (rho is Hermitian); unchecked."""
     return float(np.vdot(rho, rho).real)
 
 
 def trajectory_point(rho: np.ndarray) -> complex:
     """<b>, the phase-space centroid of the state."""
-    return _moments(rho)[1]
-
-
-def _variances(mean_n: float, mean_b: complex, mean_bb: complex) -> tuple[float, float]:
-    """(var X, var Y) from the scalars <b^dag b>, <b> and <b^2>.
-
-    Kept per state, not applied to whole columns: numpy's array square and
-    Python's float ** 2 (libm pow) differ by one ulp on about one input in 1200.
-    """
-    x2 = 0.25 * (1.0 + 2.0 * mean_n + 2.0 * mean_bb.real)
-    y2 = 0.25 * (1.0 + 2.0 * mean_n - 2.0 * mean_bb.real)
-    return float(x2 - mean_b.real**2), float(y2 - mean_b.imag**2)
+    return complex(_row(rho).mean_b)
 
 
 def quadrature_variances(rho: np.ndarray) -> tuple[float, float]:
     """(var X, var Y); equals (1/4, 1/4) for the vacuum and any coherent state."""
-    return _variances(*_moments(rho))
-
-
-class _Diagonals:
-    """Flat positions and weights of the diagonals 0, -1 and -2 of a d x d matrix.
-
-    ``index`` picks the three diagonals, in that order, out of ``rho.ravel()``
-    as one row of ``index.size`` entries (3d - 3 for d >= 2). ``moments``
-    reduces a stack of up to ``rows`` such complex rows, one state per row, to
-    the columns <b^dag b>, <b> and <b^2>: each is the sum along the row of one
-    diagonal times its weights, arange(d) for the real part of diagonal 0 and
-    the ``linear`` and ``two-boson`` bands for the diagonals -1 and -2.
-
-    The weights are a full (rows, index.size) real plane, arange(d) and then
-    ones, which scales the real parts in place, and one complex row, zeros and
-    then the bands, copied into a held complex plane of the same shape, which
-    scales the whole rows in place after diagonal 0 is summed. Rows of states
-    held in the engines' co-rotating frame are first turned back to the lab
-    frame: the same plane, filled with 1 on diagonal 0 and with each row's
-    ``turns`` e^{i phi} and e^{2i phi} on the diagonals -1 and -2, multiplies
-    them, with the factors and operand order of ``_turned``. Every product is
-    then one flat run over operands of one shape and type: none casts,
-    broadcasts, buffers a strided operand or allocates a block, and the
-    plane's fills are copies that allocate nothing. The returned columns are
-    views of held buffers, valid until the next call.
-    """
-
-    def __init__(self, d: int, rows: int = 1):
-        n = np.arange(d)
-        self.index = np.concatenate([n * (d + 1), n[1:] * (d + 1) - 1, n[2:] * (d + 1) - 2])
-        self.d = d
-        self._cuts = (d, 2 * d - 1)
-        self._weights_n = np.ones((rows, self.index.size))
-        self._weights_n[:, :d] = n
-        self._weights_b = np.zeros(self.index.size, dtype=complex)
-        self._weights_b[d:2 * d - 1] = model_band("linear", d)
-        self._weights_b[2 * d - 1:] = model_band("two-boson", d)
-        self._plane = np.empty((rows, self.index.size), dtype=complex)
-        self._sums = (np.empty(rows), np.empty(rows, dtype=complex), np.empty(rows, dtype=complex))
-
-    def moments(self, rows: np.ndarray, turns: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The three columns of a contiguous complex128 stack ``rows``, which is overwritten.
-
-        ``turns``, each row's (e^{i phi}, e^{2i phi}), first turns rows held in
-        a frame back to the lab frame.
-        """
-        k, d = rows.shape[0], self.d
-        mean_n, mean_b, mean_bb = (total[:k] for total in self._sums)
-        plane = self._plane[:k]
-        if turns is not None:
-            plane[:, :d] = 1.0
-            plane[:, d:2 * d - 1] = turns[:, :1]
-            plane[:, 2 * d - 1:] = turns[:, 1:]
-            np.multiply(plane, rows, out=rows)
-        np.multiply(self._weights_n[:k], rows.real, out=rows.real)
-        np.sum(rows.real[:, :d], axis=1, out=mean_n)
-        np.copyto(plane, self._weights_b)
-        np.multiply(plane, rows, out=rows)
-        _, low1, low2 = np.split(rows, self._cuts, axis=1)
-        np.sum(low1, axis=1, out=mean_b)
-        np.sum(low2, axis=1, out=mean_bb)
-        return mean_n, mean_b, mean_bb
-
-
-def _moments(rho: np.ndarray) -> tuple[float, complex, complex]:
-    """(<b^dag b>, <b>, <b^2>) of one state: the recorder's reduction on one row."""
-    diagonals = _Diagonals(_check_state(rho))
-    # A complex128 copy, which the in-place products need; a real or complex64
-    # state's entries cast to it exactly.
-    row = np.asarray(np.ravel(rho)[diagonals.index], dtype=complex)
-    mean_n, mean_b, mean_bb = diagonals.moments(row[None])
-    return float(mean_n[0]), complex(mean_b[0]), complex(mean_bb[0])
+    row = _row(rho)
+    return float(row.var_x), float(row.var_y)
 
 
 _TRAJECTORY_DTYPE = np.dtype([
@@ -197,8 +128,8 @@ _TRAJECTORY_DTYPE = np.dtype([
     ("purity", float), ("mean_b", complex), ("var_x", float), ("var_y", float),
 ])
 
-# Rows the recorder gathers before it reduces them: its buffer is a fixed
-# _CHUNK x (3d - 3) complex entries, whatever the number of steps.
+# Most rows the recorder gathers before it reduces them: its buffer is a fixed
+# _CHUNK x (3d - 3) complex entries at most, whatever the number of steps.
 _CHUNK = 64
 
 # Offsets m - n of the diagonals -1 and -2, which the recorder turns.
@@ -231,40 +162,66 @@ class TrajectoryRecorder:
     work.
 
     ``record(rho)`` appends the next row, 0 first, and returns its purity: it
-    takes the purity of rho into that row and copies the diagonals 0, -1 and
-    -2 of rho into a pending buffer of ``_CHUNK`` rows with one gather; the
-    buffer is sized from the first state. The pending rows are always one
-    contiguous range, so a full buffer is reduced column-wise
-    (``_Diagonals.moments``, in place, after p00 is copied out) when the next
-    row comes, and its rows' step, t, p00, mean_n and mean_b are written as
-    whole column slices; var_x and var_y are taken per state from those
-    moments. Reading ``records`` first reduces the rows still pending, so
-    every row recorded so far is complete whenever the table is read.
+    takes ``_purity`` of rho into that row and copies the diagonals 0, -1 and
+    -2 of rho, in that order, into a pending buffer with one gather. The
+    buffer holds ``min(_CHUNK, steps + 1)`` rows; ``_build`` sizes it, with its
+    flat index and weights, from the first state. The pending rows are always
+    one contiguous range, so a full buffer is reduced column-wise when the
+    next row comes: p00 is copied out, each row is turned back to the lab
+    frame, and the weighted sums and the variances are written into the
+    table's column slices. Reading ``records`` first reduces the rows still
+    pending, so every row recorded so far is complete whenever the table is
+    read.
+
+    The reduction works in place on the pending rows. A held complex plane,
+    filled with 1 on diagonal 0 and with each row's turns (below) on the
+    diagonals -1 and -2, multiplies them first. A held real plane, arange(d)
+    and then ones, scales their real parts, and diagonal 0 is summed into
+    <b^dag b>. The complex plane, refilled with zeros and the ``linear`` and
+    ``two-boson`` bands, scales the rows again, and the diagonals -1 and -2
+    are summed into <b> and <b^2>. Every product is one flat run over operands
+    of one shape and type: none casts, broadcasts, buffers a strided operand
+    or allocates a block, and the plane's fills are copies. <b^dag b> and <b>
+    are summed straight into the table's column slices, and the variances
+    0.25 (1 + 2 <b^dag b> +- 2 Re<b^2>) - (Re<b>)^2 or (Im<b>)^2 are column
+    arithmetic, each square taken as x * x.
 
     ``max_trace_drift`` is the largest |Re tr - 1| + |Im tr| over the rows
     reduced so far, so over every row once ``records`` is read. Each reduction
-    first sums the chunk's diagonals 0 by one strided ``np.add.reduce``, which
+    first sums the buffer's diagonals 0 by one strided ``np.add.reduce``, which
     gives each state's ``rho.trace()`` bit for bit.
 
     The state of row j may be held in a frame turning at ``rate`` per unit
-    time and per quantum, D(t) = diag(e^{i rate t n}) at t = j dt: before the
-    reduction, ``_Diagonals.moments`` multiplies the entries of diagonals -1
-    and -2 by e^{i phi_j} and e^{2i phi_j} (phi_j = rate t), the factors and
-    operand order of ``_turned``, so a row equals the one-state functions of
-    the lab-frame state bit for bit. Diagonal 0 and the purity are the same in
-    either frame. The default rate 0 records lab-frame states.
+    time and per quantum, D(t) = diag(e^{i rate t n}) at t = j dt: the turn
+    multiplies the entries of diagonals -1 and -2 by e^{i phi_j} and
+    e^{2i phi_j} (phi_j = rate t), the factors and operand order of
+    ``_turned``, so a row equals the one-state functions of the lab-frame
+    state bit for bit. Diagonal 0 and the purity are the same in either
+    frame. The default rate 0 turns by exactly 1 + 0j and records lab-frame
+    states.
     """
 
     def __init__(self, steps: int, dt: float, rate: float = 0.0):
         self._table = np.recarray(steps + 1, dtype=_TRAJECTORY_DTYPE)
         self._columns = self._table.view(np.ndarray)  # plain field views, no recarray lookups
-        self._purity = self._columns["purity"]
+        self._purities = self._columns["purity"]
         self._dt, self._rate = dt, rate
-        self._diagonals: _Diagonals | None = None
-        self._pending: np.ndarray | None = None
-        self._done = 0  # rows reduced into the table; rows _done..._next - 1 are pending
-        self._next = 0
+        self._height = min(_CHUNK, steps + 1)
+        self._done = self._next = 0  # rows _done..._next - 1 are pending, those before reduced
         self.max_trace_drift = 0.0
+
+    def _build(self, d: int) -> None:
+        """The flat positions of the diagonals 0, -1 and -2 in ``rho.ravel()``, their
+        weights and the held pending buffer and planes, for d x d states."""
+        n = np.arange(d)
+        self._index = np.concatenate([n * (d + 1), n[1:] * (d + 1) - 1, n[2:] * (d + 1) - 2])
+        self._cuts = (d, 2 * d - 1)
+        shape = (self._height, self._index.size)
+        self._weights_n = np.ones(shape)
+        self._weights_n[:, :d] = n
+        self._weights_b = np.concatenate(
+            [np.zeros(d), model_band("linear", d), model_band("two-boson", d)], dtype=complex)
+        self._plane, self._pending = np.empty((2, *shape), dtype=complex)
 
     @property
     def records(self) -> np.recarray:
@@ -273,23 +230,22 @@ class TrajectoryRecorder:
 
     def record(self, rho: np.ndarray) -> float:
         """Append the next row and return its purity; a full pending buffer is reduced first."""
-        if self._diagonals is None:
-            self._diagonals = _Diagonals(rho.shape[0], _CHUNK)
-            self._pending = np.empty((_CHUNK, self._diagonals.index.size), dtype=complex)
-        elif self._next - self._done == _CHUNK:
+        if self._next == 0:
+            self._build(rho.shape[0])
+        elif self._next - self._done == self._height:
             self._flush()
-        p = self._purity[self._next] = purity(rho)
-        self._pending[self._next - self._done] = rho.ravel()[self._diagonals.index]
+        p = self._purities[self._next] = _purity(rho)
+        self._pending[self._next - self._done] = rho.ravel()[self._index]
         self._next += 1
         return p
 
     def _flush(self) -> None:
         if self._next == self._done:
             return
-        rows = slice(self._done, self._next)
-        pending = self._pending[:self._next - self._done]
+        k, rows, (d, low) = self._next - self._done, slice(self._done, self._next), self._cuts
+        pending, plane = self._pending[:k], self._plane[:k]
         # Diagonal 0 is read before the reduction overwrites the rows.
-        traces = np.add.reduce(pending[:, :self._diagonals.d], axis=1)
+        traces = np.add.reduce(pending[:, :d], axis=1)
         drift = float((np.abs(traces.real - 1.0) + np.abs(traces.imag)).max())
         self.max_trace_drift = max(self.max_trace_drift, drift)
         cols = self._columns
@@ -297,11 +253,20 @@ class TrajectoryRecorder:
         cols["step"][rows] = range(self._done, self._next)
         cols["t"][rows] = cols["step"][rows] * self._dt
         turns = _turns(self._rate * cols["t"][rows], _LOWER_OFFSETS)
-        mean_n, mean_b, mean_bb = self._diagonals.moments(pending, turns)
-        cols["mean_n"][rows] = mean_n
-        cols["mean_b"][rows] = mean_b
-        cols["var_x"][rows], cols["var_y"][rows] = zip(*map(
-            _variances, mean_n.tolist(), mean_b.tolist(), mean_bb.tolist()))
+        plane[:, :d] = 1.0
+        plane[:, d:low] = turns[:, :1]
+        plane[:, low:] = turns[:, 1:]
+        np.multiply(plane, pending, out=pending)
+        mean_n, mean_b = cols["mean_n"][rows], cols["mean_b"][rows]
+        np.multiply(self._weights_n[:k], pending.real, out=pending.real)
+        np.sum(pending.real[:, :d], axis=1, out=mean_n)
+        np.copyto(plane, self._weights_b)
+        np.multiply(plane, pending, out=pending)
+        np.sum(pending[:, d:low], axis=1, out=mean_b)
+        mean_bb = np.sum(pending[:, low:], axis=1)
+        spread, twice_bb = 1.0 + 2.0 * mean_n, 2.0 * mean_bb.real
+        cols["var_x"][rows] = 0.25 * (spread + twice_bb) - mean_b.real * mean_b.real
+        cols["var_y"][rows] = 0.25 * (spread - twice_bb) - mean_b.imag * mean_b.imag
         self._done = self._next
 
 
@@ -397,7 +362,8 @@ def _coherent_rows(xs: np.ndarray, ys: np.ndarray, out: np.ndarray) -> np.ndarra
     for n in range(1, out.shape[0]):
         np.multiply(out[n - 1], gamma, out=out[n])
         np.divide(out[n], np.sqrt(n), out=out[n])
-    out *= np.exp(-0.5 * np.abs(gamma) ** 2)
+    size = np.abs(gamma)
+    out *= np.exp(-0.5 * (size * size))
     return out
 
 
@@ -421,16 +387,17 @@ def husimi_grids(states, extent: float = 5.0, resolution: int = 201) -> list[Hus
     (rho @ A) / pi takes one matrix product, the same product whichever states
     share the call. So the peak is about the states' ``values`` plus one block;
     the cap still counts the full resolution^2 x dim x 16-byte table. States
-    of different dims raise ``InvalidDimensionError``.
+    of different dims raise ``InvalidDimensionError``. An empty list gives []
+    once its window passes ``husimi_window`` at dim 1.
     """
     states = list(states)
     dims = {_check_state(rho) for rho in states}
     if len(dims) > 1:
         raise InvalidDimensionError(f"states of different dims {sorted(dims)}")
+    d = dims.pop() if dims else 1  # no states: the window is still checked
+    e, points = husimi_window(extent, resolution, d)
     if not states:
         return []
-    d = dims.pop()
-    e, points = husimi_window(extent, resolution, d)
     xs = np.linspace(-e, e, points)
     values = [np.empty((points, points)) for _ in states]
     rows = min(points, max(1, _HUSIMI_BLOCK_BYTES // (16 * d * points)))

@@ -352,7 +352,8 @@ def reference_records(states: dict, dt: float) -> np.recarray:
         x2 = 0.25 * (1.0 + 2.0 * mean_n + 2.0 * mean_bb.real)
         y2 = 0.25 * (1.0 + 2.0 * mean_n - 2.0 * mean_bb.real)
         table[i] = (j, j * dt, float(rho[0, 0].real), mean_n, float(np.vdot(rho, rho).real),
-                    mean_b, float(x2 - mean_b.real**2), float(y2 - mean_b.imag**2))
+                    mean_b, float(x2 - mean_b.real * mean_b.real),
+                    float(y2 - mean_b.imag * mean_b.imag))
     return table
 
 

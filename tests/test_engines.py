@@ -792,6 +792,12 @@ class TestRun:
         res = run(SimConfig(**{**base, "steps": np.int64(5), "dim": np.int32(8)}))
         assert len(res.records) == 6 and res.final.shape == (8, 8)
 
+    # A bool is a numbers.Integral, yet no step count: steps=True once ran one step.
+    def test_bool_steps_rejected(self):
+        with pytest.raises(ConfigValidationError,
+                           match=r"^steps: must be an integer >= 1, got True$"):
+            SimConfig(model="linear", omega=1.0, dt=0.01, steps=True, dim=8)
+
     @pytest.mark.parametrize("gamma0", [complex("nan"), complex("inf"), complex(0.3, math.nan)])
     @pytest.mark.parametrize("deep", [False, True])
     def test_non_finite_coherent_amplitude_rejected(self, gamma0, deep):
@@ -1660,15 +1666,15 @@ class TestLockstepDriver:
 
     @pytest.mark.parametrize("deep", [False, True])
     def test_purity_taken_once_per_step(self, monkeypatch, deep):
-        calls, original = [], observables.purity
+        calls, original = [], observables._purity
 
         def counting(rho):
             calls.append(1)
             return original(rho)
 
-        monkeypatch.setattr(observables, "purity", counting)
+        monkeypatch.setattr(observables, "_purity", counting)
         # engines would look it up in its own namespace had it imported the name
-        monkeypatch.setattr(engines, "purity", counting, raising=False)
+        monkeypatch.setattr(engines, "_purity", counting, raising=False)
         cfg, sched = self.rotating()
         res = run(cfg, sched, deep_checks=deep)
         assert len(calls) == cfg.steps + 1

@@ -18,7 +18,7 @@ from hlq.fockcore import (
     model_band,
     unitarity_defect,
 )
-from hlq.observables import TrajectoryRecorder, _moments, trajectory_point
+from hlq.observables import TrajectoryRecorder, trajectory_point
 from reference import (
     annihilation_matrix,
     hermitian_propagator,
@@ -91,6 +91,11 @@ class TestModelOperator:
             model_band("linear", 2.5)
         assert model_band("linear", np.int64(3)).size == 2
 
+    # A bool is a numbers.Integral, yet no dim: dim True once gave an empty band.
+    def test_bool_dim_rejected(self):
+        with pytest.raises(InvalidDimensionError, match=r"^dim: must be an integer >= 1, got True$"):
+            model_band("linear", True)
+
     def test_d1_degenerate(self):
         for model in MODELS:
             assert model_band(model, 1).shape == (0,)
@@ -120,7 +125,6 @@ class TestModelOperator:
                 mean_b, mean_bb = np.trace(rho @ b), np.trace(rho @ b @ b)
                 assert abs(trajectory_point(rho) - mean_b) <= 1e-14
                 assert abs(rec.mean_b - mean_b) <= 1e-14
-                assert abs(_moments(rho)[2] - mean_bb) <= 1e-14
                 # var X - var Y = Re<b^2> - (Re<b>)^2 + (Im<b>)^2
                 recorded_bb = rec.var_x - rec.var_y + rec.mean_b.real**2 - rec.mean_b.imag**2
                 assert abs(recorded_bb - mean_bb.real) <= 1e-14
@@ -294,6 +298,11 @@ class TestCoherentVector:
     def test_non_integer_dim_rejected(self):
         with pytest.raises(InvalidDimensionError, match="must be an integer >= 1, got 2.5"):
             coherent_vector(0.1, 2.5)
+
+    # A bool is a numbers.Integral, yet no dim: dim True once raised numpy's TypeError.
+    def test_bool_dim_rejected(self):
+        with pytest.raises(InvalidDimensionError, match=r"^dim: must be an integer >= 1, got True$"):
+            coherent_vector(0.5, True)
 
     def test_poisson_weights(self):
         gamma = 1.3

@@ -115,11 +115,11 @@ class TestScalars:
 
 
 class TestMomentInputs:
-    """The one-state moments take any state a d x d check accepts."""
+    """The one-state functions take any state a d x d check accepts."""
 
-    FUNCS = (mean_photon, trajectory_point, quadrature_variances)
+    FUNCS = (ground_population, mean_photon, purity, trajectory_point, quadrature_variances)
 
-    # A real, integer or complex64 state gives the moments of the same state
+    # A real, integer or complex64 state gives the values of the same state
     # as complex128, bit for bit.
     @pytest.mark.parametrize("rho", [
         np.diag([0.5, 0.5]),
@@ -155,7 +155,7 @@ class TestRecorderOracle:
     CHUNK = observables._CHUNK
 
     # Mostly a displaced coherent state: a mean <b> of order sqrt(d) exercises
-    # the per-state variances, which whole-column squares would change.
+    # the variances' column squares (Re<b>)^2 and (Im<b>)^2 at large values.
     @staticmethod
     def states(d, count, seed):
         rng = np.random.default_rng(seed)
@@ -224,6 +224,48 @@ class TestRecorderOracle:
     def test_buffer_does_not_grow_with_steps(self):
         recorder = self.recorded(self.states(8, 3, seed=70), 100000)
         assert recorder._pending.shape == (self.CHUNK, 3 * 8 - 3)
+
+
+class TestOneRowOneReduction:
+    """Each one-state function reads the recorder's row of its state cast to complex128,
+    so it equals that state's row bit for bit wherever a run records it: first, last
+    before a flush, first after one, or pending when the table is read mid-run."""
+
+    CHUNK = observables._CHUNK
+    READS = {ground_population: lambda row: float(row.p00),
+             mean_photon: lambda row: float(row.mean_n),
+             purity: lambda row: float(row.purity),
+             trajectory_point: lambda row: complex(row.mean_b),
+             quadrature_variances: lambda row: (float(row.var_x), float(row.var_y))}
+
+    @staticmethod
+    def state(d, dtype, rng):
+        if dtype is bool:
+            return rng.random((d, d)) < 0.5
+        if dtype is int:
+            return rng.integers(-3, 4, size=(d, d))
+        if dtype is np.float32:
+            return random_density(rng, d).real.astype(np.float32)
+        return random_density(rng, d).astype(dtype)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 12, 65])
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, int, bool])
+    def test_functions_read_the_row(self, d, dtype):
+        rng = np.random.default_rng([d, 3])
+        mid = self.CHUNK + 7
+        steps = 2 * self.CHUNK
+        placed = {j: self.state(d, dtype, rng) for j in (0, self.CHUNK - 1, self.CHUNK, mid)}
+        recorder = TrajectoryRecorder(steps, 0.013)
+        rows = {}
+        for j in range(steps + 1):
+            rho = placed.get(j)
+            recorder.record(random_density(rng, d) if rho is None else rho.astype(complex))
+            if j == mid:
+                rows[j] = recorder.records[j]
+        rows.update((j, recorder.records[j]) for j in placed if j != mid)
+        for j, rho in placed.items():
+            for func, read in self.READS.items():
+                assert repr(func(rho)) == repr(read(rows[j])), (j, func.__name__)
 
 
 class TestFidelity:
@@ -301,7 +343,7 @@ class TestPurityBound:
 
     @classmethod
     def assert_bounded(cls, rho):
-        p = purity(rho)
+        p = observables._purity(rho)
         if math.isfinite(p):
             assert np.abs(rho).max() < cls.BOUND
             assert np.isfinite(np.trace(rho))
@@ -526,6 +568,16 @@ class TestHusimi:
     def test_husimi_grids_of_no_state_is_empty(self):
         assert husimi_grids([], 5.0, 201) == []
 
+    # With no state to evaluate the window is still checked, as for any list.
+    def test_husimi_grids_of_no_state_checks_the_window(self):
+        with pytest.raises(ConfigValidationError,
+                           match=r"^husimi extent: must be finite, a real number > 0, got -1\.0$"):
+            husimi_grids([], extent=-1.0)
+        with pytest.raises(InvalidDimensionError,
+                           match=r"^husimi grid needs a whole number of at least 2 points per "
+                                 r"axis, got 0$"):
+            husimi_grids([], resolution=0)
+
     def test_husimi_grids_of_different_dims_rejected(self):
         with pytest.raises(InvalidDimensionError, match=r"different dims \[4, 6\]"):
             husimi_grids([vacuum(4), vacuum(6)], 5.0, 5)
@@ -555,11 +607,12 @@ class TestMalformedState:
         lambda rho: husimi_grid(rho, 2.0, 5),
         lambda rho: husimi_grids([vacuum(2), rho], 2.0, 5),
         mean_photon,
+        purity,
         quadrature_variances,
         trajectory_point,
         ground_population,
     ], ids=["trace_distance", "fidelity_coherent", "husimi_grid", "husimi_grids", "mean_photon",
-            "quadrature_variances", "trajectory_point", "ground_population"])
+            "purity", "quadrature_variances", "trajectory_point", "ground_population"])
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
     def test_rejected(self, func, shape):
         with pytest.raises(InvalidDimensionError, match="square 2-D array"):
@@ -578,6 +631,7 @@ class TestNonNumericState:
     CALLS = {
         "ground_population": lambda rho: ground_population(rho),
         "mean_photon": lambda rho: mean_photon(rho),
+        "purity": lambda rho: purity(rho),
         "trajectory_point": lambda rho: trajectory_point(rho),
         "quadrature_variances": lambda rho: quadrature_variances(rho),
         "fidelity_coherent": lambda rho: fidelity_coherent(rho, 0.3),
@@ -645,6 +699,9 @@ class TestNonFiniteState:
     def test_mean_photon(self):
         self.check(mean_photon)
 
+    def test_purity(self):
+        self.check(purity)
+
     def test_trajectory_point(self):
         self.check(trajectory_point)
 
@@ -669,7 +726,9 @@ class TestStridedTraceSum:
     @pytest.mark.parametrize("d", [2, 3, 5, 12, 17, 33, 64, 65])
     def test_strided_sum_is_the_trace(self, d, n):
         rng = np.random.default_rng([d, n])
-        index = observables._Diagonals(d).index
+        # The recorder's gather: the flat positions of the diagonals 0, -1 and -2.
+        k = np.arange(d) * (d + 1)
+        index = np.concatenate([k, k[1:] - 1, k[2:] - 2])
         rows = np.empty((observables._CHUNK, index.size), dtype=complex)
         states = []
         for i in range(n):

@@ -125,6 +125,11 @@ NAN, INF = float("nan"), float("inf")
     (lambda: alternating_schedule(-1, 0.3), "n_steps"),
     (lambda: rotating_schedule(-1, 0.3, 1.0, 0.1), "n_steps"),
     (lambda: uniform_schedule("3", 0.3), "n_steps"),
+    # A bool is a numbers.Integral, yet no step count: True once gave a 1-prep schedule.
+    (lambda: uniform_schedule(True, 0.3), r"^n_steps: must be an integer >= 0, got True$"),
+    (lambda: alternating_schedule(True, 0.3), r"^n_steps: must be an integer >= 0, got True$"),
+    (lambda: rotating_schedule(True, 0.3, 1.0, 0.1),
+     r"^n_steps: must be an integer >= 0, got True$"),
     (lambda: uniform_schedule(2, 0.3, NAN), "phase"),
     (lambda: uniform_schedule(2, 0.3, INF), "phase"),
     (lambda: uniform_schedule(2, 0.3, 0.0, complex("nan")), "eta"),
