@@ -54,7 +54,8 @@ a step is
     rho~ -> sum_s (H K_s(0) H) rho~ (H K_s(0) H)^dag,   H = D(-dt / 2),
 
 the same channel for every step of one prep: a kernel refills its factors
-only when the step's prep is another object than the last one's. The lab
+only when the step's prep is another object than the last one's, and each
+kernel takes a new prep one way, whatever the schedule. The lab
 state is D(t_j) rho~ D(t_j)^dag, entry [m, n] times e^{i phi_j (m - n)} with
 phi_j = k omega t_j / k'. The lane takes the final state and its snapshots
 back by that phase-plane product, and the recorder turns the diagonals -1
@@ -63,8 +64,10 @@ eigenvalues and trace distances are the same in either frame.
 
 The hidden blocks depend only on |eta|: a kernel holds them, times the
 frame's factors, for the |eta| of the current step and rebuilds them when it
-changes. The pass runs on thirteen d x d buffers the kernel holds (832 KiB
-at dim 64), every numpy call with operands of its output's shape, so a step
+changes. A new prep fills two (4, d, d) plane stacks, the diagonals and
+bands per row and their conjugates per column, each by one broadcast copy.
+The pass runs on thirteen d x d buffers the kernel holds (832 KiB at dim
+64), every numpy call with operands of its output's shape, so a step
 allocates nothing and writes the state back into the kernel's own buffer.
 
 The standard coupling is |eps| Q (R0 + R0^dag) Q^dag with
@@ -78,8 +81,8 @@ products,
     psi -> q * ((H W) (e^{-i |eps| dt w} * ((W^dag H) (conj(q) * psi)))),
 
 with q = e^{i arg(eps) n / k'}: H is folded into the eigenbasis at build,
-and q and the d phases e^{-i |eps| dt w} are refilled when the prep changes.
-A prep with eps = 0 only turns the frame, psi -> D(-dt) psi. The lane forms
+and q and the d phases e^{-i |eps| dt w} are rebuilt for every new prep.
+A prep with eps = 0 only turns the frame, psi -> D(-dt) psi, exactly. The lane forms
 psi psi^dag in three d x d buffers the kernel holds (192 KiB at dim 64). A
 kernel holds O(dim^2) state whatever its schedule, and every schedule takes
 the same path in both engines.
@@ -114,9 +117,11 @@ them, 64 at a time, into the lane's ``np.recarray``, allocated once and
 returned as is with every row complete. A deep hidden lane's guard copies
 each state that passed into its stack, at most 128 KiB of states (56 / 8 / 2
 at dims 12 / 32 / 64, one from dim 65), and folds a full stack into the
-Hermiticity defect and the lowest eigenvalue with one stacked ``eigvalsh``;
-two lanes' trace distances are taken the same way, a stack of differences at
-a time. A lane's result folds what its buffers still hold. Deep checks deepen
+Hermiticity defect and the lowest eigenvalue with one stacked ``eigvalsh``.
+Per-step trace distances between two lanes are taken the same way, a stack
+of differences at a time; a run that wants only the last distance builds no
+stack and takes ``observables.trace_distance`` of the two final states after
+the loop. A lane's result folds what its buffers still hold. Deep checks deepen
 the hidden lane only: the standard lane has no guard and reports a
 Hermiticity defect and lowest eigenvalue of 0.0, since its psi psi^dag passes
 the deep checks by construction (DECISIONS.md D3).
@@ -201,9 +206,7 @@ def phase_multiplicity(model: str, convention: str) -> int:
     """Integer k in the rotating factor exp(-i k omega tau) of R(tau)."""
     check_member("phase", convention, PHASE_CONVENTIONS, ConfigValidationError)
     check_member("model", model, MODELS, InvalidModelError)
-    if convention == "operator":
-        return LOWERED_QUANTA[model]
-    return 1
+    return LOWERED_QUANTA[model] if convention == "operator" else 1
 
 
 @dataclass(frozen=True)
@@ -364,18 +367,20 @@ class _HiddenKernel:
     d x d complex buffers, 832 KiB at dim 64:
 
     - x, two lanes;
-    - the planes a_i, conj(a_j), b_i on the band rows and conj(b_j) on the
-      band columns, two lanes each, refilled only when the step's prep is
-      another object than the last one's;
+    - two plane stacks of four lanes, a_up, a_down, b_up and b_down: ``_rows``
+      holds entry i of each in row i, ``_cols`` the conjugate of entry j in
+      column j. A new prep (another object than the last step's) fills each
+      with one broadcast copy;
     - the plane p, two lanes: the band rows' products b rho, then t;
     - rho, which the lane sum is written into and the next step reads.
 
     The band rows and band columns of both lanes are each one flat run per
     lane, the column source shifted by k' entries, so each stage is one call
-    over a (2, run) view with contiguous lanes. The column products that wrap
-    from one row into the next land off the band columns; they are overwritten
-    by -0 - 0j, and x + (-0) is x, so every entry gets the operations of
-    K rho K^dag.
+    over a (2, run) view with contiguous lanes. The column factors are the b
+    lanes of ``_cols`` unshifted: the up band's line up with their output, the
+    down band's with their source. The column products that wrap from one row
+    into the next land off the band columns; they are overwritten by -0 - 0j,
+    and x + (-0) is x, so every entry gets the operations of K rho K^dag.
 
     ``unitarity_defect`` is the largest defect of the joint blocks built so far,
     taken over the 2 x 2 pairs (|up, i>, |down, i + k'>) the joint propagator
@@ -391,20 +396,21 @@ class _HiddenKernel:
         self._frame = np.zeros((4, d), dtype=complex)
         self._frame[:2], self._frame[2:, :n] = half[0::2], half[k:2 * n + k:2]
         self._rho = np.empty((d, d), dtype=complex)
-        self._x, self._a, self._ac, self._p, self._b = (
-            np.empty((2, d, d), dtype=complex) for _ in range(5))
-        self._bc = np.zeros((2, d, d), dtype=complex)  # finite off the band columns
+        self._x, self._p = (np.empty((2, d, d), dtype=complex) for _ in range(2))
+        # Lanes a_up, a_down, b_up, b_down per row, and their conjugates per column.
+        self._rows, self._cols = (np.empty((4, d, d), dtype=complex) for _ in range(2))
+        self._a, self._ac = self._rows[:2], self._cols[:2]
         self._coef, self._ab, self._abc, self._factors = (
             np.empty((4, d), dtype=complex) for _ in range(4))
         self._prep = self._eta_abs = None
         # (up, down) lanes: band rows x[:n] and x[k':] read rho[k':] and rho[:n];
-        # band columns t[:, :n] and t[:, k':] read x[:, k':] and x[:, :n]
+        # band columns t[:, :n] and t[:, k':] read x[:, k':] and x[:, :n], the up
+        # band's factors in line with their output, the down band's with their source
         self._band_rows = _lanes(self._x, 0, d * d + k * d, (n * d,))
-        self._row_factors = self._b.reshape(2, d * d)[:, :n * d]
+        self._row_factors = self._rows[2:].reshape(2, d * d)[:, :n * d]
         self._row_products = self._p.reshape(2, d * d)[:, :n * d]
         self._source_rows = _lanes(self._rho, k * d, -k * d, (n * d,))
-        self._col_planes = _lanes(self._bc, 0, d * d + k, (d, n))
-        self._col_factors = _lanes(self._bc, 0, d * d + k, (d * d - k,))
+        self._col_factors = _lanes(self._cols, 2 * d * d, d * d, (d * d - k,))
         self._band_cols = _lanes(self._p, 0, d * d + k, (d * d - k,))
         self._source_cols = _lanes(self._x, k, d * d - k, (d * d - k,))
         self._wrapped = _lanes(self._p, n, d * d - n, (d, k))
@@ -441,16 +447,14 @@ class _HiddenKernel:
         if abs(prep.eta) != self._eta_abs:
             self._eta_abs = abs(prep.eta)
             np.multiply(self._blocks(self._eta_abs), self._frame, out=self._factors)
-        n, c, ab, abc = self.r.size, prep.eta.conjugate(), self._ab, self._abc
+        c, ab, abc = prep.eta.conjugate(), self._ab, self._abc
         np.copyto(self._coef, np.array([prep.alpha, prep.beta, prep.beta * c,
                                         prep.alpha * c.conjugate()])[:, None])
         # Operand order as written: numpy's complex loops round a * b and b * a apart.
         np.multiply(self._coef, self._factors, out=ab)
         np.conjugate(ab, out=abc)
-        np.copyto(self._a, ab[:2, :, None])
-        np.copyto(self._ac, abc[:2, None, :])
-        np.copyto(self._b[:, :n], ab[2:, :n, None])
-        np.copyto(self._col_planes, abc[2:, None, :n])
+        np.copyto(self._rows, ab[:, :, None])
+        np.copyto(self._cols, abc[:, None, :])
 
     def step(self, rho: np.ndarray, prep: _schedules.AtomPrep) -> np.ndarray:
         """The frame state after one step, in the kernel's own buffer, which the next
@@ -478,6 +482,10 @@ class _StandardKernel:
     commutes with H, so a step is two matrix-vector products between the
     prep's q and conj(q), as in the lab frame.
 
+    Every new prep rebuilds q and the phases e^{-i |eps| dt w}, one length-d
+    ``exp`` each; a prep with eps = 0 keeps the exact frame turn D(-dt), so an
+    undriven run stays exact over any number of steps.
+
     ``density`` writes psi psi^dag into a d x d buffer the kernel holds, as
     one same-shape multiply of a row plane (psi_i) by a column plane
     (conj(psi_j)): three d x d complex buffers, 192 KiB at dim 64, beside
@@ -496,9 +504,9 @@ class _StandardKernel:
         h, self._turn = half[:d], half[0::2]  # H = D(-dt / 2) and D(-dt)
         self._hv, self._vh = h[:, None] * v, v.conj().T * h
         self._rho, self._rows, self._cols = (np.empty_like(h0) for _ in range(3))
-        # Factors of the last prep: (conj(q), q), or (D(-dt), None) for eps = 0, and
-        # e^{-i |eps| dt w} for the last |eps| > 0.
-        self._prep = self._into = self._out = self._eps_abs = self._eps_phases = None
+        # Factors of the last prep: (conj(q), q) and e^{-i |eps| dt w}, or (D(-dt), None)
+        # for eps = 0.
+        self._prep = self._into = self._out = self._eps_phases = None
 
     @staticmethod
     def start(psi: np.ndarray) -> np.ndarray:
@@ -511,15 +519,13 @@ class _StandardKernel:
         return np.multiply(self._rows, self._cols, out=self._rho)
 
     def _refill(self, prep: _schedules.AtomPrep) -> None:
-        """Take prep's factors; the phases are rebuilt only when |eps| changes."""
+        """Build prep's factors, q and the phases e^{-i |eps| dt w}, anew for every prep."""
         self._prep = prep
         eps = prep.eta * prep.zeta.conjugate()
         if eps == 0.0:  # no drive: the frame still turns, by D(-dt)
             self._into, self._out = self._turn, None
             return
-        if abs(eps) != self._eps_abs:
-            self._eps_abs = abs(eps)
-            self._eps_phases = np.exp(-1j * self._eps_abs * self.dt * self.w)
+        self._eps_phases = np.exp(-1j * abs(eps) * self.dt * self.w)
         q = np.exp(1j * cmath.phase(eps) * self._fock)
         self._into, self._out = q.conj(), q
 
@@ -682,20 +688,18 @@ class _Lane:
 
 
 class _Distances:
-    """Trace distances between two lanes' states, taken a stack at a time.
+    """Two lanes' trace distance after every step, taken a stack at a time.
 
-    ``take`` holds a due step's difference a - b in the next layer of its
-    stack (``_eig_height(d)`` layers, or one when only the last step is due)
-    and appends nan for a step that is not due. A full stack, and on reading
-    ``values`` the layers left, is reduced into the distances in step order
-    by one stacked ``eigvalsh``.
+    Built only for per-step distances. ``take`` holds the step's difference
+    a - b in the next of its ``_eig_height(d)`` layers; a full stack, and on
+    reading ``values`` the layers left, is reduced into the distances in step
+    order by one stacked ``eigvalsh``.
     """
 
-    def __init__(self, d: int, every: bool, last: int):
+    def __init__(self, d: int):
         self._values = [0.0]
-        self.every, self.last = every, last
-        self._diffs, self._scratch = (np.empty((_eig_height(d) if every else 1, d, d),
-                                               dtype=complex) for _ in range(2))
+        self._diffs, self._scratch = (np.empty((_eig_height(d), d, d), dtype=complex)
+                                      for _ in range(2))
         self._held = 0
 
     @property
@@ -703,10 +707,7 @@ class _Distances:
         self._flush()
         return self._values
 
-    def take(self, j: int, lanes) -> None:
-        if not (self.every or j == self.last):
-            self._values.append(math.nan)
-            return
+    def take(self, lanes) -> None:
         np.subtract(lanes[0].rho, lanes[1].rho, out=self._diffs[self._held])
         self._held += 1
         if self._held == len(self._diffs):
@@ -720,12 +721,11 @@ class _Distances:
 
 
 def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks: bool,
-              snapshot_steps=(), per_step_distance: bool = True):
+              snapshot_steps=(), per_step_distance: bool = False):
     """Step one lane per engine through the schedule, all lanes in lockstep.
 
-    Returns the lanes and, for two lanes, the trace distance between their
-    states after every step (row 0 is 0.0; nan except after the last step
-    when ``per_step_distance`` is off).
+    Returns the lanes and, for ``per_step_distance`` (two lanes), the
+    ``_Distances`` of their states after every step, else None.
     """
     if schedule is None:  # the generators make only valid preps, so these are not re-checked
         schedule = make_schedule(config)
@@ -748,23 +748,25 @@ def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks
 
     try:
         wanted = set(snapshot_steps)
-    except TypeError:
+        bad = sorted(s for s in wanted if s not in range(config.steps + 1))
+    except TypeError:  # not a collection, or steps that do not compare
         raise ConfigValidationError(
             f"steps: snapshots must be a collection of step numbers, got {snapshot_steps!r}"
         ) from None
-    bad = sorted(s for s in wanted if s not in range(config.steps + 1))
     if bad:
         raise ConfigValidationError(f"steps: snapshot(s) {bad} outside [0, {config.steps}]")
+    for s in wanted:  # a bool or a float equal to a step number is none
+        check_integer("steps: snapshot step", s, 0, ConfigValidationError)
     _check_run_size(config.steps, config.dim, len(wanted))
     lanes = [_Lane(config, engine, deep_checks, wanted) for engine in engines]
-    distances = _Distances(config.dim, per_step_distance, config.steps) if len(lanes) == 2 else None
+    distances = _Distances(config.dim) if per_step_distance else None
     for j, prep in enumerate(schedule, start=1):
         for lane in lanes:
             lane.state = lane.kernel.step(lane.state, prep)
             lane.take(j)
         if distances is not None:
-            distances.take(j, lanes)
-    return lanes, distances.values if distances is not None else []
+            distances.take(lanes)
+    return lanes, distances
 
 
 def run(
@@ -801,10 +803,15 @@ def run_compare(
 ) -> CompareResult:
     """Run the hidden and standard engines in lockstep over one schedule.
 
-    ``deep_checks`` adds the hidden lane's guard only, as in ``run``.
+    ``trace_distances`` has one entry per step, 0.0 at step 0; without
+    ``per_step_distance`` only the last step's is taken, and the steps between
+    are nan. ``deep_checks`` adds the hidden lane's guard only, as in ``run``.
     """
-    lanes, distances = _lockstep(config, schedule, ("hidden", "standard"), deep_checks,
-                                 per_step_distance=per_step_distance)
+    lanes, every = _lockstep(config, schedule, ("hidden", "standard"), deep_checks,
+                             per_step_distance=per_step_distance)
+    distances = every.values if every is not None else [
+        0.0, *[math.nan] * (config.steps - 1),
+        _observables.trace_distance(lanes[0].rho, lanes[1].rho)]
     h, s = (lane.result() for lane in lanes)
     return CompareResult(h.records, s.records, distances, h.final, s.final,
                          h.diagnostics, s.diagnostics)

@@ -20,9 +20,10 @@ raises, and raises it with one message form, ``<name>: must be ..., got
 
 A number or an integer is an instance of ``numbers.Complex``,
 ``numbers.Real`` or ``numbers.Integral``, so numpy scalars pass and strings,
-None and arrays do not; a ``bool`` is no integer (``steps=True`` is
-refused). A value that fails any part of a rule gets that rule's one
-message, whether it is of the wrong type or out of range.
+None and arrays do not; a ``bool`` is neither a number nor an integer
+(``steps=True`` and ``omega=True`` are refused, as ``np.bool_`` is). A value
+that fails any part of a rule gets that rule's one message, whether it is of
+the wrong type or out of range.
 """
 
 import math
@@ -90,11 +91,12 @@ class NonFiniteStateError(HlqError):
 
 
 def check_number(name: str, value, error, *, real=False, positive=False, squared=False) -> None:
-    """Raise error(message) unless value is a finite number: a real one for ``real``,
-    a real one > 0 for ``positive``, one with 2 |value|^2 finite for ``squared``."""
+    """Raise error(message) unless value is a finite number and not a bool: a real one
+    for ``real``, a real one > 0 for ``positive``, one with 2 |value|^2 finite for
+    ``squared``."""
     real = real or positive
     size = math.nan
-    if isinstance(value, numbers.Real if real else numbers.Complex):
+    if isinstance(value, numbers.Real if real else numbers.Complex) and not isinstance(value, bool):
         try:  # hypot, unlike abs() of a complex, returns inf instead of raising on overflow
             size = math.hypot(value.real, value.imag)
         except OverflowError:  # an int past the float range

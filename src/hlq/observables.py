@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigValidationError, InvalidDimensionError, check_number
+from .errors import ConfigValidationError, InvalidDimensionError, check_integer, check_number
 from .fockcore import coherent_vector, model_band
 
 # Largest coherent-amplitude table (resolution^2 x dim complex entries) that
@@ -314,7 +314,8 @@ def _hermitian_parts(x: np.ndarray, adj: np.ndarray, out: np.ndarray) -> np.ndar
 def husimi_window(extent: float, resolution: int, d: int) -> tuple[float, int]:
     """Checked (extent, points) of a square Husimi window for a dim-d state.
 
-    ``extent`` must be finite and > 0 and ``resolution`` a whole number >= 2.
+    ``extent`` must be finite and > 0, ``resolution`` a whole number >= 2 and
+    ``d`` an integer >= 1.
     A window whose resolution^2 x d x 16-byte amplitude table exceeds
     ``HUSIMI_MAX_BYTES``, or that is too wide for d, raises
     ``ConfigValidationError``: a value the
@@ -324,6 +325,7 @@ def husimi_window(extent: float, resolution: int, d: int) -> tuple[float, int]:
     by sqrt(n)) at the grid corner |gamma| = sqrt(2) * extent.
     """
     check_number("husimi extent", extent, ConfigValidationError, positive=True)
+    check_integer("dim", d, 1, InvalidDimensionError)
     e = float(extent)
     try:
         points = int(resolution)
@@ -390,7 +392,10 @@ def husimi_grids(states, extent: float = 5.0, resolution: int = 201) -> list[Hus
     of different dims raise ``InvalidDimensionError``. An empty list gives []
     once its window passes ``husimi_window`` at dim 1.
     """
-    states = list(states)
+    try:
+        states = list(states)
+    except TypeError:  # not a collection
+        raise InvalidDimensionError(f"states: must be a list of states, got {states!r}") from None
     dims = {_check_state(rho) for rho in states}
     if len(dims) > 1:
         raise InvalidDimensionError(f"states of different dims {sorted(dims)}")

@@ -47,12 +47,12 @@ class AtomPrep:
         return complex(self.alpha).conjugate() * complex(self.beta)
 
     def validate(self) -> None:
-        """Raise InvalidPreparationError unless alpha, beta, eta are numbers, eta is
-        finite and |alpha|^2 + |beta|^2 = 1.
+        """Raise InvalidPreparationError unless alpha, beta, eta are numbers and not
+        bools, eta is finite and |alpha|^2 + |beta|^2 = 1.
 
-        The moduli are taken in this one frame, and ``check_number`` is called
-        only to name a failure: a call per number would double the cost of a
-        valid prep, and every step of an explicit schedule is checked.
+        The moduli and the types are taken in this one frame, and ``check_number``
+        is called only to name a failure: a call per number would double the cost
+        of a valid prep, and every step of an explicit schedule is checked.
         """
         try:  # hypot, unlike abs() of a complex, returns inf instead of raising on overflow
             a = math.hypot(self.alpha.real, self.alpha.imag)
@@ -60,7 +60,7 @@ class AtomPrep:
             e = math.hypot(self.eta.real, self.eta.imag)
         except (AttributeError, TypeError):  # not a number, which the checks below name
             a = b = e = math.nan
-        if not math.isfinite(e):
+        if not math.isfinite(e) or bool in (type(self.alpha), type(self.beta), type(self.eta)):
             for name in ("eta", "alpha", "beta"):
                 check_number(name, getattr(self, name), InvalidPreparationError)
         norm = a * a + b * b
@@ -69,8 +69,10 @@ class AtomPrep:
 
 
 def check_zeta_abs(zeta_abs, error) -> None:
-    """Raise error unless zeta_abs is a real number in [0, 1/2], the reachable |zeta|."""
-    if not (isinstance(zeta_abs, numbers.Real) and 0.0 <= zeta_abs <= 0.5):
+    """Raise error unless zeta_abs is a real number in [0, 1/2], the reachable |zeta|,
+    and not a bool."""
+    if isinstance(zeta_abs, bool) or not (isinstance(zeta_abs, numbers.Real)
+                                          and 0.0 <= zeta_abs <= 0.5):
         raise error(f"zeta_abs: must be a real number in [0, 0.5], got {zeta_abs!r}")
 
 

@@ -1,5 +1,6 @@
-"""Repository tooling and docs: the code-line count the ROADMAP tracks per module,
-and the README's entry-point table against the package it documents."""
+"""Repository tooling and docs: the code-line count the ROADMAP tracks per module, the
+run fingerprint that compares two trees, and the README's entry-point table against
+the package it documents."""
 
 import importlib
 import importlib.util
@@ -7,13 +8,22 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import hlq
 
 ROOT = Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "code_lines.py"
-spec = importlib.util.spec_from_file_location("code_lines", TOOL)
-code_lines = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(code_lines)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = load_tool("code_lines")
+fingerprint = load_tool("fingerprint")
 
 
 def test_counts_code_lines_only(tmp_path):
@@ -46,6 +56,27 @@ def test_main_prints_modules_and_total(tmp_path, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert [row.split()[0] for row in rows] == ["2", "1", "3"]
     assert rows[-1].endswith("total")
+
+
+def test_fingerprint_is_the_same_twice(capsys):
+    # One case that runs (a pulse with per-step distances) and one that overflows dim 3.
+    cases = ["linear d12 pulse coherent compare-every", "two-boson d3 rotating vacuum run-hidden"]
+    outputs = []
+    for _ in range(2):
+        fingerprint.main(cases)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    rows = [row.split("  ") for row in outputs[0].splitlines()]
+    assert [name for name, _ in rows] == cases
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in rows)
+    with pytest.raises(hlq.TruncationOverflowError):  # so its digest is the failure's
+        fingerprint._outcome(cases[1])
+
+
+def test_fingerprint_matrix():
+    names = fingerprint.case_names()
+    assert len(names) == len(set(names)) == 3 * 7 * 4 * 2 * 4
+    assert len(fingerprint.case_names(fingerprint.QUICK_DIMS)) == 3 * 2 * 4 * 2 * 4
 
 
 def readme_entry_points() -> list[str]:
