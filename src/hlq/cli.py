@@ -15,11 +15,14 @@ which either engine fails. That run steps and checks the engines as
 ``compare``'s does, with one difference: its hidden lane runs deep checks,
 and ``compare``'s does not. The standard lane has no guard in either and runs
 only the per-step checks, since psi psi^dag passes the deep checks by
-construction. ``husimi``
-snapshots the hidden engine when ``engine = both``. ``converge`` writes the
-distances of ``engines.converge`` and each ratio of successive ones as the
-IEEE quotient: ``nan`` for 0/0, where the engines agree exactly, ``inf``
-for x/0.
+construction. ``husimi`` snapshots the hidden engine when ``engine = both``
+and streams its files: each block of grid rows' amplitude table serves a
+whole group of snapshots, whose files take the block's Q rows as they come.
+It holds at most ``_HUSIMI_GROUP_BYTES`` of Q rows and no grid, so its memory
+does not grow with the grid or the snapshot count. ``converge``
+writes the distances of ``engines.converge`` and each ratio of successive
+ones as the IEEE quotient: ``nan`` for 0/0, where the engines agree exactly,
+``inf`` for x/0.
 
 Every subcommand takes one config-file path and an optional ``--out-dir``
 (falling back to the HLQ_OUT_DIR environment variable, then the working
@@ -55,6 +58,7 @@ Config files are flat ``key = value`` lines; ``#`` starts a comment. Keys:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -77,7 +81,7 @@ from .errors import (
     TruncationOverflowError,
 )
 from .errors import check_member
-from .observables import husimi_grids, husimi_window
+from .observables import _husimi_block_rows, _husimi_rows, husimi_window
 from .oracles import ground_state_law
 
 
@@ -333,20 +337,36 @@ def _table_block(chunk: list[np.ndarray]) -> np.ndarray:
     return _join_row_cells([_text_cells(c) if t else next(numbers) for c, t in zip(chunk, text)])
 
 
+class _CsvFile:
+    """A CSV file being written, header first, hashing its bytes as they are written."""
+
+    def __init__(self, fh, header: str):
+        self._fh, self._sha = fh, hashlib.sha256()
+        self._put(header.encode() + b"\n")
+
+    def _put(self, data: bytes) -> None:
+        self._fh.write(data)
+        self._sha.update(data)
+
+    def append(self, block: np.ndarray) -> None:
+        """Write a (rows, width) uint8 block of lines with its NUL bytes dropped."""
+        self._put(block.tobytes().translate(None, b"\0"))
+
+    @property
+    def digest(self) -> str:
+        """The SHA-256 of the bytes written so far."""
+        return self._sha.hexdigest()
+
+
 def _write_blocks(path: Path, header: str, blocks) -> str:
     """Write header, then each (rows, width) uint8 block with its NUL bytes
     dropped; return the SHA-256 of the bytes written."""
-    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        def write(data: bytes) -> None:
-            fh.write(data)
-            digest.update(data)
-
-        write(header.encode() + b"\n")
+        out = _CsvFile(fh, header)
         for block in blocks:
-            write(block.tobytes().translate(None, b"\0"))
+            out.append(block)
             del block  # before the next block is made
-    return digest.hexdigest()
+    return out.digest
 
 
 def _write_csv(path: Path, header: str, columns) -> str:
@@ -360,7 +380,7 @@ def _write_csv(path: Path, header: str, columns) -> str:
     number: ``_format_cells`` writes it as ``%.12g``, or ``%d`` for an integer,
     the one number format of the CLI. Rows are written ``_CSV_CHUNK`` cells at
     a time, the numbers of a chunk formatted in one call: the table's text is
-    never held whole. The Husimi tables go through ``_write_husimi_csv``.
+    never held whole. The Husimi tables go through ``_write_husimi_csvs``.
     """
     cols = [np.ravel(c) for c in columns]
     rows = min((c.size for c in cols), default=0)
@@ -473,31 +493,80 @@ def cmd_converge(args) -> int:
                    extra={"halvings": args.halvings})
 
 
-def _write_husimi_csv(path: Path, axis: np.ndarray, values: np.ndarray) -> str:
-    """Write a Husimi table: header x,y,q, then one line per point, y outer and x
-    inner; return the file's SHA-256, taken as it is written.
+# Q rows held at once by ``husimi``, in bytes: its snapshots are written in
+# groups whose pending chunks and block rows fit it (at least one snapshot a
+# group). One block's table and product and one chunk's text come on top.
+_HUSIMI_GROUP_BYTES = 1 << 20
+# Most files ``husimi`` holds open at once: a small grid's rows are so few that
+# the bytes alone would let a group open more files than a process may.
+_HUSIMI_GROUP_FILES = 32
 
-    ``axis`` holds the grid axis's cells, (points, width) uint8 from
-    ``_format_cells``, formatted once per command: the grid is square, so it
-    serves x and y. Each chunk of ``_CSV_CHUNK // points`` grid rows (at
-    least one) gathers its x and y cells from it and formats its q in one call.
+
+def _write_husimi_csvs(out_dir: Path, snapshots: dict, extent: float,
+                       points: int) -> dict[str, str]:
+    """Write husimi_step<j>.csv of each step j -> state of ``snapshots``, in its
+    order: header x,y,q, then one line per point of the square window, y outer
+    and x inner. Return each file's name mapped to its SHA-256, taken as the
+    file is written.
+
+    The snapshots are written in groups by ``_write_husimi_group``, whose
+    pending chunks and block rows take at most ``_HUSIMI_GROUP_BYTES``,
+    however large the grid, and which open at most ``_HUSIMI_GROUP_FILES``
+    files. The axis's cells are formatted once: the grid is square, so they
+    serve x and y.
     """
-    points = values.shape[1]
-    step = max(1, _CSV_CHUNK // points)
-    xs = np.tile(axis, (min(step, points), 1))
+    xs = np.linspace(-extent, extent, points)
+    # Only the bytes some axis cell uses, and the separator's.
+    axis = _format_cells([xs])[:, 0]
+    used = axis.any(axis=0)
+    used[-1] = True
+    axis = axis[:, used]
+    height = min(points, max(1, _CSV_CHUNK // points))
+    steps = list(snapshots)
+    # Per snapshot: a pending chunk and one block of rows.
+    rows = height + _husimi_block_rows(len(snapshots[steps[0]]), points)
+    group = max(1, min(_HUSIMI_GROUP_FILES, _HUSIMI_GROUP_BYTES // (8 * rows * points)))
+    outputs = {}
+    for start in range(0, len(steps), group):
+        batch = steps[start:start + group]
+        names = [f"husimi_step{j}.csv" for j in batch]
+        outputs.update(zip(names, _write_husimi_group([out_dir / name for name in names],
+                                                      [snapshots[j] for j in batch], xs, axis,
+                                                      height)))
+    return outputs
 
-    def block(start: int, stop: int) -> np.ndarray:
-        return _join_row_cells([xs[:points * (stop - start)],
-                                np.repeat(axis[start:stop], points, axis=0),
-                                _format_cells([values[start:stop].ravel()])[:, 0]])
 
-    return _write_blocks(path, "x,y,q", (block(start, min(start + step, points))
-                                         for start in range(0, points, step)))
+def _write_husimi_group(paths: list[Path], states: list[np.ndarray], xs: np.ndarray,
+                        axis: np.ndarray, height: int) -> list[str]:
+    """Write the Husimi table of each state to its path, every file open at once;
+    return their SHA-256s.
 
-
-# Grid values held at once by ``husimi``, in bytes: its snapshots' grids are
-# computed in groups that fit it (at least one grid a group).
-_HUSIMI_GROUP_BYTES = 1 << 21
+    ``_husimi_rows`` yields the Q rows of every state block by block, so each
+    block's amplitude table serves the whole group, and no grid is held. Each
+    file holds its pending rows until a chunk of ``height`` grid rows (fewer
+    at the grid's end) is complete; the block that completes the chunks
+    writes every file's chunk, its q formatted in one call. ``axis`` holds the
+    cells of ``xs``. Every file is closed when this returns or raises.
+    """
+    points = xs.size
+    xcells = np.tile(axis, (height, 1))
+    pending = np.empty((len(states), height, points))
+    with contextlib.ExitStack() as stack:
+        files = [_CsvFile(stack.enter_context(open(path, "wb")), "x,y,q") for path in paths]
+        for top, rows in _husimi_rows(states, xs):
+            row, bottom = top, top + rows.shape[1]
+            while row < bottom:
+                first = row - row % height  # the first grid row of row's chunk
+                last = min(first + height, points)
+                stop = min(last, bottom)
+                pending[:, row - first:stop - first] = rows[:, row - top:stop - top]
+                if stop == last:  # every file's chunk is complete
+                    ys = np.repeat(axis[first:last], points, axis=0)
+                    for out, values in zip(files, pending[:, :last - first]):
+                        out.append(_join_row_cells([xcells[:(last - first) * points], ys,
+                                                    _format_cells([values.ravel()])[:, 0]]))
+                row = stop
+    return [out.digest for out in files]
 
 
 def cmd_husimi(args) -> int:
@@ -518,22 +587,8 @@ def cmd_husimi(args) -> int:
     result = run(sub, snapshot_steps=set(snaps))
 
     out_dir = _out_dir(args)
-    outputs = {}
-    group = max(1, _HUSIMI_GROUP_BYTES // (8 * points * points))
-    for start in range(0, len(snaps), group):
-        steps = snaps[start:start + group]
-        grids = husimi_grids([result.snapshots[step] for step in steps], extent, points)
-        if start == 0:
-            # Only the bytes some axis cell uses, and the separator's.
-            axis = _format_cells([grids[0].x])[:, 0]
-            used = axis.any(axis=0)
-            used[-1] = True
-            axis = axis[:, used]
-        # Each grid is dropped once written: the next group's grids are made
-        # with none of this group's held.
-        for step in steps:
-            name = f"husimi_step{step}.csv"
-            outputs[name] = _write_husimi_csv(out_dir / name, axis, grids.pop(0).values)
+    outputs = _write_husimi_csvs(out_dir, {j: result.snapshots[j] for j in snaps}, extent,
+                                 points)
     r = result.records
     outputs["trajectory.csv"] = _write_csv(out_dir / "trajectory.csv", "t,re_b,im_b",
                                            (r.t, r.mean_b.real, r.mean_b.imag))

@@ -720,13 +720,26 @@ class _Distances:
                                                            self._scratch[:n]).tolist()
 
 
-def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...], deep_checks: bool,
+def _check_config(config) -> None:
+    """Raise ConfigValidationError unless config is a SimConfig."""
+    if not isinstance(config, SimConfig):
+        raise ConfigValidationError(f"config: must be a SimConfig, got {config!r}")
+
+
+def _lockstep(config: SimConfig, schedule, engines: tuple[str, ...] | None, deep_checks: bool,
               snapshot_steps=(), per_step_distance: bool = False):
     """Step one lane per engine through the schedule, all lanes in lockstep.
 
     Returns the lanes and, for ``per_step_distance`` (two lanes), the
-    ``_Distances`` of their states after every step, else None.
+    ``_Distances`` of their states after every step, else None. ``engines``
+    None is config's own engine, which must not be "both".
     """
+    _check_config(config)
+    if engines is None:
+        if config.engine == "both":
+            raise ConfigValidationError(
+                "engine: run() drives a single engine; use run_compare for 'both'")
+        engines = (config.engine,)
     if schedule is None:  # the generators make only valid preps, so these are not re-checked
         schedule = make_schedule(config)
     elif not isinstance(schedule, Sequence):  # steps index it, so a set or an iterator won't do
@@ -786,11 +799,7 @@ def run(
     none either way, runs only the per-step checks, and reports a Hermiticity
     defect and lowest eigenvalue of 0.0.
     """
-    if config.engine == "both":
-        raise ConfigValidationError(
-            "engine: run() drives a single engine; use run_compare for 'both'"
-        )
-    (lane,), _ = _lockstep(config, schedule, (config.engine,), deep_checks, snapshot_steps)
+    (lane,), _ = _lockstep(config, schedule, None, deep_checks, snapshot_steps)
     return lane.result()
 
 
@@ -825,6 +834,7 @@ def converge(config: SimConfig, halvings: int) -> list[float]:
     run-size budget rejects an over-long ladder before any run. Each run is
     ``run_compare``'s without deep checks and with only the last distance taken.
     """
+    _check_config(config)
     check_integer("halvings", halvings, 2, ConfigValidationError)
     # Each halving doubles the steps: past RUN_MAX_BYTES.bit_length() halvings
     # every config is over the run-size budget, and 2**halvings is not formed.

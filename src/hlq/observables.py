@@ -28,6 +28,9 @@ recorded row equals the one-state functions bit for bit.
 block's coherent-amplitude table is built once, in one pass, for all the
 states, and Q = <gamma|rho|gamma>/pi of every point in the block takes one
 matrix product with each rho. ``husimi_grid`` is that loop over one state.
+The loop is ``_husimi_rows``, which yields each block's Q rows of every
+state: ``husimi_grids`` fills its grids from them, and the CLI's ``husimi``
+command writes them to its files as they come.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ from .fockcore import coherent_vector, model_band
 # husimi_grid will allocate, in bytes.
 HUSIMI_MAX_BYTES = 1 << 30
 
-# Amplitude table husimi_grid evaluates per block of grid rows, in bytes.
+# Amplitude table _husimi_rows builds per block of grid rows, in bytes. Q's
+# last bits depend on the block's width through the BLAS product, so a new
+# value moves the bytes of the CLI's Husimi files.
 _HUSIMI_BLOCK_BYTES = 1 << 18
 
 
@@ -405,19 +410,45 @@ def husimi_grids(states, extent: float = 5.0, resolution: int = 201) -> list[Hus
         return []
     xs = np.linspace(-e, e, points)
     values = [np.empty((points, points)) for _ in states]
-    rows = min(points, max(1, _HUSIMI_BLOCK_BYTES // (16 * d * points)))
-    table, product = np.empty((2, d * rows * points), dtype=complex)
-    for start in range(0, points, rows):
-        ys = xs[start:start + rows]
-        size = d * ys.size * points
+    # A state may be a nested list, which has no shape.
+    for start, rows in _husimi_rows([np.asarray(rho) for rho in states], xs):
+        for grid, block in zip(values, rows):
+            grid[start:start + len(block)] = block
+    cell = (xs[1] - xs[0]) * (xs[1] - xs[0])
+    return [HusimiGrid(x=xs.copy(), y=xs.copy(), values=grid, mass=float(grid.sum() * cell))
+            for grid in values]
+
+
+def _husimi_block_rows(d: int, points: int) -> int:
+    """Grid rows per block of ``_husimi_rows``: as many as fit ``_HUSIMI_BLOCK_BYTES``
+    of amplitude table, at least one."""
+    return min(points, max(1, _HUSIMI_BLOCK_BYTES // (16 * d * points)))
+
+
+def _husimi_rows(states: list[np.ndarray], xs: np.ndarray):
+    """Q of each d x d array of ``states`` over the grid gamma = x + iy, x and y in ``xs``,
+    one block of y-rows at a time; unchecked.
+
+    Yields (start, rows) for each block: ``rows[k]`` is Q of states[k] at y =
+    xs[start:start + rows.shape[1]], one line of ``xs.size`` points per y, in
+    a buffer the next yield overwrites. A block has ``_husimi_block_rows``
+    rows; its table is built once for all the states, and each state's Q
+    takes one matrix product with it.
+    """
+    points, d = xs.size, states[0].shape[0]
+    height = _husimi_block_rows(d, points)
+    table, product = np.empty((2, d * height * points), dtype=complex)
+    q = np.empty((len(states), height * points))
+    for start in range(0, points, height):
+        ys = xs[start:start + height]
+        size, cells = d * ys.size * points, q[:, :ys.size * points]
         amp = _coherent_rows(xs, ys, table[:size].reshape(d, -1))
-        for rho, grid in zip(states, values):
+        for rho, out in zip(states, cells):
             # Re(conj(a) * b) = a.re * b.re + a.im * b.im: multiply the interleaved
             # float views, sum down each column, then add each point's two parts.
             parts = np.matmul(rho, amp, out=product[:size].reshape(d, -1)).view(float)
             parts *= amp.view(float)
             sums = parts.sum(axis=0)
-            grid[start:start + ys.size] = ((sums[0::2] + sums[1::2]) / np.pi).reshape(ys.size, -1)
-    cell = (xs[1] - xs[0]) * (xs[1] - xs[0])
-    return [HusimiGrid(x=xs.copy(), y=xs.copy(), values=grid, mass=float(grid.sum() * cell))
-            for grid in values]
+            np.add(sums[0::2], sums[1::2], out=out)
+            out /= np.pi
+        yield start, cells.reshape(len(states), ys.size, points)

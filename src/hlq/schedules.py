@@ -23,10 +23,15 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigValidationError, InvalidCoherenceError, InvalidPreparationError
 from .errors import check_integer, check_number
 
 SCHEDULES = ("uniform", "alternating", "rotating")
+
+# The bool types, which have .real and .imag but are no numbers to check_number.
+_BOOLS = frozenset({bool, np.bool_})
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +53,7 @@ class AtomPrep:
 
     def validate(self) -> None:
         """Raise InvalidPreparationError unless alpha, beta, eta are numbers and not
-        bools, eta is finite and |alpha|^2 + |beta|^2 = 1.
+        bools (``bool`` or ``np.bool_``), eta is finite and |alpha|^2 + |beta|^2 = 1.
 
         The moduli and the types are taken in this one frame, and ``check_number``
         is called only to name a failure: a call per number would double the cost
@@ -60,7 +65,8 @@ class AtomPrep:
             e = math.hypot(self.eta.real, self.eta.imag)
         except (AttributeError, TypeError):  # not a number, which the checks below name
             a = b = e = math.nan
-        if not math.isfinite(e) or bool in (type(self.alpha), type(self.beta), type(self.eta)):
+        if (not math.isfinite(e) or type(self.alpha) in _BOOLS or type(self.beta) in _BOOLS
+                or type(self.eta) in _BOOLS):
             for name in ("eta", "alpha", "beta"):
                 check_number(name, getattr(self, name), InvalidPreparationError)
         norm = a * a + b * b

@@ -15,7 +15,9 @@ sin(g dt) / g from its own ``sin_over`` and its frame factors from its own
 formula, so it imports nothing of the kernel it checks. ``to_lab`` takes a
 frame state at time t to the lab frame by the dense conjugation with
 D(t) = diag(e^{i rate t n}), rate = ``frame_rate``. ``reference_csv_text`` is the CSV
-writer's oracle: every cell formatted on its own by ``format_cell``. ``reference_husimi`` is the
+writer's oracle: every cell formatted on its own by ``format_cell``, and
+``reference_husimi_csv`` the Husimi files', each line formatted on its own
+from the grids ``husimi_grids`` holds whole. ``reference_husimi`` is the
 Husimi grid's oracle: every grid point's coherent amplitudes at once, in one
 points^2 x d table (``reference_amplitudes``), and Q from one einsum.
 ``reference_records`` is the trajectory recorder's oracle: each row computed
@@ -64,7 +66,7 @@ import numpy as np
 from hlq.engines import RunDiagnostics, SimConfig, initial_vector, phase_multiplicity
 from hlq.errors import InvalidDimensionError, InvalidPreparationError
 from hlq.fockcore import LOWERED_QUANTA, model_band
-from hlq.observables import _TRAJECTORY_DTYPE
+from hlq.observables import _TRAJECTORY_DTYPE, husimi_grids
 from hlq.schedules import AtomPrep
 
 HERMITICITY_TOL = 1e-12
@@ -305,6 +307,18 @@ def reference_csv_text(header: str, columns) -> str:
     for row in zip(*map(np.ravel, columns)):
         lines.append(",".join(v if isinstance(v, str) else format_cell(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def reference_husimi_csv(states, extent: float, points: int) -> list[str]:
+    """The text of each state's ``husimi_step<j>.csv``: header x,y,q, then one line
+    per point of its ``husimi_grids`` grid, y outer and x inner, every cell "%.12g"."""
+    texts = []
+    for grid in husimi_grids(states, extent, points):
+        lines = ["x,y,q"]
+        for y, row in zip(grid.y.tolist(), grid.values.tolist()):
+            lines += [f"{x:.12g},{y:.12g},{q:.12g}" for x, q in zip(grid.x.tolist(), row)]
+        texts.append("\n".join(lines) + "\n")
+    return texts
 
 
 def reference_amplitudes(extent: float, points: int, d: int) -> np.ndarray:

@@ -42,9 +42,11 @@ from hlq.errors import (
 )
 from test_tools import readme_entry_points
 
-# Fed to every argument. A complex number is fed too where a real one is due.
-BAD = {"True": True, "False": False, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-       "'1'": "1", "None": None, "[1]": [1]}
+# Fed to every argument, numpy's bools beside Python's. A complex number is fed too
+# where a real one is due.
+BAD = {"True": True, "False": False, "np.True_": np.True_, "np.False_": np.False_,
+       "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "'1'": "1", "None": None,
+       "[1]": [1]}
 COMPLEX = 0.5 + 0.25j
 # The values of BAD that make a d x d state with a bad dtype or a non-finite entry.
 FILLS = ("nan", "inf", "-inf", "'1'", "None")
@@ -105,6 +107,7 @@ TABLE = [
     *[(*row, ConfigValidationError) for field in SimConfig.__dataclass_fields__
       for row in config_rows(field, NUMBER if field in ("eta", "gamma0") else ALL)],
     *[row for entry in (run, run_compare) for row in (
+        (entry.__name__, "config", ALL, entry, ConfigValidationError),
         (entry.__name__, "schedule", tuple(v for v in ALL if v != "None"),
          lambda v, f=entry: f(CONFIG, v), ConfigValidationError),
         (entry.__name__, "schedule item", ALL, lambda v, f=entry: f(CONFIG, [v] * STEPS),
@@ -113,8 +116,10 @@ TABLE = [
      lambda v: run(CONFIG, snapshot_steps=v), ConfigValidationError),
     ("run", "snapshot step", ALL, lambda v: run(CONFIG, snapshot_steps=[v]),
      ConfigValidationError),
+    ("converge", "config", ALL, lambda v: converge(v, 2), ConfigValidationError),
     ("converge", "halvings", ALL, lambda v: converge(CONFIG, v), ConfigValidationError),
-    # Each bool alone makes |alpha|^2 + |beta|^2 = 1 with the other amplitude 0.
+    # Each bool (a Python or a numpy one) alone makes |alpha|^2 + |beta|^2 = 1 with the
+    # other amplitude 0.
     ("AtomPrep.validate", "alpha", NUMBER, lambda v: AtomPrep(v, 0j, BASE["eta"]).validate(),
      InvalidPreparationError),
     ("AtomPrep.validate", "beta", NUMBER, lambda v: AtomPrep(0j, v, BASE["eta"]).validate(),

@@ -15,7 +15,7 @@ from hlq.engines import run, run_compare
 from hlq.errors import ConfigParseError, ConfigValidationError, TruncationOverflowError
 from hlq.observables import husimi_grid
 from hlq.oracles import ground_state_probability
-from reference import format_cell, reference_csv_text, traced_peak
+from reference import format_cell, reference_csv_text, reference_husimi_csv, traced_peak
 
 SLOW_CONFIG = """\
 # slow linear run
@@ -176,9 +176,11 @@ class TestRunCommand:
 
     # The writers hash each file as they write it; every digest must still be
     # the SHA-256 of the file on disk. The husimi call spans two groups of two
-    # grids, and each 101-point grid is written in three chunks.
+    # files, and each 101-point grid is written in three chunks of 40, 40 and
+    # 21 grid rows.
     def test_manifest_checksums(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_HUSIMI_GROUP_BYTES", 2 * 8 * 101 * 101)
+        assert cli._CSV_CHUNK // 101 == 40
+        monkeypatch.setattr(cli, "_HUSIMI_GROUP_FILES", 2)
         cfg = write(tmp_path, TINY)
         for command, flags, names in [
             ("run", (), {"timeseries.csv", "final_state.csv"}),
@@ -658,25 +660,43 @@ class TestHusimiCommand:
         assert capsys.readouterr().err == f"error: steps: no snapshot step in {steps!r}\n"
         assert calls == []
 
-    # At 101 points a group holds 25 grids, so 26 and 40 snapshots are each two
-    # groups: the grids held at once stay within one group's budget, however
-    # many snapshots there are.
+    # At 101 points and dim 8 each snapshot holds a pending chunk of 40 grid rows
+    # and a block of 20, so a group holds 21 snapshots, and 22 and 36 snapshots
+    # are each two groups. The peak is one group's rows (1 MiB at most), one
+    # block's amplitude table and product (2 x _HUSIMI_BLOCK_BYTES) and their
+    # temporaries, and one chunk's text (~0.55 MB): under 2 MiB plus 4 blocks,
+    # and not growing with the snapshot count or the grid.
     def test_memory_bounded_by_group(self, tmp_path):
         cfg = write(tmp_path, "model = linear\nomega = 1.2566370614\ndt = 0.005\n"
                               "steps = 40\ndim = 8\n")
-        assert cli._HUSIMI_GROUP_BYTES // (8 * 101 * 101) == 25
-        peaks = []
-        for count in (26, 40):
+        assert (cli._CSV_CHUNK // 101, observables._husimi_block_rows(8, 101)) == (40, 20)
+        assert cli._HUSIMI_GROUP_BYTES // (8 * 101 * (40 + 20)) == 21
+        peaks = {}
+        for points, count in ((101, 22), (101, 36), (1001, 3)):
             steps = ",".join(map(str, range(count)))
-            code, peak = traced_peak(main, ["husimi", cfg, "--out-dir", str(tmp_path / str(count)),
-                                            "--steps", steps, "--grid", "101"])
+            code, peaks[points, count] = traced_peak(
+                main, ["husimi", cfg, "--out-dir", str(tmp_path / f"{points}-{count}"),
+                       "--steps", steps, "--grid", str(points)])
             assert code == 0
-            peaks.append(peak)
-        # One block is its amplitude table and product (2 x _HUSIMI_BLOCK_BYTES)
-        # and their temporaries; the run's result and one row's text are small.
-        assert peaks[1] < cli._HUSIMI_GROUP_BYTES + 4 * observables._HUSIMI_BLOCK_BYTES
+        assert peaks[101, 36] < (1 << 21) + 4 * observables._HUSIMI_BLOCK_BYTES
         # 14 more snapshot states (1 KB each) and manifest entries.
-        assert peaks[1] < peaks[0] + 50_000
+        assert peaks[101, 36] < peaks[101, 22] + 50_000
+        # A 1001-point grid's file is written a 4-row chunk at a time.
+        assert peaks[1001, 3] < 2_000_000
+
+    # A 3-point grid's pending rows are 72 bytes a file, so the open files, not
+    # the bytes, bound its groups.
+    def test_open_files_bounded_by_group(self, tmp_path, monkeypatch):
+        seen = []
+        rows = cli._husimi_rows
+        monkeypatch.setattr(cli, "_husimi_rows",
+                            lambda states, xs: seen.append(len(states)) or rows(states, xs))
+        cfg = write(tmp_path, TINY.replace("steps = 40", "steps = 70"))
+        out = tmp_path / "o"
+        assert main(["husimi", cfg, "--out-dir", str(out), "--grid", "3",
+                     "--steps", ",".join(map(str, range(71)))]) == 0
+        assert seen == [32, 32, 7]
+        assert len(list(out.glob("husimi_step*.csv"))) == 71
 
     def test_wide_extent_that_fits_dim_still_written(self, tmp_path):
         cfg = write(tmp_path, TINY + "dim = 12\n")
@@ -734,28 +754,30 @@ class TestCsvText:
         self.assert_text(out / "trajectory.csv", "t,re_b,im_b",
                          zip(r.t.tolist(), r.mean_b.real.tolist(), r.mean_b.imag.tolist()))
 
-    # More snapshots than one group holds: 201 points (6 grids a group, the
-    # last block of each grid partial at dim 8) and 41 points with the budget
-    # cut to 3 grids a group. Every file is the per-cell text of its own grid.
-    @pytest.mark.parametrize("points, group, sizes", [(201, 6, [6, 1]), (41, 3, [3, 3, 2])])
-    def test_husimi_files_byte_equal_across_groups(self, tmp_path, monkeypatch, points, group,
-                                                   sizes):
-        if group != cli._HUSIMI_GROUP_BYTES // (8 * points * points):
-            monkeypatch.setattr(cli, "_HUSIMI_GROUP_BYTES", group * 8 * points * points)
+    # Every Husimi file is the per-line text of its own grid, with one group
+    # of two files filled exactly (2 snapshots) and one snapshot past it (3),
+    # and with the default chunks and chunks of 4 grid rows, which the blocks'
+    # heights (3, 41, 10 and 5 rows at dim 8) do not line up with.
+    @pytest.mark.parametrize("chunk_rows", [None, 4])
+    @pytest.mark.parametrize("count, groups", [(2, [2]), (3, [2, 1])])
+    @pytest.mark.parametrize("points", [3, 41, 201, 401])
+    def test_husimi_files_byte_equal_across_groups(self, tmp_path, monkeypatch, points, count,
+                                                   groups, chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(cli, "_CSV_CHUNK", chunk_rows * points)
+        monkeypatch.setattr(cli, "_HUSIMI_GROUP_FILES", 2)
         seen = []
-        grids = cli.husimi_grids
-        monkeypatch.setattr(cli, "husimi_grids",
-                            lambda states, *a: seen.append(len(states)) or grids(states, *a))
-        steps = list(range(sum(sizes)))
+        rows = cli._husimi_rows
+        monkeypatch.setattr(cli, "_husimi_rows",
+                            lambda states, xs: seen.append(len(states)) or rows(states, xs))
+        steps = list(range(count))
         out, config = self.setup(tmp_path, "husimi", "--steps", ",".join(map(str, steps)),
                                  "--grid", str(points), "--extent", "2.5")
-        assert seen == sizes
+        assert seen == groups
         res = run(config, snapshot_steps=set(steps))
-        for step in steps:
-            grid = husimi_grid(res.snapshots[step], 2.5, points)
-            self.assert_text(out / f"husimi_step{step}.csv", "x,y,q",
-                             [(x, y, q) for y, row in zip(grid.y.tolist(), grid.values.tolist())
-                              for x, q in zip(grid.x.tolist(), row)])
+        texts = reference_husimi_csv([res.snapshots[step] for step in steps], 2.5, points)
+        for step, text in zip(steps, texts):
+            assert (out / f"husimi_step{step}.csv").read_bytes() == text.encode()
 
     def test_compare_file(self, tmp_path):
         out, config = self.setup(tmp_path, "compare")

@@ -565,6 +565,24 @@ class TestHusimi:
         husimi_grids([random_density(rng, 12) for _ in range(5)], 5.0, 201)
         assert seen == [6] * 33 + [3]
 
+    # Rows per amplitude block, written out so that a changed _HUSIMI_BLOCK_BYTES
+    # shows here. Blocks of any height build bit-equal tables, but the BLAS
+    # product rho @ A is not bit-equal across heights: at dim 12 and 201 points,
+    # 6- and 20-row blocks gave products up to 3.1e-19 apart for a random state,
+    # and 14 of its Q cells differed in their last bits. So a new height can move
+    # the bytes of the CLI's Husimi files.
+    BLOCK_ROWS = {(2, 401): 20, (8, 101): 20, (12, 201): 6, (12, 401): 3, (48, 401): 1}
+
+    @pytest.mark.parametrize("d, points", sorted(BLOCK_ROWS))
+    def test_block_rows(self, monkeypatch, d, points):
+        seen = []
+        build = observables._coherent_rows
+        monkeypatch.setattr(observables, "_coherent_rows",
+                            lambda xs, ys, out: seen.append(ys.size) or build(xs, ys, out))
+        husimi_grids([vacuum(d)] * 2, 5.0, points)
+        rows, rest = self.BLOCK_ROWS[d, points], points % self.BLOCK_ROWS[d, points]
+        assert seen == [rows] * (points // rows) + [rest] * (rest > 0)
+
     def test_husimi_grids_of_no_state_is_empty(self):
         assert husimi_grids([], 5.0, 201) == []
 

@@ -1,7 +1,8 @@
 """Repository tooling and docs: the code-line count the ROADMAP tracks per module, the
-run fingerprint that compares two trees, and the README's entry-point table against
-the package it documents."""
+run and command-line fingerprints that compare two trees, and the README's entry-point
+table against the package it documents."""
 
+import hashlib
 import importlib
 import importlib.util
 import pkgutil
@@ -77,6 +78,28 @@ def test_fingerprint_matrix():
     names = fingerprint.case_names()
     assert len(names) == len(set(names)) == 3 * 7 * 4 * 2 * 4
     assert len(fingerprint.case_names(fingerprint.QUICK_DIMS)) == 3 * 2 * 4 * 2 * 4
+
+
+def test_cli_fingerprint_is_the_same_twice(capsys):
+    case = "both husimi --grid 3"
+    outputs = []
+    for _ in range(2):
+        fingerprint.main(["--cli", case])
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    rows = [row.split("  ") for row in outputs[0].splitlines()]
+    items = [f"husimi_step{j}.csv" for j in (0, 250, 500)] + [
+        "manifest.json", "trajectory.csv", "stdout", "stderr", "exit"]
+    assert [name for name, _ in rows] == [f"{case} | {item}" for item in items]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest) for _, digest in rows)
+    assert dict(rows)[f"{case} | exit"] == hashlib.sha256(b"0").hexdigest()
+
+
+def test_cli_fingerprint_cases():
+    names = fingerprint.cli_case_names()
+    assert len(names) == len(set(names)) == 2 * 5 + 2
+    assert {name.split()[1] for name in names} == {"husimi", "run", "compare", "converge",
+                                                   "sweep"}
 
 
 def readme_entry_points() -> list[str]:
